@@ -36,7 +36,7 @@ def _write_json(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload.setdefault("schema_version", 1)
     payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -63,7 +63,8 @@ def check_continuity(params: MapParams, derivative: bool = False) -> dict:
     Map-value gaps additionally must end below an absolute threshold.  The
     derivative gaps of the smooth variant decay like eps^(delta - 1), too
     slowly for any absolute cutoff on a short ladder, so convergence to zero
-    is certified by a strictly positive fitted power-law exponent instead.
+    is certified by a strictly positive fitted power-law exponent instead;
+    a last gap of exactly 0 has no exponent (recorded as null) and passes.
     """
     report = continuity_report(params, CONTINUITY_LADDER, derivative=derivative)
     ok = True
@@ -72,13 +73,12 @@ def check_continuity(params: MapParams, derivative: bool = False) -> dict:
         if any(b >= a for a, b in zip(gaps, gaps[1:])):
             ok = False
         if derivative:
-            if gaps[-1] == 0.0:
-                exponent = math.inf
-            else:
+            exponent = None
+            if gaps[-1] != 0.0:
                 exponent = (math.log(gaps[0] / gaps[-1])
                             / math.log(CONTINUITY_LADDER[0] / CONTINUITY_LADDER[-1]))
             entry["fitted_exponent"] = exponent
-            if exponent <= 0.02:
+            if exponent is not None and exponent <= 0.02:
                 ok = False
         elif gaps[-1] >= CONTINUITY_FINAL_GAP:
             ok = False
@@ -117,20 +117,13 @@ def check_forcing(params: MapParams) -> dict:
 
 
 def check_closed_form(params: MapParams) -> dict:
-    lam = np.arange(0.0, 10.0 + 1e-9, 0.1)
-    tau = np.arange(0.0, 1.0 + 1e-9, 0.01)
-    worst = -math.inf
-    skipped = 0
-    for lv in lam:
-        root = np.sqrt(1 + lv ** 2 + 2 * lv * np.cos(2 * params.theta * tau))
-        keep = root > 1e-12  # measure-zero singular points are skipped, reported
-        skipped += int(np.sum(~keep))
-        vals = contractivity.gamma4_derivative_closed_form(
-            np.full(int(keep.sum()), lv), tau[keep], params.theta)
-        worst = max(worst, float(np.max(vals)))
-    result = {"passed": worst <= 1e-12, "max_closed_form_derivative": worst}
-    if skipped:
-        result["singular_points_skipped"] = skipped
+    (row,) = contractivity.theta_window_sweep(
+        [params.theta], np.arange(0.0, 1.0 + 1e-9, 0.01),
+        np.arange(0.0, 10.0 + 1e-9, 0.1))
+    result = {"passed": not row["violation"],
+              "max_closed_form_derivative": row["max_deriv"]}
+    if row["singular_points_skipped"]:
+        result["singular_points_skipped"] = row["singular_points_skipped"]
     return result
 
 
@@ -218,11 +211,10 @@ def cmd_divisibility(args) -> int:
                "forcing_witness": forcing}
     _write_json(out / "divisibility_summary.json", summary)
     print(f"intervals: {summary['verdicts']}; witness: {forcing['status']}")
-    return 0
+    return 0 if forcing["passed"] else 1
 
 
 def cmd_sweep(args) -> int:
-    params = _params(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     thetas = np.arange(args.theta_min, args.theta_max + 1e-9, args.theta_step)
@@ -266,46 +258,47 @@ def cmd_bounds(args) -> int:
     return 0 if ok else 1
 
 
+FLAGS = {
+    "--theta": dict(type=float, default=1.5),
+    "--delta": dict(type=float, default=1.0),
+    "--config": dict(default=None,
+                     help="key=value parameter file (overrides --theta/--delta)"),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--grid": dict(type=int, default=200),
+    "--probes": dict(type=int, default=200),
+    "--k": dict(type=int, default=1),
+    "--slack": dict(type=float, default=TOL_DERIV),
+    "--theta-min": dict(type=float, default=1.0),
+    "--theta-max": dict(type=float, default=1.7),
+    "--theta-step": dict(type=float, default=0.05),
+    "--out": dict(default="out"),
+}
+PARAM_FLAGS = ("--theta", "--delta", "--config")
+
+# (name, help, handler, flags): each subcommand declares only the flags it reads.
+SUBCOMMANDS = (
+    ("verify", "run the full certification suite", cmd_verify,
+     PARAM_FLAGS + ("--seed", "--grid", "--probes", "--slack", "--out")),
+    ("scan", "trace-norm right-derivative scan", cmd_scan,
+     PARAM_FLAGS + ("--seed", "--grid", "--probes", "--k", "--slack", "--out")),
+    ("divisibility", "interval CP verdicts + forcing witness", cmd_divisibility,
+     PARAM_FLAGS + ("--grid", "--out")),
+    ("sweep", "theta-window violation sweep", cmd_sweep,
+     ("--theta-min", "--theta-max", "--theta-step", "--out")),
+    ("bounds", "analytic bound-chain ledger", cmd_bounds,
+     PARAM_FLAGS + ("--out",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qmarkov",
                                      description="dynamical-map certification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--theta", type=float, default=1.5)
-        p.add_argument("--delta", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--grid", type=int, default=200)
-        p.add_argument("--probes", type=int, default=200)
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--out", default="out")
-        p.add_argument("--rate", choices=["default-pole"], default="default-pole")
-        p.add_argument("--slack", type=float, default=TOL_DERIV)
-        p.add_argument("--config", default=None,
-                       help="key=value parameter file (overrides --theta/--delta)")
-
-    p = sub.add_parser("verify", help="run the full certification suite")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("scan", help="trace-norm right-derivative scan")
-    common(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("divisibility", help="interval CP verdicts + forcing witness")
-    common(p)
-    p.set_defaults(func=cmd_divisibility)
-
-    p = sub.add_parser("sweep", help="theta-window violation sweep")
-    common(p)
-    p.add_argument("--theta-min", type=float, default=1.0)
-    p.add_argument("--theta-max", type=float, default=1.7)
-    p.add_argument("--theta-step", type=float, default=0.05)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("bounds", help="analytic bound-chain ledger")
-    common(p)
-    p.set_defaults(func=cmd_bounds)
+    for name, help_text, func, flags in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -10,9 +10,7 @@ lambda <-> 1/lambda reflection identity.
 from __future__ import annotations
 
 import csv
-import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +49,6 @@ class ScanReport:
     passed: bool
     slack: float
     seed: int
-    theta: float
     k: int
     grid_spec: dict = field(default_factory=dict)
 
@@ -72,18 +69,9 @@ class ScanReport:
             "passed": self.passed,
             "slack": self.slack,
             "seed": self.seed,
-            "theta": self.theta,
             "k": self.k,
             "grid": self.grid_spec,
         }
-
-    def to_json(self, path, timestamp: bool = True) -> None:
-        payload = self.summary()
-        if timestamp:
-            payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
 
 
 def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
@@ -130,8 +118,7 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
     max_rd = float(flat[pmax, gmax])
     return ScanReport(rows=tuple(rows), max_rderiv=max_rd,
                       argmax_t=float(grid[gmax]), argmax_probe=int(pmax),
-                      passed=max_rd <= slack, slack=slack, seed=probes.seed,
-                      theta=float("nan"), k=k,
+                      passed=max_rd <= slack, slack=slack, seed=probes.seed, k=k,
                       grid_spec={"points": len(grid), "t_min": float(grid[0]),
                                  "t_max": float(grid[-1]), "h0": h0})
 

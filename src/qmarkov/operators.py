@@ -31,11 +31,6 @@ def as_hermitian(X, tol: float = TOL_HERM) -> np.ndarray:
     return X
 
 
-def is_hermitian(X, tol: float = TOL_HERM) -> bool:
-    X = np.asarray(X, dtype=complex)
-    return X.ndim == 2 and X.shape[0] == X.shape[1] and np.max(np.abs(X - X.conj().T)) <= tol
-
-
 def check_density(rho, tol_trace: float = TOL_HERM, tol_psd: float = TOL_PSD) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, PSD up to ``tol_psd``."""
     rho = as_hermitian(rho)

@@ -2,10 +2,11 @@
 
 Four elementary CP maps E1..E4, interpolating families Gamma1..Gamma4 on
 tau in [0, 1], a dephasing generator with an s-dependent rate, and the
-piecewise-composed family Lambda_t on [0, t4].  Parameters (rotation angle
-theta, junction times, rate functions, smoothing exponent delta) live in an
-immutable MapParams and are loadable from a plain key=value config file,
-e.g.::
+piecewise-composed family Lambda_t on [0, t4].  E1..E3 and the stage
+prefixes E2 E1 and E3 E2 E1 are read-only constants built once at import.
+Parameters (rotation angle theta, junction times, smoothing exponent delta)
+live in an immutable MapParams and are loadable from a plain key=value
+config file, e.g.::
 
     theta = 1.5
     t1 = 1
@@ -19,13 +20,12 @@ e.g.::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .operators import OperandError
-from .superops import SuperOp, compose, from_kraus, superop_from_action
+from .superops import SuperOp, compose, from_kraus, superop_from_action, vec
 
 D1 = np.diag([-1.0, 1.0, 1.0])
 D2 = np.diag([1.0, -1.0, 1.0])
@@ -38,18 +38,6 @@ RHO_B = np.diag([0.0, 1.0, 1.0]) / 2
 G = np.array([[0.0, -1.0j, 0.0],
               [1.0j, 0.0, 0.0],
               [0.0, 0.0, 0.0]])
-KETS = [np.eye(3)[:, i] for i in range(3)]
-
-
-@dataclass(frozen=True)
-class ConstantsTable:
-    D1: np.ndarray = field(default_factory=lambda: D1.copy())
-    D2: np.ndarray = field(default_factory=lambda: D2.copy())
-    D3: np.ndarray = field(default_factory=lambda: D3.copy())
-    K2: np.ndarray = field(default_factory=lambda: K2.copy())
-    rhoA: np.ndarray = field(default_factory=lambda: RHO_A.copy())
-    rhoB: np.ndarray = field(default_factory=lambda: RHO_B.copy())
-    G: np.ndarray = field(default_factory=lambda: G.copy())
 
 
 def rotated_ket(angle: float) -> np.ndarray:
@@ -57,67 +45,26 @@ def rotated_ket(angle: float) -> np.ndarray:
     return np.array([math.sin(angle), math.cos(angle), 0.0], dtype=complex)
 
 
-@dataclass(frozen=True)
-class RateFunction:
-    """Rate spec for the interpolating families.
+def rate_f(tau: float) -> float:
+    """Rate of the second and third families, f(tau) = tau^2 / (1 - tau).
 
-    ``default-pole`` uses gamma(s) = 1/(1-s) with closed-form integral
-    g(tau) = -ln(1-tau), and f(tau) = tau^2/(1-tau).  Both diverge at
-    tau = 1, which drives the families to their tau=1 limits exactly.
-    ``custom-tabulated`` interpolates f linearly from a monotone table on
-    [0, 1) (still forced to +inf at tau = 1); gamma may be overridden with a
-    callable.
+    f diverges at tau = 1, which drives both families to their tau = 1
+    limits exactly.
     """
+    if not 0.0 <= tau <= 1.0:
+        raise OperandError("tau must lie in [0, 1]")
+    if tau == 1.0:
+        return math.inf
+    return tau * tau / (1.0 - tau)
 
-    kind: str = "default-pole"
-    table: tuple = ()  # ((tau, f(tau)), ...) for custom-tabulated
-    gamma_fn: object = None  # optional callable gamma(s)
 
-    def __post_init__(self):
-        if self.kind not in ("default-pole", "custom-tabulated"):
-            raise OperandError(f"unknown rate kind {self.kind!r}")
-        if self.kind == "custom-tabulated":
-            if len(self.table) < 2:
-                raise OperandError("custom-tabulated rate needs at least two samples")
-            taus = [p[0] for p in self.table]
-            vals = [p[1] for p in self.table]
-            if taus[0] != 0.0 or vals[0] != 0.0:
-                raise OperandError("tabulated f must start at f(0) = 0")
-            if any(b <= a for a, b in zip(taus, taus[1:])) or \
-               any(b <= a for a, b in zip(vals, vals[1:])):
-                raise OperandError("tabulated f must be strictly increasing")
-
-    def f(self, tau: float) -> float:
-        if not 0.0 <= tau <= 1.0:
-            raise OperandError("tau must lie in [0, 1]")
-        if tau == 1.0:
-            return math.inf
-        if self.kind == "default-pole":
-            return tau * tau / (1.0 - tau)
-        taus = np.array([p[0] for p in self.table])
-        vals = np.array([p[1] for p in self.table])
-        if tau > taus[-1]:
-            # continue with the last slope toward the pole
-            slope = (vals[-1] - vals[-2]) / (taus[-1] - taus[-2])
-            return float(vals[-1] + slope * (tau - taus[-1]))
-        return float(np.interp(tau, taus, vals))
-
-    def gamma(self, s: float) -> float:
-        if self.gamma_fn is not None:
-            return float(self.gamma_fn(s))
-        if s >= 1.0:
-            return math.inf
-        return 1.0 / (1.0 - s)
-
-    def g(self, tau: float) -> float:
-        """Integral of gamma over [0, tau]."""
-        if not 0.0 <= tau <= 1.0:
-            raise OperandError("tau must lie in [0, 1]")
-        if tau == 1.0:
-            return math.inf
-        if self.gamma_fn is None:
-            return -math.log1p(-tau)
-        return float(quad(self.gamma, 0.0, tau, limit=200)[0])
+def rate_g(tau: float) -> float:
+    """Integrated dephasing rate g(tau) = -ln(1 - tau) of gamma(s) = 1/(1 - s)."""
+    if not 0.0 <= tau <= 1.0:
+        raise OperandError("tau must lie in [0, 1]")
+    if tau == 1.0:
+        return math.inf
+    return -math.log1p(-tau)
 
 
 SQRT2 = math.sqrt(2.0)
@@ -141,9 +88,6 @@ class MapParams:
     t3: float = 3.0
     t4: float = 4.0
     delta: float = 1.0
-    gamma_rate: RateFunction = field(default_factory=RateFunction)
-    f1_spec: RateFunction = field(default_factory=RateFunction)
-    f2_spec: RateFunction = field(default_factory=RateFunction)
 
     def __post_init__(self):
         if not (0.0 < self.t1 < self.t2 < self.t3 < self.t4):
@@ -179,16 +123,22 @@ def load_params(path) -> MapParams:
     return MapParams(**kwargs)
 
 
+def _constant(S: SuperOp) -> SuperOp:
+    S.matrix.flags.writeable = False
+    return S
+
+
+E1 = _constant(from_kraus([np.eye(3) / 2, D1 / 2, D2 / 2, D3 / 2]))
+E2 = _constant(from_kraus([K2]))
+E3 = _constant(superop_from_action(lambda X: X[0, 0] * RHO_A + X[1, 1] * RHO_B, 3))
+E2_E1 = _constant(compose(E2, E1))
+E3_E2_E1 = _constant(compose(E3, E2_E1))
+
+
 def make_E(i: int, params: MapParams | None = None) -> SuperOp:
     """The four elementary CP maps (E4 needs theta from ``params``)."""
-    params = params or MapParams()
-    if i == 1:
-        return from_kraus([np.eye(3) / 2, D1 / 2, D2 / 2, D3 / 2])
-    if i == 2:
-        return from_kraus([K2])
-    if i == 3:
-        return superop_from_action(
-            lambda X: X[0, 0] * RHO_A + X[1, 1] * RHO_B, 3)
+    if i in (1, 2, 3):
+        return (E1, E2, E3)[i - 1]
     if i == 4:
         return gamma_family(4, 1.0, params)
     raise OperandError(f"map index must be 1..4, got {i}")
@@ -222,11 +172,11 @@ def gamma_family(i: int, tau: float, params: MapParams | None = None) -> SuperOp
     if not 0.0 <= tau <= 1.0:
         raise OperandError("tau must lie in [0, 1]")
     if i == 1:
-        return SuperOp(dim=3, matrix=_gamma1_matrix(params.gamma_rate.g(tau)))
+        return SuperOp(dim=3, matrix=_gamma1_matrix(rate_g(tau)))
     if i in (2, 3):
-        rate = params.f1_spec if i == 2 else params.f2_spec
-        w = math.exp(-rate.f(tau)) if not math.isinf(rate.f(tau)) else 0.0
-        target = make_E(i, params)
+        f = rate_f(tau)
+        w = 0.0 if math.isinf(f) else math.exp(-f)
+        target = E2 if i == 2 else E3
         m = w * np.eye(9) + (1.0 - w) * target.matrix
         return SuperOp(dim=3, matrix=m)
     if i == 4:
@@ -236,18 +186,17 @@ def gamma_family(i: int, tau: float, params: MapParams | None = None) -> SuperOp
         # grows like tau^2 near tau = 0 for every delta > 1 (norm backflow);
         # the full reparameterization keeps contractivity by the chain rule
         # while still zeroing the right time-derivative at the third junction.
+        # X -> (1 + s^2)(x00 |0><0| + x11 |psi><psi|) + (1 - s^2)(x00 + x11) |2><2|
+        # with s = tau^delta and |psi> the ket rotated by theta*s: only the
+        # columns of |0><0| (index 0) and |1><1| (index 4) are nonzero.
         sigma = tau ** params.delta
         ket = rotated_ket(params.theta * sigma)
-        proj1 = np.outer(KETS[0], KETS[0])
-        proj_rot = np.outer(ket, ket.conj())
-        proj3 = np.outer(KETS[2], KETS[2])
         up, down = 1.0 + sigma * sigma, 1.0 - sigma * sigma
-
-        def action(X):
-            return (up * (X[0, 0] * proj1 + X[1, 1] * proj_rot)
-                    + down * (X[0, 0] + X[1, 1]) * proj3)
-
-        return superop_from_action(action, 3)
+        m = np.zeros((9, 9), dtype=complex)
+        m[0, 0] = up
+        m[:, 4] = up * vec(np.outer(ket, ket.conj()))
+        m[8, [0, 4]] = down
+        return SuperOp(dim=3, matrix=m)
     raise OperandError(f"family index must be 1..4, got {i}")
 
 
@@ -260,14 +209,12 @@ def lambda_t(t: float, params: MapParams | None = None) -> SuperOp:
         return gamma_family(1, t / params.t1, params)
     if t < params.t2:
         tau = (t - params.t1) / (params.t2 - params.t1)
-        return compose(gamma_family(2, tau, params), make_E(1, params))
+        return compose(gamma_family(2, tau, params), E1)
     if t < params.t3:
         tau = (t - params.t2) / (params.t3 - params.t2)
-        return compose(gamma_family(3, tau, params),
-                       compose(make_E(2, params), make_E(1, params)))
+        return compose(gamma_family(3, tau, params), E2_E1)
     tau = (t - params.t3) / (params.t4 - params.t3)
-    stack = compose(make_E(2, params), make_E(1, params))
-    return compose(gamma_family(4, tau, params), compose(make_E(3, params), stack))
+    return compose(gamma_family(4, tau, params), E3_E2_E1)
 
 
 def family(params: MapParams | None = None):

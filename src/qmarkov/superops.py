@@ -89,15 +89,14 @@ def from_kraus(kraus_ops) -> SuperOp:
 
 
 def to_choi(S: SuperOp) -> np.ndarray:
-    """Unnormalized Choi matrix sum_ij S(|i><j|) kron |i><j| (trace d for TP maps)."""
+    """Unnormalized Choi matrix sum_ij S(|i><j|) kron |i><j| (trace d for TP maps).
+
+    S(|i><j|)[a, b] sits at matrix[b*d + a, j*d + i], i.e. at index
+    [b, a, j, i] of the reshaped (d, d, d, d) array, and the Choi entry
+    [(a, i), (b, j)] is that index reshuffled.
+    """
     d = S.dim
-    C = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            C += np.kron(S.apply(unit), unit)
-    return C
+    return S.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 def choi_min_eigenvalue(S: SuperOp) -> float:

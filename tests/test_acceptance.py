@@ -146,7 +146,7 @@ def test_criterion_7_dephasing_oracle_equivalence():
     L0 = dephasing_generator().matrix
     ok = True
     for tau in np.arange(0.1, 0.95, 0.1):
-        g = params.gamma_rate.g(tau)
+        g = -math.log1p(-tau)
         dense = expm(g * L0)
         ok &= np.max(np.abs(gamma_family(1, tau).matrix - dense)) < 1e-10
     _report(7, "first-stage oracle equivalence", bool(ok))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qmarkov import cli
 from qmarkov.cli import main
 
 
@@ -109,6 +110,16 @@ class TestDivisibility:
         assert csv_lines[0] == "s,t,definedness,residual,choi_min_eig,verdict"
         assert len(csv_lines) == 9  # header + 8 intervals
 
+    def test_right_angle_inconclusive_witness(self, tmp_path, capsys):
+        code = run(["divisibility", "--theta", str(math.pi / 2), "--out",
+                    str(tmp_path), "--grid", "9"])
+        out = capsys.readouterr().out
+        assert code == 1
+        summary = json.loads(
+            (tmp_path / "divisibility_summary.json").read_text())
+        assert summary["forcing_witness"]["status"] == "inconclusive"
+        assert "witness: inconclusive" in out
+
 
 class TestSweep:
     def test_window_partition(self, tmp_path, capsys):
@@ -150,3 +161,62 @@ class TestUsage:
     def test_bad_rate_choice(self, capsys):
         assert run(["scan", "--rate", "exotic"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--rate", "default-pole"],
+        ["verify", "--k", "2"],
+        ["scan", "--theta-min", "1.0"],
+        ["divisibility", "--seed", "1"],
+        ["divisibility", "--probes", "5"],
+        ["divisibility", "--k", "2"],
+        ["divisibility", "--slack", "1e-6"],
+        ["sweep", "--seed", "1"],
+        ["sweep", "--theta", "1.5"],
+        ["sweep", "--config", "params.cfg"],
+        ["bounds", "--grid", "5"],
+        ["bounds", "--seed", "1"],
+        ["bounds", "--probes", "5"],
+        ["bounds", "--k", "2"],
+        ["bounds", "--slack", "1e-6"],
+    ], ids=" ".join)
+    def test_flag_not_read_by_subcommand(self, argv, capsys):
+        assert run(argv) == 2
+        capsys.readouterr()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+class TestStrictJson:
+    def test_every_summary_is_strict(self, tmp_path, capsys):
+        runs = [
+            ["verify", "--grid", "20", "--probes", "5"],
+            ["verify", "--theta", "1.55", "--delta", "1.05", "--grid", "20",
+             "--probes", "5"],
+            ["scan", "--grid", "20", "--probes", "5"],
+            ["scan", "--k", "2", "--grid", "20", "--probes", "5"],
+            ["divisibility", "--grid", "9"],
+            ["divisibility", "--theta", str(math.pi / 2), "--grid", "9"],
+            ["sweep", "--theta-min", "1.3", "--theta-max", "1.6"],
+            ["bounds"],
+        ]
+        for i, argv in enumerate(runs):
+            out = tmp_path / str(i)
+            run(argv + ["--out", str(out)])
+            for path in out.glob("*_summary.json"):
+                json.loads(path.read_text(), parse_constant=_reject_constant)
+        capsys.readouterr()
+        assert len(list(tmp_path.glob("*/*_summary.json"))) == len(runs)
+
+    def test_exact_zero_derivative_gap_has_null_exponent(self, monkeypatch):
+        ladder = cli.CONTINUITY_LADDER
+        report = {name: {"eps": ladder, "gap": (1e-2, 1e-3, 1e-4),
+                         "derivative_gap": (1e-3, 1e-5, 0.0)}
+                  for name in ("t1", "t2", "t3")}
+        monkeypatch.setattr(cli, "continuity_report",
+                            lambda *args, **kwargs: report)
+        result = cli.check_continuity(None, derivative=True)
+        assert result["passed"] is True
+        assert all(e["fitted_exponent"] is None for e in result["report"].values())
+        json.dumps(result, allow_nan=False)

@@ -5,11 +5,11 @@ import pytest
 from scipy.linalg import expm
 
 from qmarkov.operators import OperandError, check_density, random_probes, trace_norm
-from qmarkov.qutrit_family import (D1, D2, D3, G, K2, RHO_A, RHO_B,
-                                   ConstantsTable, MapParams, RateFunction,
+from qmarkov.qutrit_family import (D1, D2, D3, G, RHO_A, RHO_B, MapParams,
                                    continuity_report, dephasing_generator,
                                    family, gamma_family, lambda_t,
-                                   load_params, make_E, rotated_ket)
+                                   load_params, make_E, rate_f, rate_g,
+                                   rotated_ket)
 
 SEED = 5
 
@@ -41,42 +41,22 @@ class TestConstants:
             assert np.allclose(rotated_ket(angle),
                                expm(1j * G * angle) @ np.array([0.0, 1.0, 0.0]))
 
-    def test_table_copies(self):
-        table = ConstantsTable()
-        table.D1[0, 0] = 99.0
-        assert D1[0, 0] == -1.0
-
 
 class TestRateFunction:
     def test_default_pole(self):
-        r = RateFunction()
-        assert r.f(0.0) == 0.0
-        assert r.f(0.5) == pytest.approx(0.5)
-        assert math.isinf(r.f(1.0))
-        assert r.g(0.5) == pytest.approx(-math.log(0.5))
-        assert math.isinf(r.g(1.0))
+        assert rate_f(0.0) == 0.0
+        assert rate_f(0.5) == pytest.approx(0.5)
+        assert math.isinf(rate_f(1.0))
+        assert rate_g(0.5) == pytest.approx(-math.log(0.5))
+        assert math.isinf(rate_g(1.0))
+        for rate in (rate_f, rate_g):
+            with pytest.raises(OperandError):
+                rate(1.5)
 
     def test_f_monotone(self):
-        r = RateFunction()
         taus = np.linspace(0.0, 0.99, 50)
-        vals = [r.f(t) for t in taus]
+        vals = [rate_f(t) for t in taus]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_custom_gamma_integrates(self):
-        r = RateFunction(gamma_fn=lambda s: 2.0)
-        assert r.g(0.3) == pytest.approx(0.6, abs=1e-10)
-
-    def test_tabulated(self):
-        r = RateFunction(kind="custom-tabulated",
-                         table=((0.0, 0.0), (0.5, 1.0), (0.9, 5.0)))
-        assert r.f(0.25) == pytest.approx(0.5)
-        assert math.isinf(r.f(1.0))
-        with pytest.raises(OperandError):
-            RateFunction(kind="custom-tabulated", table=((0.0, 0.0), (0.5, -1.0)))
-
-    def test_bad_kind(self):
-        with pytest.raises(OperandError):
-            RateFunction(kind="nope")
 
 
 class TestParams:
@@ -128,10 +108,9 @@ class TestElementaryMaps:
 
 class TestGammaFamilies:
     def test_gamma1_matches_expm_oracle(self):
-        params = MapParams()
         L0 = dephasing_generator().matrix
         for tau in np.arange(0.1, 0.95, 0.1):
-            g = params.gamma_rate.g(tau)
+            g = -math.log1p(-tau)
             dense = expm(g * L0)
             assert np.max(np.abs(gamma_family(1, tau).matrix - dense)) < 1e-10
 
@@ -235,7 +214,8 @@ class TestLambdaFamily:
             x11, x22, x33 = rng.standard_normal(3)
             X = np.diag([x11, x22, x33])
             for t in (1.0, 1.3, 1.8):
-                w = math.exp(-params.f1_spec.f(t - 1.0))
+                tau = t - 1.0
+                w = math.exp(-tau * tau / (1.0 - tau))
                 expected = abs(x11) + abs(x22 + (1 - w) * x33) + w * abs(x33)
                 assert trace_norm(lambda_t(t, params).apply(X)) == pytest.approx(
                     expected, abs=1e-10)
