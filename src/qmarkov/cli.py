@@ -24,7 +24,7 @@ import numpy as np
 from . import contractivity, divisibility
 from .operators import random_probes
 from .qutrit_family import (MapParams, continuity_report, family, load_params)
-from .superops import choi_min_eigenvalue
+from .superops import choi_min_eigenvalue, tp_error
 from .tolerances import DEFAULT_SEED, TOL_DERIV, TOL_PSD
 
 CONTINUITY_LADDER = (1e-2, 1e-3, 1e-4)
@@ -48,9 +48,10 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _params(args) -> MapParams:
-    if getattr(args, "config", None):
+    if args.config:
         return load_params(args.config)
-    return MapParams(theta=args.theta, delta=args.delta)
+    return MapParams(**{name: getattr(args, name) for name in ("theta", "delta")
+                        if getattr(args, name) is not None})
 
 
 def _fmt(x: float) -> str:
@@ -85,21 +86,12 @@ def check_continuity(params: MapParams, derivative: bool = False) -> dict:
     return {"passed": ok, "report": report}
 
 
-def check_cp_tp(params: MapParams, grid_points: int, n_probes: int,
-                seed: int) -> dict:
+def check_cp_tp(params: MapParams, grid_points: int) -> dict:
+    """CP from the Choi minimum eigenvalue, TP exactly from the Choi partial trace."""
     fam = family(params)
-    grid = np.linspace(0.0, params.t4, grid_points)
-    probes = random_probes(3, n_probes, seed).stacked()
-    vec_probes = probes.transpose(0, 2, 1).reshape(probes.shape[0], -1)
-    traced_in = np.einsum("nii->n", probes)
-    worst_choi = math.inf
-    worst_tp = 0.0
-    for t in grid:
-        S = fam(t)
-        worst_choi = min(worst_choi, choi_min_eigenvalue(S))
-        outs = np.einsum("ab,nb->na", S.matrix, vec_probes)
-        traced_out = np.einsum("nkk->n", outs.reshape(probes.shape[0], 3, 3))
-        worst_tp = max(worst_tp, float(np.max(np.abs(traced_out - traced_in))))
+    maps = [fam(t) for t in np.linspace(0.0, params.t4, grid_points)]
+    worst_choi = min(choi_min_eigenvalue(S) for S in maps)
+    worst_tp = max(tp_error(S) for S in maps)
     return {"passed": worst_choi >= -TOL_PSD and worst_tp <= TOL_PSD,
             "min_choi_eig": worst_choi, "max_trace_error": worst_tp}
 
@@ -138,7 +130,7 @@ def cmd_verify(args) -> int:
     checks["continuity"] = check_continuity(params)
     if smooth:
         checks["derivative-continuity"] = check_continuity(params, derivative=True)
-    checks["cp-tp"] = check_cp_tp(params, args.grid, 50, args.seed)
+    checks["cp-tp"] = check_cp_tp(params, args.grid)
     checks["divisibility"] = check_forcing(params)
     probes = random_probes(3, args.probes, args.seed)
     grid = np.linspace(0.0, params.t4, args.grid, endpoint=False)
@@ -224,11 +216,15 @@ def cmd_sweep(args) -> int:
                ["theta", "max_deriv", "arg_lambda", "arg_tau", "violation"],
                [[_fmt(r["theta"]), _fmt(r["max_deriv"]), _fmt(r["arg_lambda"]),
                  _fmt(r["arg_tau"]), str(r["violation"]).lower()] for r in rows])
+    clean = [r["theta"] for r in rows if not r["violation"]]
     _write_json(out / "sweep_summary.json",
                 {"command": "sweep",
                  "violations": [r["theta"] for r in rows if r["violation"]],
-                 "clean": [r["theta"] for r in rows if not r["violation"]]})
-    print(f"{sum(r['violation'] for r in rows)} of {len(rows)} thetas violate")
+                 "clean": clean})
+    print(f"{len(rows) - len(clean)} of {len(rows)} thetas violate")
+    if clean != [float(t) for t in thetas if math.sqrt(2) <= t <= math.pi / 2]:
+        print("clean thetas differ from the window [sqrt(2), pi/2]")
+        return 1
     return 0
 
 
@@ -238,14 +234,10 @@ def cmd_bounds(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result = contractivity.bound_chain_check(
         params.theta, np.arange(0.005, 1.0 + 1e-9, 0.005))
-    _write_csv(out / "bounds.csv",
-               ["tau", "sup_derivative", "bound_sqrt", "bound_cos", "bracket",
-                "polynomial", "link1", "link2", "link3", "link4"],
-               [[_fmt(r["tau"]), _fmt(r["sup_derivative"]), _fmt(r["bound_sqrt"]),
-                 _fmt(r["bound_cos"]), _fmt(r["bracket"]), _fmt(r["polynomial"]),
-                 str(r["link1"]).lower(), str(r["link2"]).lower(),
-                 str(r["link3"]).lower(), str(r["link4"]).lower()]
-                for r in result["rows"]])
+    rows = result["rows"]
+    _write_csv(out / "bounds.csv", rows.dtype.names,
+               [[_fmt(v) if isinstance(v, float) else str(v).lower() for v in r]
+                for r in rows.tolist()])
     ok = result["chain_ok"] and result["lambda_monotone"] and \
         result["polynomial_nonpositive"]
     _write_json(out / "bounds_summary.json",
@@ -258,19 +250,33 @@ def cmd_bounds(args) -> int:
     return 0 if ok else 1
 
 
+def _ranged(cast, in_range, rule: str):
+    """argparse type: ``cast`` the text, then reject values outside ``rule``."""
+    def parse(text: str):
+        value = cast(text)
+        if not in_range(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
+# --theta/--delta default to None (MapParams supplies 1.5 and 1.0) so that an
+# explicit value given next to --config can be told apart and rejected.
 FLAGS = {
-    "--theta": dict(type=float, default=1.5),
-    "--delta": dict(type=float, default=1.0),
+    "--theta": dict(type=float, default=None, help="default 1.5"),
+    "--delta": dict(type=float, default=None, help="default 1.0"),
     "--config": dict(default=None,
-                     help="key=value parameter file (overrides --theta/--delta)"),
+                     help="key=value parameter file (excludes --theta/--delta)"),
     "--seed": dict(type=int, default=DEFAULT_SEED),
-    "--grid": dict(type=int, default=200),
-    "--probes": dict(type=int, default=200),
-    "--k": dict(type=int, default=1),
+    "--grid": dict(type=_ranged(int, lambda v: v >= 2, ">= 2"), default=200),
+    "--probes": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=200),
+    "--k": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=1),
     "--slack": dict(type=float, default=TOL_DERIV),
     "--theta-min": dict(type=float, default=1.0),
     "--theta-max": dict(type=float, default=1.7),
-    "--theta-step": dict(type=float, default=0.05),
+    "--theta-step": dict(type=_ranged(float, lambda v: 0 < v < math.inf,
+                                      "positive and finite"), default=0.05),
     "--out": dict(default="out"),
 }
 PARAM_FLAGS = ("--theta", "--delta", "--config")
@@ -303,7 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) and (args.theta, args.delta) != (None, None):
+        parser.error("--config sets theta and delta; drop --theta/--delta")
+    if getattr(args, "theta_min", 0.0) > getattr(args, "theta_max", 0.0):
+        parser.error("--theta-min must not exceed --theta-max")
     return args.func(args)
 
 

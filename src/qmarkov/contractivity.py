@@ -9,7 +9,6 @@ lambda <-> 1/lambda reflection identity.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -31,18 +30,11 @@ def lambda_probe(lam: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    t: float
-    probe_id: int
-    k: int
-    norm: float
-    rderiv: float
-    verdict: str  # "ok" | "fail"
-
-
-@dataclass(frozen=True)
 class ScanReport:
-    rows: tuple
+    """``rows``: record array ``t, probe_id, k, norm, rderiv, verdict`` in
+    probe-major order; ``verdict`` is "fail" where ``rderiv`` > ``slack``."""
+
+    rows: np.recarray
     max_rderiv: float
     argmax_t: float
     argmax_probe: int
@@ -53,12 +45,15 @@ class ScanReport:
     grid_spec: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
+        """Write the rows as CSV with CRLF line ends, one probe block at a time."""
+        block = self.grid_spec["points"]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "probe_id", "k", "norm", "rderiv", "verdict"])
-            for row in self.rows:
-                writer.writerow([f"{row.t:.12g}", row.probe_id, row.k,
-                                 f"{row.norm:.15g}", f"{row.rderiv:.15g}", row.verdict])
+            fh.write(",".join(self.rows.dtype.names) + "\r\n")
+            for start in range(0, len(self.rows), block):
+                columns = (self.rows[name][start:start + block].tolist()
+                           for name in self.rows.dtype.names)
+                fh.writelines(f"{t:.12g},{p},{k},{n:.15g},{d:.15g},{v}\r\n"
+                              for t, p, k, n, d, v in zip(*columns))
 
     def summary(self) -> dict:
         return {
@@ -75,7 +70,7 @@ class ScanReport:
 
 
 def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
-                         slack: float = TOL_DERIV, h0: float = DEFAULT_H0) -> ScanReport:
+                         slack: float = TOL_DERIV) -> ScanReport:
     """Right-derivative scan of ||(Lambda_t tensor Id_k)(X)||_1.
 
     ``fam`` is a callable t -> SuperOp on the system factor; for k > 1 the
@@ -85,8 +80,8 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
     parallel and serial runs produce identical reports.
     """
     grid = list(grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise OperandError("grid must be ascending")
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise OperandError("grid must be non-empty and ascending")
     if k < 1:
         raise OperandError("k must be >= 1")
     stack = probes.stacked()
@@ -102,25 +97,25 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
     deriv_rows = np.empty((len(grid), n))
     for gi, t in enumerate(grid):
         f0 = norms_at(t)
-        diffs = [(norms_at(t + h) - f0) / h for h in (h0, h0 / 2, h0 / 4)]
+        diffs = [(norms_at(t + h) - f0) / h
+                 for h in (DEFAULT_H0, DEFAULT_H0 / 2, DEFAULT_H0 / 4)]
         norm_rows[gi] = f0
         deriv_rows[gi] = _richardson(diffs)
 
-    rows = []
-    for pid in range(n):
-        for gi, t in enumerate(grid):
-            rd = float(deriv_rows[gi, pid])
-            rows.append(ScanRow(t=float(t), probe_id=pid, k=k,
-                                norm=float(norm_rows[gi, pid]), rderiv=rd,
-                                verdict="fail" if rd > slack else "ok"))
     flat = deriv_rows.T  # (probe, grid)
+    rderiv = flat.ravel()
+    rows = np.rec.fromarrays(
+        [np.tile(np.asarray(grid, dtype=float), n), np.repeat(np.arange(n), len(grid)),
+         np.full(rderiv.size, k), norm_rows.T.ravel(), rderiv,
+         np.where(rderiv > slack, "fail", "ok")],
+        names=("t", "probe_id", "k", "norm", "rderiv", "verdict"))
     pmax, gmax = np.unravel_index(np.argmax(flat), flat.shape)
     max_rd = float(flat[pmax, gmax])
-    return ScanReport(rows=tuple(rows), max_rderiv=max_rd,
+    return ScanReport(rows=rows, max_rderiv=max_rd,
                       argmax_t=float(grid[gmax]), argmax_probe=int(pmax),
                       passed=max_rd <= slack, slack=slack, seed=probes.seed, k=k,
                       grid_spec={"points": len(grid), "t_min": float(grid[0]),
-                                 "t_max": float(grid[-1]), "h0": h0})
+                                 "t_max": float(grid[-1]), "h0": DEFAULT_H0})
 
 
 def gamma4_norm_closed_form(lam, tau, theta):
@@ -163,30 +158,28 @@ def gamma4_norm_numeric(lam: float, tau: float, theta: float) -> float:
 def theta_window_sweep(theta_grid, tau_grid, lam_grid) -> list:
     """Locate the worst (lam, tau) of the closed-form derivative per theta.
 
-    Rows report the maximum, its location and a violation flag; singular
-    grid points are skipped and counted.
+    Rows report the maximum, its location (the first maximum in lam-major
+    order) and a violation flag; singular grid points are skipped and
+    counted.
     """
     tau = np.asarray(list(tau_grid), dtype=float)
     lam = np.asarray(list(lam_grid), dtype=float)
+    lam_mesh, tau_mesh = np.meshgrid(lam, tau, indexing="ij")
     rows = []
     for theta in theta_grid:
-        best, best_lam, best_tau, skipped = -np.inf, None, None, 0
-        for lv in lam:
-            root = np.sqrt(1 + lv ** 2 + 2 * lv * np.cos(2 * theta * tau))
-            keep = root > 1e-12
-            skipped += int(np.sum(~keep))
-            if not np.any(keep):
-                continue
-            vals = gamma4_derivative_closed_form(
-                np.full(int(keep.sum()), lv), tau[keep], theta)
-            idx = int(np.argmax(vals))
-            if vals[idx] > best:
-                best, best_lam, best_tau = (float(vals[idx]), float(lv),
-                                            float(tau[keep][idx]))
+        root = np.sqrt(1 + lam_mesh ** 2 + 2 * lam_mesh * np.cos(2 * theta * tau_mesh))
+        keep = root > 1e-12
+        best, best_lam, best_tau = -math.inf, None, None
+        if keep.any():
+            vals = np.full(keep.shape, -math.inf)
+            vals[keep] = gamma4_derivative_closed_form(lam_mesh[keep],
+                                                       tau_mesh[keep], theta)
+            i, j = np.unravel_index(np.argmax(vals), vals.shape)
+            best, best_lam, best_tau = float(vals[i, j]), float(lam[i]), float(tau[j])
         rows.append({"theta": float(theta), "max_deriv": best,
                      "arg_lambda": best_lam, "arg_tau": best_tau,
                      "violation": best > TOL_CLOSED_FORM,
-                     "singular_points_skipped": skipped})
+                     "singular_points_skipped": int(keep.size - keep.sum())})
     return rows
 
 
@@ -201,8 +194,9 @@ def bound_chain_check(theta: float, tau_grid, lam_grid=None) -> dict:
              (half-angle rewrite, theta in [0, pi/2]);
       link3: the bracketed term <= (2 - theta^2) tau - (theta^2 - theta^4/3) tau^3;
       link4 (only meaningful for theta >= sqrt(2)): the polynomial <= 0.
-    Also checks that the bracketed part of the derivative is monotonically
-    decreasing in lam, via its lam-derivative on a (lam, theta*tau) grid.
+    ``rows`` is a NumPy record array with one row per tau.  Also checks that
+    the bracketed part of the derivative is monotonically decreasing in lam,
+    via its lam-derivative on a (lam, theta*tau) grid.
     """
     if not 0.0 <= theta <= math.pi / 2:
         raise OperandError("bound chain is stated for theta in [0, pi/2]")
@@ -211,43 +205,29 @@ def bound_chain_check(theta: float, tau_grid, lam_grid=None) -> dict:
     if np.any(lam < 1.0):
         raise OperandError("bound chain covers lam >= 1")
     tol = 1e-10
-    rows = []
-    for tv in tau:
-        sup = max(float(gamma4_derivative_closed_form(lv, tv, theta)) for lv in lam)
-        bound_a = (tv * math.sqrt(max(2 + 2 * math.cos(2 * theta * tv), 0.0))
-                   - (1 + tv * tv) * (theta / 2) * math.sin(2 * theta * tv))
-        bracket = 2 * tv - (1 + tv * tv) * theta * math.sin(theta * tv)
-        bound_b = math.cos(theta * tv) * bracket
-        poly = (2 - theta ** 2) * tv - (theta ** 2 - theta ** 4 / 3) * tv ** 3
-        rows.append({
-            "tau": float(tv),
-            "sup_derivative": sup,
-            "bound_sqrt": bound_a,
-            "bound_cos": bound_b,
-            "bracket": bracket,
-            "polynomial": poly,
-            "link1": sup <= bound_a + tol,
-            "link2": abs(bound_a - bound_b) <= tol,
-            "link3": bracket <= poly + tol,
-            "link4": poly <= tol,
-        })
+    sup = gamma4_derivative_closed_form(lam[:, None], tau, theta).max(axis=0)
+    bound_a = (tau * np.sqrt(np.maximum(2 + 2 * np.cos(2 * theta * tau), 0.0))
+               - (1 + tau * tau) * (theta / 2) * np.sin(2 * theta * tau))
+    bracket = 2 * tau - (1 + tau * tau) * theta * np.sin(theta * tau)
+    bound_b = np.cos(theta * tau) * bracket
+    # float_power is the scalar pow; the array `tau ** 3` takes a SIMD power
+    # that can differ in the last bit, which would move printed digits.
+    poly = (2 - theta ** 2) * tau - (theta ** 2 - theta ** 4 / 3) * np.float_power(tau, 3)
+    rows = np.rec.fromarrays(
+        [tau, sup, bound_a, bound_b, bracket, poly, sup <= bound_a + tol,
+         np.abs(bound_a - bound_b) <= tol, bracket <= poly + tol, poly <= tol],
+        names=("tau", "sup_derivative", "bound_sqrt", "bound_cos", "bracket",
+               "polynomial", "link1", "link2", "link3", "link4"))
     # lam-monotonicity of the bracketed term: its lam-derivative is
     # -1 + (lam + cos(2 theta tau)) / sqrt(1 + lam^2 + 2 lam cos(2 theta tau)) <= 0.
-    mono_ok = True
-    worst_mono = -np.inf
-    for lv in np.linspace(1.0, 10.0, 37):
-        for tv in tau:
-            c = math.cos(2 * theta * tv)
-            root = math.sqrt(1 + lv * lv + 2 * lv * c)
-            val = -1 + (lv + c) / root
-            worst_mono = max(worst_mono, val)
-            if val > tol:
-                mono_ok = False
-    chain_ok = all(r["link1"] and r["link2"] and r["link3"] for r in rows)
-    negative_ok = all(r["link4"] for r in rows)
-    return {"theta": theta, "rows": rows, "chain_ok": chain_ok,
-            "polynomial_nonpositive": negative_ok,
-            "lambda_monotone": mono_ok, "worst_lambda_derivative": float(worst_mono)}
+    mono_lam = np.linspace(1.0, 10.0, 37)[:, None]
+    c = np.cos(2 * theta * tau)
+    mono = -1 + (mono_lam + c) / np.sqrt(1 + mono_lam * mono_lam + 2 * mono_lam * c)
+    return {"theta": theta, "rows": rows,
+            "chain_ok": bool(np.all(rows.link1 & rows.link2 & rows.link3)),
+            "polynomial_nonpositive": bool(np.all(rows.link4)),
+            "lambda_monotone": not np.any(mono > tol),
+            "worst_lambda_derivative": float(np.max(mono, initial=-math.inf))}
 
 
 def lambda_reflection_check(lam: float, tau: float, theta: float,

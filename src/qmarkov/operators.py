@@ -66,7 +66,7 @@ def partial_trace(X, dims: tuple[int, int], keep: str = "first") -> np.ndarray:
     raise OperandError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def _richardson(d, kink_guard: bool = True):
+def _richardson(d):
     """Extrapolate forward differences d = [D(h), D(h/2), D(h/4)] to h -> 0.
 
     Two Richardson levels remove the O(h) and O(h^2) error terms.  When the
@@ -78,8 +78,6 @@ def _richardson(d, kink_guard: bool = True):
     a1 = 2.0 * d1 - d0
     a2 = 2.0 * d2 - d1
     rich = (4.0 * a2 - a1) / 3.0
-    if not kink_guard:
-        return rich
     scale = np.maximum(np.maximum(np.abs(d0), np.abs(d1)), np.abs(d2))
     bad = np.abs(a2 - a1) > 0.1 * scale + 1e-9
     return np.where(bad, d2, rich)

@@ -110,12 +110,16 @@ def is_cp(S: SuperOp, tol: float = TOL_PSD) -> bool:
     return choi_min_eigenvalue(S) >= -tol
 
 
+def tp_error(S: SuperOp) -> float:
+    """Largest entry of |Tr_out C - I|, C the Choi matrix; 0 iff S preserves trace."""
+    d = S.dim
+    reduced = np.einsum("kikj->ij", to_choi(S).reshape(d, d, d, d))
+    return float(np.max(np.abs(reduced - np.eye(d))))
+
+
 def is_tp(S: SuperOp, tol: float = TOL_PSD) -> bool:
     """Trace preservation: Choi partial trace over the output factor is the identity."""
-    d = S.dim
-    C = to_choi(S)
-    reduced = np.einsum("kikj->ij", C.reshape(d, d, d, d))
-    return bool(np.max(np.abs(reduced - np.eye(d))) <= tol)
+    return tp_error(S) <= tol
 
 
 def positivity_sample(S: SuperOp, n: int, seed: int, tol: float = TOL_PSD):

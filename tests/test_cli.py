@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qmarkov import cli
+from qmarkov import cli, contractivity
 from qmarkov.cli import main
 
 
@@ -64,6 +64,17 @@ class TestVerify:
         summary = json.loads(
             (tmp_path / "out" / "verify_summary.json").read_text())
         assert summary["theta"] == 1.45
+
+    @pytest.mark.parametrize("flag", ["--theta", "--delta"])
+    def test_config_conflicts_with_explicit_parameter(self, tmp_path, capsys,
+                                                      flag):
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text("theta = 1.45\n")
+        code = run(["bounds", "--config", str(cfg), flag, "1.2", "--out",
+                    str(tmp_path / "out")])
+        assert "--config" in capsys.readouterr().err
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestScan:
@@ -131,6 +142,22 @@ class TestSweep:
         assert any(abs(v - 1.3) < 1e-9 for v in summary["violations"])
         assert any(abs(v - 1.5) < 1e-9 for v in summary["clean"])
 
+    def test_violation_inside_window_exits_one(self, tmp_path, capsys,
+                                               monkeypatch):
+        sweep = contractivity.theta_window_sweep
+
+        def flag_one_five(thetas, *grids):
+            rows = sweep(thetas, *grids)
+            for row in rows:
+                row["violation"] |= abs(row["theta"] - 1.5) < 1e-9
+            return rows
+
+        monkeypatch.setattr(contractivity, "theta_window_sweep", flag_one_five)
+        code = run(["sweep", "--out", str(tmp_path), "--theta-min", "1.3",
+                    "--theta-max", "1.6", "--theta-step", "0.1"])
+        assert "differ from the window" in capsys.readouterr().out
+        assert code == 1
+
 
 class TestBounds:
     def test_pass_at_default(self, tmp_path, capsys):
@@ -182,6 +209,24 @@ class TestUsage:
     def test_flag_not_read_by_subcommand(self, argv, capsys):
         assert run(argv) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--grid", "0"],
+        ["scan", "--grid", "1"],
+        ["scan", "--probes", "0"],
+        ["scan", "--k", "0"],
+        ["verify", "--grid", "1"],
+        ["verify", "--probes", "0"],
+        ["divisibility", "--grid", "1"],
+        ["sweep", "--theta-step", "0"],
+        ["sweep", "--theta-step", "-0.1"],
+        ["sweep", "--theta-step", "inf"],
+        ["sweep", "--theta-min", "1.7", "--theta-max", "1.0"],
+    ], ids=" ".join)
+    def test_out_of_range_value(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def _reject_constant(name):

@@ -1,5 +1,8 @@
-"""Property tests of the algebraic identities behind the family and Choi code."""
+"""Property tests of the algebraic identities behind the family and Choi code,
+and of the array-expression grid checks against the loops they replaced."""
 
+import csv
+import io
 import math
 import os
 import subprocess
@@ -8,14 +11,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qmarkov
-from qmarkov.qutrit_family import (D1, D2, D3, K2, MapParams, gamma_family,
-                                   lambda_t, make_E)
-from qmarkov.superops import SuperOp, compose, from_kraus, is_cp, is_tp, to_choi
+from qmarkov.contractivity import (SingularPointError, bound_chain_check,
+                                   gamma4_derivative_closed_form,
+                                   norm_derivative_scan, theta_window_sweep)
+from qmarkov.operators import _richardson, random_probes
+from qmarkov.qutrit_family import (D1, D2, D3, K2, MapParams, family,
+                                   gamma_family, lambda_t, make_E)
+from qmarkov.superops import (SuperOp, apply_to_extended, compose, from_kraus,
+                              is_cp, is_tp, to_choi)
+from qmarkov.tolerances import DEFAULT_H0, TOL_CLOSED_FORM, TOL_DERIV
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -104,3 +113,148 @@ def test_import_leaves_scipy_unloaded():
                           capture_output=True, text=True, timeout=120,
                           check=True)
     assert proc.stdout.strip() == "False"
+
+
+def _scan_csv_by_rows(fam, probes, grid, k):
+    """The scan as it was written with one row object per (probe, t) and
+    csv.writer; returns (row count, CSV text)."""
+    stack = probes.stacked()
+
+    def norms_at(t):
+        out = apply_to_extended(fam(t), stack, k)
+        out = (out + np.conj(np.swapaxes(out, -1, -2))) / 2
+        return np.abs(np.linalg.eigvalsh(out)).sum(axis=-1)
+
+    norm_rows = np.empty((len(grid), len(stack)))
+    deriv_rows = np.empty((len(grid), len(stack)))
+    for gi, t in enumerate(grid):
+        f0 = norms_at(t)
+        norm_rows[gi] = f0
+        deriv_rows[gi] = _richardson([(norms_at(t + h) - f0) / h for h in
+                                      (DEFAULT_H0, DEFAULT_H0 / 2, DEFAULT_H0 / 4)])
+    rows = []
+    for pid in range(len(stack)):
+        for gi, t in enumerate(grid):
+            rd = float(deriv_rows[gi, pid])
+            rows.append((float(t), pid, k, float(norm_rows[gi, pid]), rd,
+                         "fail" if rd > TOL_DERIV else "ok"))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t", "probe_id", "k", "norm", "rderiv", "verdict"])
+    for t, pid, kk, norm, rd, verdict in rows:
+        writer.writerow([f"{t:.12g}", pid, kk, f"{norm:.15g}", f"{rd:.15g}", verdict])
+    return len(rows), buf.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_probes=st.integers(1, 6), k=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       grid=st.lists(st.floats(0.0, 3.99), min_size=1, max_size=8,
+                     unique=True).map(sorted))
+def test_scan_csv_matches_row_writer(tmp_path_factory, n_probes, k, seed, grid):
+    probes = random_probes(3 * k, n_probes, seed)
+    report = norm_derivative_scan(family(), probes, grid, k=k)
+    path = tmp_path_factory.mktemp("scan") / "scan.csv"
+    report.to_csv(path)
+    n_rows, text = _scan_csv_by_rows(family(), probes, grid, k)
+    assert len(report.rows) == n_rows == n_probes * len(grid)
+    assert path.read_bytes() == text.encode()
+
+
+def _theta_sweep_per_lambda(theta_grid, tau, lam):
+    """The sweep as it was written: one closed-form call per lambda."""
+    rows = []
+    for theta in theta_grid:
+        best, best_lam, best_tau, skipped = -np.inf, None, None, 0
+        for lv in lam:
+            root = np.sqrt(1 + lv ** 2 + 2 * lv * np.cos(2 * theta * tau))
+            keep = root > 1e-12
+            skipped += int(np.sum(~keep))
+            if not np.any(keep):
+                continue
+            vals = gamma4_derivative_closed_form(
+                np.full(int(keep.sum()), lv), tau[keep], theta)
+            idx = int(np.argmax(vals))
+            if vals[idx] > best:
+                best, best_lam, best_tau = (float(vals[idx]), float(lv),
+                                            float(tau[keep][idx]))
+        rows.append({"theta": float(theta), "max_deriv": best,
+                     "arg_lambda": best_lam, "arg_tau": best_tau,
+                     "violation": best > TOL_CLOSED_FORM,
+                     "singular_points_skipped": skipped})
+    return rows
+
+
+@PROPERTY_SETTINGS
+@given(thetas=st.lists(st.floats(1.0, 1.7), min_size=1, max_size=4),
+       n_tau=st.integers(1, 41), lam_max=st.sampled_from([1.0, 2.5, 10.0]),
+       lam_step=st.sampled_from([0.1, 0.25, 0.5]))
+@example(thetas=[math.pi / 2], n_tau=11, lam_max=1.0, lam_step=0.5)
+@example(thetas=[math.pi / 2], n_tau=1, lam_max=1.0, lam_step=0.5)
+def test_theta_sweep_matches_per_lambda_loop(thetas, n_tau, lam_max, lam_step):
+    # n_tau = 1 gives tau = [1.0]: at theta = pi/2 every lam = 1 point is singular
+    tau = np.linspace(0.0, 1.0, n_tau) if n_tau > 1 else np.array([1.0])
+    lam = np.arange(0.0, lam_max + 1e-9, lam_step)
+    thetas = thetas + [math.pi / 2]
+    assert theta_window_sweep(thetas, tau, lam) == \
+        _theta_sweep_per_lambda(thetas, tau, lam)
+
+
+def test_theta_sweep_all_points_singular():
+    expected = _theta_sweep_per_lambda([math.pi / 2], np.array([1.0]),
+                                       np.array([1.0]))
+    assert expected[0]["arg_lambda"] is None
+    assert theta_window_sweep([math.pi / 2], [1.0], [1.0]) == expected
+
+
+def _bound_chain_scalar(theta, tau, lam):
+    """The bound-chain ledger as it was written: one scalar row per tau."""
+    tol = 1e-10
+    rows = []
+    for tv in tau:
+        sup = max(float(gamma4_derivative_closed_form(lv, tv, theta)) for lv in lam)
+        bound_a = (tv * math.sqrt(max(2 + 2 * math.cos(2 * theta * tv), 0.0))
+                   - (1 + tv * tv) * (theta / 2) * math.sin(2 * theta * tv))
+        bracket = 2 * tv - (1 + tv * tv) * theta * math.sin(theta * tv)
+        bound_b = math.cos(theta * tv) * bracket
+        poly = (2 - theta ** 2) * tv - (theta ** 2 - theta ** 4 / 3) * tv ** 3
+        rows.append({"tau": float(tv), "sup_derivative": sup,
+                     "bound_sqrt": bound_a, "bound_cos": bound_b,
+                     "bracket": bracket, "polynomial": poly,
+                     "link1": sup <= bound_a + tol,
+                     "link2": abs(bound_a - bound_b) <= tol,
+                     "link3": bracket <= poly + tol, "link4": poly <= tol})
+    mono_ok, worst_mono = True, -np.inf
+    for lv in np.linspace(1.0, 10.0, 37):
+        for tv in tau:
+            c = math.cos(2 * theta * tv)
+            val = -1 + (lv + c) / math.sqrt(1 + lv * lv + 2 * lv * c)
+            worst_mono = max(worst_mono, val)
+            mono_ok = mono_ok and not val > tol
+    return {"rows": rows,
+            "chain_ok": all(r["link1"] and r["link2"] and r["link3"] for r in rows),
+            "polynomial_nonpositive": all(r["link4"] for r in rows),
+            "lambda_monotone": mono_ok,
+            "worst_lambda_derivative": float(worst_mono)}
+
+
+@PROPERTY_SETTINGS
+@given(theta=st.one_of(st.floats(math.sqrt(2.0), math.pi / 2), st.just(1.3)),
+       tau=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       lam=st.lists(st.floats(1.0, 12.0), min_size=1, max_size=12))
+@example(theta=1.3, tau=list(np.arange(0.005, 1.0 + 1e-9, 0.005)),
+         lam=list(np.arange(1.0, 11.0)))
+def test_bound_chain_matches_scalar_ledger(theta, tau, lam):
+    tau, lam = np.asarray(tau), np.asarray(lam)
+    try:
+        expected = _bound_chain_scalar(theta, tau, lam)
+    except SingularPointError:
+        with pytest.raises(SingularPointError):
+            bound_chain_check(theta, tau, lam)
+        return
+    out = bound_chain_check(theta, tau, lam)
+    for name in out["rows"].dtype.names:
+        assert out["rows"][name].tolist() == [r[name] for r in expected["rows"]]
+    for key in ("chain_ok", "polynomial_nonpositive", "lambda_monotone",
+                "worst_lambda_derivative"):
+        assert out[key] == expected[key]
