@@ -13,7 +13,8 @@ from .divisibility import (ForcingWitness, IntermediateMap,
 from .operators import (ProbeSet, partial_trace, random_probes,
                         right_derivative, tensor, trace_norm)
 from .qutrit_family import (MapParams, continuity_report, family,
-                            gamma_family, lambda_t, load_params, make_E)
+                            gamma_family, gamma_family_dot, lambda_t,
+                            lambda_t_dot, load_params, make_E)
 from .superops import (SuperOp, apply_to_extended, compose, from_kraus,
                        identity_superop, image_basis, image_rank,
                        is_cp, is_image_nonincreasing, is_tp,

@@ -48,6 +48,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _params(args) -> MapParams:
+    """MapParams from --config or --theta/--delta.
+
+    Raises ValueError (OperandError) for values outside the family's domain
+    or a malformed config, and OSError for an unreadable config.
+    """
     if args.config:
         return load_params(args.config)
     return MapParams(**{name: getattr(args, name) for name in ("theta", "delta")
@@ -120,7 +125,7 @@ def check_closed_form(params: MapParams) -> dict:
 
 
 def cmd_verify(args) -> int:
-    params = _params(args)
+    params = args.params
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fam = family(params)
@@ -164,7 +169,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    params = _params(args)
+    params = args.params
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dim = 3 * args.k
@@ -185,7 +190,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_divisibility(args) -> int:
-    params = _params(args)
+    params = args.params
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fam = family(params)
@@ -229,7 +234,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    params = _params(args)
+    params = args.params
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = contractivity.bound_chain_check(
@@ -245,6 +250,7 @@ def cmd_bounds(args) -> int:
                  "chain_ok": result["chain_ok"],
                  "polynomial_nonpositive": result["polynomial_nonpositive"],
                  "lambda_monotone": result["lambda_monotone"],
+                 "singular_points_skipped": result["singular_points_skipped"],
                  "passed": ok})
     print(f"bound chain at theta={params.theta}: {'pass' if ok else 'fail'}")
     return 0 if ok else 1
@@ -272,9 +278,10 @@ FLAGS = {
     "--grid": dict(type=_ranged(int, lambda v: v >= 2, ">= 2"), default=200),
     "--probes": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=200),
     "--k": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=1),
-    "--slack": dict(type=float, default=TOL_DERIV),
-    "--theta-min": dict(type=float, default=1.0),
-    "--theta-max": dict(type=float, default=1.7),
+    "--slack": dict(type=_ranged(float, lambda v: 0 <= v < math.inf,
+                                 "finite and >= 0"), default=TOL_DERIV),
+    "--theta-min": dict(type=_ranged(float, math.isfinite, "finite"), default=1.0),
+    "--theta-max": dict(type=_ranged(float, math.isfinite, "finite"), default=1.7),
     "--theta-step": dict(type=_ranged(float, lambda v: 0 < v < math.inf,
                                       "positive and finite"), default=0.05),
     "--out": dict(default="out"),
@@ -311,8 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None) and (args.theta, args.delta) != (None, None):
-        parser.error("--config sets theta and delta; drop --theta/--delta")
+    if hasattr(args, "config"):
+        if args.config and (args.theta, args.delta) != (None, None):
+            parser.error("--config sets theta and delta; drop --theta/--delta")
+        try:
+            args.params = _params(args)
+        except (ValueError, OSError) as err:
+            parser.error(str(err))
+        if args.command == "bounds" and args.params.theta > math.pi / 2:
+            parser.error("bounds: the bound chain is stated for theta in (0, pi/2]")
     if getattr(args, "theta_min", 0.0) > getattr(args, "theta_max", 0.0):
         parser.error("--theta-min must not exceed --theta-max")
     return args.func(args)

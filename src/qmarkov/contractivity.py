@@ -1,6 +1,6 @@
 """Information-flow analysis via trace-norm contractivity.
 
-Right-derivative scans of t -> ||Lambda_t(X)||_1 over probe ensembles
+Exact right-derivative scans of t -> ||Lambda_t(X)||_1 over probe ensembles
 (optionally with an ancilla of dimension k), the closed-form norm and
 derivative of the fourth interpolating family on probes rho_A - lambda*rho_B,
 the theta-window tightness sweep, the analytic bound chain and the
@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperandError, ProbeSet, _richardson
+from .operators import OperandError, ProbeSet
 from .qutrit_family import RHO_A, RHO_B, MapParams, gamma_family
 from .superops import apply_to_extended
-from .tolerances import DEFAULT_H0, TOL_CLOSED_FORM, TOL_DERIV
+from .tolerances import KERNEL_CUTOFF, TOL_CLOSED_FORM, TOL_DERIV
 
 
 class SingularPointError(ValueError):
@@ -69,15 +69,47 @@ class ScanReport:
         }
 
 
+def norm_rderiv_at(fam, stack: np.ndarray, t: float, k: int = 1):
+    """Trace norms ||X||_1 of X = (Lambda_t tensor Id_k)(probe) for a stack of
+    probes, and their exact right time-derivatives.
+
+    With X = sum_i lam_i |v_i><v_i| and Xdot = (dLambda_t/dt tensor Id_k)(probe),
+    the right derivative is (Kato, Perturbation Theory, ch. II)
+
+        sum_{lam_i != 0} sign(lam_i) <v_i|Xdot|v_i> + ||P0 Xdot P0||_1,
+
+    P0 the projector onto the kernel of X, which is the eigenvalues with
+    |lam| <= KERNEL_CUTOFF * max |lam| of each probe.  ``fam`` is a callable
+    t -> SuperOp with a ``dot(t)`` method giving the right derivative.
+    Returns the arrays (norm, rderiv), one entry per probe.
+    """
+    X = apply_to_extended(fam(t), stack, k)
+    Xdot = apply_to_extended(fam.dot(t), stack, k)
+    lam, V = np.linalg.eigh((X + np.conj(np.swapaxes(X, -1, -2))) / 2)
+    mag = np.abs(lam)
+    kernel = mag <= KERNEL_CUTOFF * mag.max(axis=-1, keepdims=True)
+    XdotV = Xdot @ V
+    rates = np.einsum("...ji,...ji->...i", V.conj(), XdotV).real  # <v_i|Xdot|v_i>
+    rderiv = np.where(kernel, 0.0, np.sign(lam) * rates).sum(axis=-1)
+    rows = np.flatnonzero(kernel.any(axis=-1))
+    if rows.size:
+        inner = np.conj(np.swapaxes(V[rows], -1, -2)) @ XdotV[rows]
+        mask = kernel[rows, :, None] & kernel[rows, None, :]
+        block = np.where(mask, (inner + np.conj(np.swapaxes(inner, -1, -2))) / 2, 0.0)
+        rderiv[rows] += np.abs(np.linalg.eigvalsh(block)).sum(axis=-1)
+    return mag.sum(axis=-1), rderiv
+
+
 def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
                          slack: float = TOL_DERIV) -> ScanReport:
     """Right-derivative scan of ||(Lambda_t tensor Id_k)(X)||_1.
 
-    ``fam`` is a callable t -> SuperOp on the system factor; for k > 1 the
-    probes must live on the product space.  Rows are sorted by (probe, t);
-    a row fails when its right derivative exceeds ``slack``.  Probe norms at
-    each stencil point are evaluated in one batched eigendecomposition, so
-    parallel and serial runs produce identical reports.
+    ``fam`` is a callable t -> SuperOp on the system factor with a ``dot(t)``
+    method for its right derivative (as ``qutrit_family.family`` returns);
+    for k > 1 the probes must live on the product space.  Each grid point is
+    one batched eigendecomposition of all probes (``norm_rderiv_at``), and
+    the derivatives are exact.  Rows are sorted by (probe, t); a row fails
+    when its right derivative exceeds ``slack``.
     """
     grid = list(grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -87,20 +119,10 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
     stack = probes.stacked()
     n = stack.shape[0]
 
-    def norms_at(t: float) -> np.ndarray:
-        S = fam(t)
-        out = apply_to_extended(S, stack, k)
-        out = (out + np.conj(np.swapaxes(out, -1, -2))) / 2
-        return np.abs(np.linalg.eigvalsh(out)).sum(axis=-1)
-
     norm_rows = np.empty((len(grid), n))
     deriv_rows = np.empty((len(grid), n))
     for gi, t in enumerate(grid):
-        f0 = norms_at(t)
-        diffs = [(norms_at(t + h) - f0) / h
-                 for h in (DEFAULT_H0, DEFAULT_H0 / 2, DEFAULT_H0 / 4)]
-        norm_rows[gi] = f0
-        deriv_rows[gi] = _richardson(diffs)
+        norm_rows[gi], deriv_rows[gi] = norm_rderiv_at(fam, stack, t, k)
 
     flat = deriv_rows.T  # (probe, grid)
     rderiv = flat.ravel()
@@ -115,7 +137,7 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
                       argmax_t=float(grid[gmax]), argmax_probe=int(pmax),
                       passed=max_rd <= slack, slack=slack, seed=probes.seed, k=k,
                       grid_spec={"points": len(grid), "t_min": float(grid[0]),
-                                 "t_max": float(grid[-1]), "h0": DEFAULT_H0})
+                                 "t_max": float(grid[-1])})
 
 
 def gamma4_norm_closed_form(lam, tau, theta):
@@ -155,6 +177,24 @@ def gamma4_norm_numeric(lam: float, tau: float, theta: float) -> float:
     return trace_norm(gamma_family(4, tau, params).apply(lambda_probe(lam)))
 
 
+def _root(lam, tau, theta):
+    """sqrt(1 + lam^2 + 2 lam cos(2 theta tau)), the closed forms' square root."""
+    return np.sqrt(1 + lam ** 2 + 2 * lam * np.cos(2 * theta * tau))
+
+
+def _closed_form_mesh(lam, tau, theta):
+    """Closed-form derivative on the broadcast (lam, tau) mesh, with -inf at
+    its singular points (lam = 1, 2*theta*tau = pi); returns (values, number
+    of singular points)."""
+    lam, tau = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                   np.asarray(tau, dtype=float))
+    keep = _root(lam, tau, theta) > 1e-12
+    vals = np.full(keep.shape, -math.inf)
+    if keep.any():
+        vals[keep] = gamma4_derivative_closed_form(lam[keep], tau[keep], theta)
+    return vals, int(keep.size - keep.sum())
+
+
 def theta_window_sweep(theta_grid, tau_grid, lam_grid) -> list:
     """Locate the worst (lam, tau) of the closed-form derivative per theta.
 
@@ -167,19 +207,15 @@ def theta_window_sweep(theta_grid, tau_grid, lam_grid) -> list:
     lam_mesh, tau_mesh = np.meshgrid(lam, tau, indexing="ij")
     rows = []
     for theta in theta_grid:
-        root = np.sqrt(1 + lam_mesh ** 2 + 2 * lam_mesh * np.cos(2 * theta * tau_mesh))
-        keep = root > 1e-12
+        vals, skipped = _closed_form_mesh(lam_mesh, tau_mesh, theta)
         best, best_lam, best_tau = -math.inf, None, None
-        if keep.any():
-            vals = np.full(keep.shape, -math.inf)
-            vals[keep] = gamma4_derivative_closed_form(lam_mesh[keep],
-                                                       tau_mesh[keep], theta)
+        if skipped < vals.size:
             i, j = np.unravel_index(np.argmax(vals), vals.shape)
             best, best_lam, best_tau = float(vals[i, j]), float(lam[i]), float(tau[j])
         rows.append({"theta": float(theta), "max_deriv": best,
                      "arg_lambda": best_lam, "arg_tau": best_tau,
                      "violation": best > TOL_CLOSED_FORM,
-                     "singular_points_skipped": int(keep.size - keep.sum())})
+                     "singular_points_skipped": skipped})
     return rows
 
 
@@ -196,7 +232,9 @@ def bound_chain_check(theta: float, tau_grid, lam_grid=None) -> dict:
       link4 (only meaningful for theta >= sqrt(2)): the polynomial <= 0.
     ``rows`` is a NumPy record array with one row per tau.  Also checks that
     the bracketed part of the derivative is monotonically decreasing in lam,
-    via its lam-derivative on a (lam, theta*tau) grid.
+    via its lam-derivative on a (lam, theta*tau) grid.  Both lam x tau meshes
+    skip the closed forms' singular points (lam = 1, 2*theta*tau = pi, where
+    the square root vanishes) and count them in ``singular_points_skipped``.
     """
     if not 0.0 <= theta <= math.pi / 2:
         raise OperandError("bound chain is stated for theta in [0, pi/2]")
@@ -205,7 +243,8 @@ def bound_chain_check(theta: float, tau_grid, lam_grid=None) -> dict:
     if np.any(lam < 1.0):
         raise OperandError("bound chain covers lam >= 1")
     tol = 1e-10
-    sup = gamma4_derivative_closed_form(lam[:, None], tau, theta).max(axis=0)
+    vals, skipped = _closed_form_mesh(lam[:, None], tau, theta)
+    sup = vals.max(axis=0)
     bound_a = (tau * np.sqrt(np.maximum(2 + 2 * np.cos(2 * theta * tau), 0.0))
                - (1 + tau * tau) * (theta / 2) * np.sin(2 * theta * tau))
     bracket = 2 * tau - (1 + tau * tau) * theta * np.sin(theta * tau)
@@ -220,10 +259,13 @@ def bound_chain_check(theta: float, tau_grid, lam_grid=None) -> dict:
                "polynomial", "link1", "link2", "link3", "link4"))
     # lam-monotonicity of the bracketed term: its lam-derivative is
     # -1 + (lam + cos(2 theta tau)) / sqrt(1 + lam^2 + 2 lam cos(2 theta tau)) <= 0.
-    mono_lam = np.linspace(1.0, 10.0, 37)[:, None]
-    c = np.cos(2 * theta * tau)
-    mono = -1 + (mono_lam + c) / np.sqrt(1 + mono_lam * mono_lam + 2 * mono_lam * c)
-    return {"theta": theta, "rows": rows,
+    mono_lam, mono_tau = np.broadcast_arrays(np.linspace(1.0, 10.0, 37)[:, None], tau)
+    root = _root(mono_lam, mono_tau, theta)
+    keep = root > 1e-12
+    mono = np.full(keep.shape, -math.inf)
+    mono[keep] = -1 + (mono_lam[keep] + np.cos(2 * theta * mono_tau[keep])) / root[keep]
+    skipped += int(keep.size - keep.sum())
+    return {"theta": theta, "rows": rows, "singular_points_skipped": skipped,
             "chain_ok": bool(np.all(rows.link1 & rows.link2 & rows.link3)),
             "polynomial_nonpositive": bool(np.all(rows.link4)),
             "lambda_monotone": not np.any(mono > tol),

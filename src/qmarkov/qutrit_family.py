@@ -1,8 +1,9 @@
 """The qutrit dynamical-map family and its building blocks.
 
 Four elementary CP maps E1..E4, interpolating families Gamma1..Gamma4 on
-tau in [0, 1], a dephasing generator with an s-dependent rate, and the
-piecewise-composed family Lambda_t on [0, t4].  E1..E3 and the stage
+tau in [0, 1] with their closed-form tau-derivatives, a dephasing
+generator with an s-dependent rate, and the piecewise-composed family
+Lambda_t on [0, t4] with its right time-derivative.  E1..E3 and the stage
 prefixes E2 E1 and E3 E2 E1 are read-only constants built once at import.
 Parameters (rotation angle theta, junction times, smoothing exponent delta)
 live in an immutable MapParams and are loadable from a plain key=value
@@ -94,8 +95,8 @@ class MapParams:
             raise OperandError("junction times must satisfy 0 < t1 < t2 < t3 < t4")
         if not (0.0 < self.theta < math.pi):
             raise OperandError("theta must lie in (0, pi)")
-        if self.delta < 1.0:
-            raise OperandError("delta must be >= 1")
+        if not 1.0 <= self.delta < math.inf:
+            raise OperandError("delta must be finite and >= 1")
 
     @property
     def in_contractive_window(self) -> bool:
@@ -144,19 +145,18 @@ def make_E(i: int, params: MapParams | None = None) -> SuperOp:
     raise OperandError(f"map index must be 1..4, got {i}")
 
 
-def _gamma1_matrix(g_value: float) -> np.ndarray:
-    """Coefficient map of exp(g * L0) with L0(X) = sum_i D_i X D_i - 3X.
+def _gamma1_matrix(off_diagonal: float, diagonal: float = 1.0) -> np.ndarray:
+    """Diagonal coefficient map: ``diagonal`` on the diagonal matrix units
+    |i><i| and ``off_diagonal`` on the others.
 
-    In the matrix-unit basis L0 is diagonal: coefficient 0 on diagonal
-    units and -4 on off-diagonal ones, so the exponential multiplies
-    off-diagonal entries by exp(-4g) and leaves the diagonal alone.  Using
-    the closed form keeps the tau -> 1 limit exact (coefficient exactly 0).
+    exp(g * L0) with L0(X) = sum_i D_i X D_i - 3X is of this form: in the
+    matrix-unit basis L0 is diagonal, with coefficient 0 on diagonal units
+    and -4 on off-diagonal ones, so the exponential multiplies off-diagonal
+    entries by exp(-4g) and leaves the diagonal alone.  Using the closed
+    form keeps the tau -> 1 limit exact (coefficient exactly 0).
     """
-    decay = 0.0 if math.isinf(g_value) else math.exp(-4.0 * g_value)
-    coeffs = np.empty(9)
-    for j in range(3):
-        for i in range(3):
-            coeffs[j * 3 + i] = 1.0 if i == j else decay
+    coeffs = np.full(9, off_diagonal)
+    coeffs[::4] = diagonal
     return np.diag(coeffs).astype(complex)
 
 
@@ -166,13 +166,32 @@ def dephasing_generator() -> SuperOp:
     return SuperOp(dim=3, matrix=m.astype(complex))
 
 
+def _gamma4_matrix(c00: float, c11: np.ndarray, c_trace: float) -> np.ndarray:
+    """Matrix of X -> c00 x00 |0><0| + x11 c11 + c_trace (x00 + x11) |2><2|.
+
+    Gamma^(4) and its derivative have this form: only the columns of |0><0|
+    (index 0) and |1><1| (index 4) are nonzero.
+    """
+    m = np.zeros((9, 9), dtype=complex)
+    m[0, 0] = c00
+    m[:, 4] = vec(c11)
+    m[8, [0, 4]] = c_trace
+    return m
+
+
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau <= 1.0:
+        raise OperandError("tau must lie in [0, 1]")
+
+
 def gamma_family(i: int, tau: float, params: MapParams | None = None) -> SuperOp:
     """Gamma^(i)_tau for i in 1..4 and tau in [0, 1]."""
     params = params or MapParams()
-    if not 0.0 <= tau <= 1.0:
-        raise OperandError("tau must lie in [0, 1]")
+    _check_tau(tau)
     if i == 1:
-        return SuperOp(dim=3, matrix=_gamma1_matrix(rate_g(tau)))
+        g = rate_g(tau)
+        return SuperOp(dim=3, matrix=_gamma1_matrix(
+            0.0 if math.isinf(g) else math.exp(-4.0 * g)))
     if i in (2, 3):
         f = rate_f(tau)
         w = 0.0 if math.isinf(f) else math.exp(-f)
@@ -187,40 +206,105 @@ def gamma_family(i: int, tau: float, params: MapParams | None = None) -> SuperOp
         # the full reparameterization keeps contractivity by the chain rule
         # while still zeroing the right time-derivative at the third junction.
         # X -> (1 + s^2)(x00 |0><0| + x11 |psi><psi|) + (1 - s^2)(x00 + x11) |2><2|
-        # with s = tau^delta and |psi> the ket rotated by theta*s: only the
-        # columns of |0><0| (index 0) and |1><1| (index 4) are nonzero.
+        # with s = tau^delta and |psi> the ket rotated by theta*s.
         sigma = tau ** params.delta
         ket = rotated_ket(params.theta * sigma)
         up, down = 1.0 + sigma * sigma, 1.0 - sigma * sigma
-        m = np.zeros((9, 9), dtype=complex)
-        m[0, 0] = up
-        m[:, 4] = up * vec(np.outer(ket, ket.conj()))
-        m[8, [0, 4]] = down
-        return SuperOp(dim=3, matrix=m)
+        return SuperOp(dim=3, matrix=_gamma4_matrix(
+            up, up * np.outer(ket, ket.conj()), down))
     raise OperandError(f"family index must be 1..4, got {i}")
+
+
+def gamma_family_dot(i: int, tau: float, params: MapParams | None = None) -> SuperOp:
+    """d Gamma^(i)_tau / d tau for i in 1..4 and tau in [0, 1], from the
+    closed forms of ``gamma_family``; one-sided at the ends of [0, 1]."""
+    params = params or MapParams()
+    _check_tau(tau)
+    if i == 1:
+        # off-diagonal coefficient exp(-4 g(tau)) = (1 - tau)^4
+        return SuperOp(dim=3, matrix=_gamma1_matrix(-4.0 * (1.0 - tau) ** 3, 0.0))
+    if i in (2, 3):
+        # d/dtau [w I + (1 - w) E] = -f'(tau) w (I - E) with w = exp(-f);
+        # f' w -> 0 as tau -> 1, where f diverges.
+        f = rate_f(tau)
+        if math.isinf(f):
+            return SuperOp(dim=3, matrix=np.zeros((9, 9), dtype=complex))
+        rate = tau * (2.0 - tau) / (1.0 - tau) ** 2
+        target = E2 if i == 2 else E3
+        return SuperOp(dim=3, matrix=-rate * math.exp(-f) * (np.eye(9) - target.matrix))
+    if i == 4:
+        # chain rule through s = tau^delta, with ds/dtau = 0 at tau = 0 for
+        # delta > 1, and d|psi>/ds = theta (cos, -sin, 0)
+        delta = params.delta
+        ds = delta * tau ** (delta - 1.0) if tau > 0.0 else float(delta == 1.0)
+        sigma = tau ** delta
+        ket = rotated_ket(params.theta * sigma)
+        dket = params.theta * np.array([ket[1], -ket[0], 0.0])
+        dproj = np.outer(dket, ket.conj()) + np.outer(ket, dket.conj())
+        return SuperOp(dim=3, matrix=ds * _gamma4_matrix(
+            2.0 * sigma, 2.0 * sigma * np.outer(ket, ket.conj())
+            + (1.0 + sigma * sigma) * dproj, -2.0 * sigma))
+    raise OperandError(f"family index must be 1..4, got {i}")
+
+
+# Constant map that stage i's Gamma^(i) acts after, at index i - 1.
+_PREFIXES = (None, E1, E2_E1, E3_E2_E1)
+
+
+def _stage(t: float, params: MapParams) -> tuple[int, float, float]:
+    """(stage i, tau, segment length) of the stage containing t.
+
+    The stages are [0, t1), [t1, t2), [t2, t3) and [t3, t4]; t outside the
+    domain is an error.
+    """
+    if t < 0.0 or t > params.t4:
+        raise OperandError(f"t = {t} outside [0, {params.t4}]")
+    starts = (0.0, params.t1, params.t2, params.t3, params.t4)
+    i = 1 if t < params.t1 else 2 if t < params.t2 else 3 if t < params.t3 else 4
+    length = starts[i] - starts[i - 1]
+    return i, (t - starts[i - 1]) / length, length
 
 
 def lambda_t(t: float, params: MapParams | None = None) -> SuperOp:
     """The piecewise family on [0, t4]; t outside the domain is an error."""
     params = params or MapParams()
-    if t < 0.0 or t > params.t4:
-        raise OperandError(f"t = {t} outside [0, {params.t4}]")
-    if t < params.t1:
-        return gamma_family(1, t / params.t1, params)
-    if t < params.t2:
-        tau = (t - params.t1) / (params.t2 - params.t1)
-        return compose(gamma_family(2, tau, params), E1)
-    if t < params.t3:
-        tau = (t - params.t2) / (params.t3 - params.t2)
-        return compose(gamma_family(3, tau, params), E2_E1)
-    tau = (t - params.t3) / (params.t4 - params.t3)
-    return compose(gamma_family(4, tau, params), E3_E2_E1)
+    i, tau, _ = _stage(t, params)
+    gamma, prefix = gamma_family(i, tau, params), _PREFIXES[i - 1]
+    return gamma if prefix is None else compose(gamma, prefix)
 
 
-def family(params: MapParams | None = None):
-    """Callable t -> Lambda_t with parameters bound."""
+def lambda_t_dot(t: float, params: MapParams | None = None) -> SuperOp:
+    """d Lambda_t / dt from the right, within the stage ``lambda_t`` picks for t.
+
+    (1 / segment length) d Gamma^(i)/d tau composed with the stage's constant
+    prefix.  At t = t4 it is the left derivative, the end of stage 4.
+    """
     params = params or MapParams()
-    return lambda t: lambda_t(t, params)
+    i, tau, length = _stage(t, params)
+    m, prefix = gamma_family_dot(i, tau, params).matrix / length, _PREFIXES[i - 1]
+    return SuperOp(dim=3, matrix=m if prefix is None else m @ prefix.matrix)
+
+
+@dataclass(frozen=True)
+class Family:
+    """Callable t -> Lambda_t with parameters bound; ``dot(t)`` is d Lambda/dt.
+
+    Both look ``lambda_t``/``lambda_t_dot`` up at call time, so a wrapper
+    installed on the module (as the traced benchmark does) sees every call.
+    """
+
+    params: MapParams
+
+    def __call__(self, t: float) -> SuperOp:
+        return lambda_t(t, self.params)
+
+    def dot(self, t: float) -> SuperOp:
+        return lambda_t_dot(t, self.params)
+
+
+def family(params: MapParams | None = None) -> Family:
+    """Callable t -> Lambda_t with parameters bound (and ``dot`` its derivative)."""
+    return Family(params or MapParams())
 
 
 def continuity_report(params: MapParams | None = None,

@@ -158,11 +158,11 @@ def apply_to_extended(S: SuperOp, X: np.ndarray, k: int) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.shape[-2:] != (d * k, d * k):
         raise OperandError("operand dimension mismatch for ancilla application")
-    T = S.matrix.reshape(d, d, d, d)  # [j_out, i_out, j_in, i_in]
-    batch = X.shape[:-2]
-    X5 = X.reshape(batch + (d, k, d, k))
-    Y = np.einsum("qpji,...iajb->...paqb", T, X5)
-    return Y.reshape(batch + (d * k, d * k))
+    # X[n, i, a, j, b] -> rows [n, a, b, (j, i)]: the column-stacked system
+    # operator of each ancilla pair, so the map is one matmul by S.matrix.T.
+    rows = X.reshape(-1, d, k, d, k).transpose(0, 2, 4, 3, 1).reshape(-1, d * d)
+    Y = (rows @ S.matrix.T).reshape(-1, k, k, d, d)  # [n, a, b, q, p]
+    return Y.transpose(0, 4, 1, 3, 2).reshape(X.shape)
 
 
 def image_basis(S: SuperOp, tol: float = RANK_CUTOFF) -> np.ndarray:

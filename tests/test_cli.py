@@ -176,6 +176,17 @@ class TestBounds:
         assert summary["polynomial_nonpositive"] is False
 
 
+    def test_right_angle_skips_singular_point(self, tmp_path, capsys):
+        # at theta = pi/2 the tau = 1, lam = 1 grid point is the closed
+        # form's singular point; it is skipped, not a crash
+        code = run(["bounds", "--theta", str(math.pi / 2), "--out", str(tmp_path)])
+        assert "pass" in capsys.readouterr().out
+        assert code == 0
+        summary = json.loads((tmp_path / "bounds_summary.json").read_text())
+        assert summary["singular_points_skipped"] >= 1
+        assert summary["chain_ok"] and summary["polynomial_nonpositive"]
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run([]) == 2
@@ -222,6 +233,12 @@ class TestUsage:
         ["sweep", "--theta-step", "-0.1"],
         ["sweep", "--theta-step", "inf"],
         ["sweep", "--theta-min", "1.7", "--theta-max", "1.0"],
+        ["scan", "--theta", "-1"],
+        ["verify", "--delta", "0.5"],
+        ["bounds", "--theta", "2.0"],
+        ["sweep", "--theta-min", "nan"],
+        ["scan", "--slack", "nan"],
+        ["scan", "--slack", "-1"],
     ], ids=" ".join)
     def test_out_of_range_value(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "out")]) == 2

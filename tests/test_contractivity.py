@@ -9,9 +9,11 @@ from qmarkov.contractivity import (SingularPointError, bound_chain_check,
                                    gamma4_norm_numeric, lambda_probe,
                                    lambda_reflection_check,
                                    norm_derivative_scan, theta_window_sweep)
-from qmarkov.operators import (OperandError, random_probes, right_derivative,
-                               trace_norm)
+from qmarkov.operators import (OperandError, ProbeSet, random_probes,
+                               right_derivative, trace_norm)
 from qmarkov.qutrit_family import RHO_A, RHO_B, MapParams, family
+from qmarkov.superops import apply_to_extended
+from qmarkov.tolerances import DEFAULT_H0
 
 SEED = 17
 THETA = 1.5
@@ -243,6 +245,68 @@ class TestScan:
         report = norm_derivative_scan(family(), probes, [0.1, 0.5], k=2)
         assert report.k == 2
         assert all(row.k == 2 for row in report.rows)
+
+
+def _stencil_eigenvalues(fam, X, t, k):
+    """Eigenvalues of (Lambda_s tensor Id_k)(X) at s = t, t + h0/4, t + h0/2, t + h0."""
+    return [np.linalg.eigvalsh(apply_to_extended(fam(s), X, k))
+            for s in (t, t + DEFAULT_H0 / 4, t + DEFAULT_H0 / 2, t + DEFAULT_H0)]
+
+
+def _no_sign_change(stencil) -> bool:
+    """No eigenvalue changes sign on [t, t + h0]; one that is zero at t may
+    leave zero (the right derivative sees only s > t)."""
+    scale = max(float(np.abs(lam).max()) for lam in stencil)
+    signs = [np.where(np.abs(lam) <= 1e-9 * scale, 0, np.sign(lam)) for lam in stencil]
+    first, *later = signs
+    return (all(np.array_equal(s, later[-1]) for s in later)
+            and bool(np.all((first == 0) | (first == later[-1]))))
+
+
+# In stage 1 the probe's eigenvalue 1 - 2(1 - tau)^4 crosses 0 upwards at
+# tau* = 1 - 2^(-1/4) (t1 = 1, so t = tau); the others are 1 + 2(1 - tau)^4
+# and 1, and the norm is smooth on either side of tau*.
+KINK_PROBE = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+KINK_T = 1.0 - 2.0 ** -0.25
+
+
+class TestExactDerivative:
+    @pytest.mark.parametrize("seed,k,kind", [(3, 1, "random-hermitian"),
+                                             (4, 1, "state-difference"),
+                                             (5, 2, "random-hermitian"),
+                                             (6, 2, "state-difference")])
+    def test_matches_richardson_oracle_off_kinks(self, seed, k, kind):
+        fam = family(MapParams(theta=1.55, delta=1.05))
+        probes = random_probes(3 * k, 4, seed, kind)
+        grid = np.linspace(0.0, 4.0, 37, endpoint=False) + 0.013
+        report = norm_derivative_scan(fam, probes, grid, k=k)
+        checked = 0
+        for row in report.rows:
+            X = probes.probes[row.probe_id]
+            if not _no_sign_change(_stencil_eigenvalues(fam, X, row.t, k)):
+                continue
+            f = lambda s: trace_norm(apply_to_extended(fam(s), X, k))
+            assert row.rderiv == pytest.approx(right_derivative(f, row.t), abs=1e-6)
+            checked += 1
+        assert checked >= 0.9 * len(report.rows)
+
+    def test_kink_inside_stencil(self):
+        # t lies less than h0 before tau*: the stencil [t, t + h0] straddles
+        # the kink, but the right derivative at t is that of the left branch,
+        # where |1 - 2(1 - t)^4| and 1 + 2(1 - t)^4 both fall at 8(1 - t)^3.
+        t = KINK_T - DEFAULT_H0 / 2
+        probes = ProbeSet(probes=(KINK_PROBE,), seed=0, kind="random-hermitian")
+        assert not _no_sign_change(_stencil_eigenvalues(family(), KINK_PROBE, t, 1))
+        (row,) = norm_derivative_scan(family(), probes, [t]).rows
+        assert row.rderiv == pytest.approx(-16.0 * (1.0 - t) ** 3, abs=1e-9)
+
+    def test_kernel_term_at_the_kink(self):
+        # At tau* the crossing eigenvalue is in the kernel: ||P0 Xdot P0||_1
+        # = 8(1 - tau*)^3 cancels the -8(1 - tau*)^3 of the largest one.
+        probes = ProbeSet(probes=(KINK_PROBE,), seed=0, kind="random-hermitian")
+        (row,) = norm_derivative_scan(family(), probes, [KINK_T]).rows
+        assert abs(row.rderiv) <= 1e-12
+        assert row.norm == pytest.approx(1.0 + 2.0 * (1.0 - KINK_T) ** 4 + 1.0, abs=1e-12)
 
 
 def test_lambda_probe_values():
