@@ -24,7 +24,7 @@ import numpy as np
 from . import contractivity, divisibility
 from .operators import random_probes
 from .qutrit_family import (MapParams, continuity_report, family, load_params)
-from .superops import choi_min_eigenvalue, tp_error
+from .superops import GRID_CHUNK, choi_min_eigenvalue, tp_error
 from .tolerances import DEFAULT_SEED, TOL_DERIV, TOL_PSD
 
 CONTINUITY_LADDER = (1e-2, 1e-3, 1e-4)
@@ -92,11 +92,15 @@ def check_continuity(params: MapParams, derivative: bool = False) -> dict:
 
 
 def check_cp_tp(params: MapParams, grid_points: int) -> dict:
-    """CP from the Choi minimum eigenvalue, TP exactly from the Choi partial trace."""
+    """CP from the Choi minimum eigenvalue, TP exactly from the Choi partial
+    trace, both read off the stacked maps of GRID_CHUNK grid points at a time."""
     fam = family(params)
-    maps = [fam(t) for t in np.linspace(0.0, params.t4, grid_points)]
-    worst_choi = min(choi_min_eigenvalue(S) for S in maps)
-    worst_tp = max(tp_error(S) for S in maps)
+    grid = np.linspace(0.0, params.t4, grid_points)
+    worst_choi, worst_tp = math.inf, 0.0
+    for i in range(0, grid_points, GRID_CHUNK):
+        maps = np.stack([fam(t).matrix for t in grid[i:i + GRID_CHUNK]])
+        worst_choi = min(worst_choi, float(choi_min_eigenvalue(maps).min()))
+        worst_tp = max(worst_tp, float(tp_error(maps).max()))
     return {"passed": worst_choi >= -TOL_PSD and worst_tp <= TOL_PSD,
             "min_choi_eig": worst_choi, "max_trace_error": worst_tp}
 
@@ -274,7 +278,7 @@ FLAGS = {
     "--delta": dict(type=float, default=None, help="default 1.0"),
     "--config": dict(default=None,
                      help="key=value parameter file (excludes --theta/--delta)"),
-    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--seed": dict(type=_ranged(int, lambda v: v >= 0, ">= 0"), default=DEFAULT_SEED),
     "--grid": dict(type=_ranged(int, lambda v: v >= 2, ">= 2"), default=200),
     "--probes": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=200),
     "--k": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=1),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .operators import OperandError, ProbeSet
 from .qutrit_family import RHO_A, RHO_B, MapParams, gamma_family
-from .superops import apply_to_extended
+from .superops import GRID_CHUNK, apply_to_extended
 from .tolerances import KERNEL_CUTOFF, TOL_CLOSED_FORM, TOL_DERIV
 
 
@@ -69,6 +69,36 @@ class ScanReport:
         }
 
 
+# A scan batch holds the probes at up to GRID_CHUNK grid points, so one
+# apply per map kind and one eigh serve the whole batch.  It also holds at
+# most SCAN_CHUNK_ENTRIES complex entries of evolved probes (about 2048
+# qutrit probes), and at least one grid point: a probe stack that fills the
+# budget alone (2000 probes, or 500 at k = 2) keeps one point per batch,
+# where batching saves no per-call overhead worth the memory.
+SCAN_CHUNK_ENTRIES = 2048 * 9
+
+
+def _norm_rderiv(fam, stack: np.ndarray, ts, k: int):
+    """Trace norms and exact right derivatives at the grid points ``ts``:
+    two arrays (len(ts), probes), from one apply per map kind and one
+    batched eigh over all points and probes."""
+    X = apply_to_extended(np.stack([fam(t).matrix for t in ts]), stack, k)
+    Xdot = apply_to_extended(np.stack([fam.dot(t).matrix for t in ts]), stack, k)
+    lam, V = np.linalg.eigh((X + np.conj(np.swapaxes(X, -1, -2))) / 2)
+    mag = np.abs(lam)
+    kernel = mag <= KERNEL_CUTOFF * mag.max(axis=-1, keepdims=True)
+    XdotV = Xdot @ V
+    rates = np.einsum("...ji,...ji->...i", V.conj(), XdotV).real  # <v_i|Xdot|v_i>
+    rderiv = np.where(kernel, 0.0, np.sign(lam) * rates).sum(axis=-1)
+    rows = np.nonzero(kernel.any(axis=-1))
+    if rows[0].size:
+        inner = np.conj(np.swapaxes(V[rows], -1, -2)) @ XdotV[rows]
+        mask = kernel[rows][:, :, None] & kernel[rows][:, None, :]
+        block = np.where(mask, (inner + np.conj(np.swapaxes(inner, -1, -2))) / 2, 0.0)
+        rderiv[rows] += np.abs(np.linalg.eigvalsh(block)).sum(axis=-1)
+    return mag.sum(axis=-1), rderiv
+
+
 def norm_rderiv_at(fam, stack: np.ndarray, t: float, k: int = 1):
     """Trace norms ||X||_1 of X = (Lambda_t tensor Id_k)(probe) for a stack of
     probes, and their exact right time-derivatives.
@@ -81,23 +111,11 @@ def norm_rderiv_at(fam, stack: np.ndarray, t: float, k: int = 1):
     P0 the projector onto the kernel of X, which is the eigenvalues with
     |lam| <= KERNEL_CUTOFF * max |lam| of each probe.  ``fam`` is a callable
     t -> SuperOp with a ``dot(t)`` method giving the right derivative.
-    Returns the arrays (norm, rderiv), one entry per probe.
+    Returns the arrays (norm, rderiv), one entry per probe: the one-point
+    batch of ``norm_derivative_scan``.
     """
-    X = apply_to_extended(fam(t), stack, k)
-    Xdot = apply_to_extended(fam.dot(t), stack, k)
-    lam, V = np.linalg.eigh((X + np.conj(np.swapaxes(X, -1, -2))) / 2)
-    mag = np.abs(lam)
-    kernel = mag <= KERNEL_CUTOFF * mag.max(axis=-1, keepdims=True)
-    XdotV = Xdot @ V
-    rates = np.einsum("...ji,...ji->...i", V.conj(), XdotV).real  # <v_i|Xdot|v_i>
-    rderiv = np.where(kernel, 0.0, np.sign(lam) * rates).sum(axis=-1)
-    rows = np.flatnonzero(kernel.any(axis=-1))
-    if rows.size:
-        inner = np.conj(np.swapaxes(V[rows], -1, -2)) @ XdotV[rows]
-        mask = kernel[rows, :, None] & kernel[rows, None, :]
-        block = np.where(mask, (inner + np.conj(np.swapaxes(inner, -1, -2))) / 2, 0.0)
-        rderiv[rows] += np.abs(np.linalg.eigvalsh(block)).sum(axis=-1)
-    return mag.sum(axis=-1), rderiv
+    norm, rderiv = _norm_rderiv(fam, stack, [t], k)
+    return norm[0], rderiv[0]
 
 
 def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
@@ -106,10 +124,12 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
 
     ``fam`` is a callable t -> SuperOp on the system factor with a ``dot(t)``
     method for its right derivative (as ``qutrit_family.family`` returns);
-    for k > 1 the probes must live on the product space.  Each grid point is
-    one batched eigendecomposition of all probes (``norm_rderiv_at``), and
-    the derivatives are exact.  Rows are sorted by (probe, t); a row fails
-    when its right derivative exceeds ``slack``.
+    for k > 1 the probes must live on the product space.  The grid goes in
+    consecutive batches of grid points (see SCAN_CHUNK_ENTRIES), each one
+    batched eigendecomposition of all its points and probes, and the
+    derivatives are exact (``norm_rderiv_at``); the batching does not change
+    any result.  Rows are sorted by (probe, t); a row fails when its right
+    derivative exceeds ``slack``.
     """
     grid = list(grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -118,11 +138,13 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
         raise OperandError("k must be >= 1")
     stack = probes.stacked()
     n = stack.shape[0]
+    chunk = max(1, min(GRID_CHUNK, SCAN_CHUNK_ENTRIES // stack.size))
 
     norm_rows = np.empty((len(grid), n))
     deriv_rows = np.empty((len(grid), n))
-    for gi, t in enumerate(grid):
-        norm_rows[gi], deriv_rows[gi] = norm_rderiv_at(fam, stack, t, k)
+    for i in range(0, len(grid), chunk):
+        part = slice(i, i + chunk)
+        norm_rows[part], deriv_rows[part] = _norm_rderiv(fam, stack, grid[part], k)
 
     flat = deriv_rows.T  # (probe, grid)
     rderiv = flat.ravel()

@@ -7,12 +7,19 @@ Choi/Kraus formulas below are written against this single convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import OperandError, check_density
 from .tolerances import RANK_CUTOFF, TOL_PSD
+
+
+# Maps per batched linear-algebra call when the maps of a time grid are
+# stacked (the contractivity and divisibility scans, the CP/TP check): enough
+# to make per-call overhead small, few enough to keep peak memory flat.
+GRID_CHUNK = 64
 
 
 def vec(X: np.ndarray) -> np.ndarray:
@@ -88,21 +95,37 @@ def from_kraus(kraus_ops) -> SuperOp:
     return SuperOp(dim=d, matrix=m)
 
 
-def to_choi(S: SuperOp) -> np.ndarray:
+def _matrices(S) -> tuple[np.ndarray, int]:
+    """(matrix, d) of a SuperOp or of a stack (..., d^2, d^2) of superoperator
+    matrices."""
+    if isinstance(S, SuperOp):
+        return S.matrix, S.dim
+    m = np.asarray(S, dtype=complex)
+    return m, math.isqrt(m.shape[-1])
+
+
+def to_choi(S) -> np.ndarray:
     """Unnormalized Choi matrix sum_ij S(|i><j|) kron |i><j| (trace d for TP maps).
 
-    S(|i><j|)[a, b] sits at matrix[b*d + a, j*d + i], i.e. at index
-    [b, a, j, i] of the reshaped (d, d, d, d) array, and the Choi entry
-    [(a, i), (b, j)] is that index reshuffled.
+    ``S`` is a SuperOp or a stack (..., d^2, d^2) of superoperator matrices,
+    and the result has the same shape.  S(|i><j|)[a, b] sits at
+    matrix[b*d + a, j*d + i], i.e. at index [b, a, j, i] of the reshaped
+    (d, d, d, d) array, and the Choi entry [(a, i), (b, j)] is that index
+    reshuffled.
     """
-    d = S.dim
-    return S.matrix.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    m, d = _matrices(S)
+    lead, n = m.shape[:-2], m.ndim - 2
+    return (m.reshape(lead + (d, d, d, d))
+            .transpose(tuple(range(n)) + (n + 1, n + 3, n, n + 2))
+            .reshape(lead + (d * d, d * d)))
 
 
-def choi_min_eigenvalue(S: SuperOp) -> float:
+def choi_min_eigenvalue(S):
+    """Smallest eigenvalue of the Hermitised Choi matrix: a float for one map,
+    an array over the stack for a stack of matrices (one batched eigvalsh)."""
     C = to_choi(S)
-    C = (C + C.conj().T) / 2
-    return float(np.linalg.eigvalsh(C).min())
+    out = np.linalg.eigvalsh((C + np.conj(np.swapaxes(C, -1, -2))) / 2).min(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def is_cp(S: SuperOp, tol: float = TOL_PSD) -> bool:
@@ -110,11 +133,16 @@ def is_cp(S: SuperOp, tol: float = TOL_PSD) -> bool:
     return choi_min_eigenvalue(S) >= -tol
 
 
-def tp_error(S: SuperOp) -> float:
-    """Largest entry of |Tr_out C - I|, C the Choi matrix; 0 iff S preserves trace."""
-    d = S.dim
-    reduced = np.einsum("kikj->ij", to_choi(S).reshape(d, d, d, d))
-    return float(np.max(np.abs(reduced - np.eye(d))))
+def tp_error(S):
+    """Largest entry of |Tr_out C - I|, C the Choi matrix; 0 iff S preserves trace.
+
+    A float for one map, an array over the stack for a stack of matrices.
+    """
+    C = to_choi(S)
+    d = math.isqrt(C.shape[-1])
+    reduced = np.einsum("...kikj->...ij", C.reshape(C.shape[:-2] + (d, d, d, d)))
+    out = np.abs(reduced - np.eye(d)).max(axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def is_tp(S: SuperOp, tol: float = TOL_PSD) -> bool:
@@ -149,20 +177,23 @@ def positivity_sample(S: SuperOp, n: int, seed: int, tol: float = TOL_PSD):
     return min_eig, witness
 
 
-def apply_to_extended(S: SuperOp, X: np.ndarray, k: int) -> np.ndarray:
+def apply_to_extended(S, X: np.ndarray, k: int) -> np.ndarray:
     """Apply S tensor Id_k to an operator on the d*k-dimensional product space.
 
     Works for a single (dk, dk) operand or a stacked batch (..., dk, dk).
+    ``S`` is a SuperOp, with a result shaped like ``X``, or a stack
+    (..., d^2, d^2) of superoperator matrices, with a result
+    (..., *X.shape): every map applied to every operand, one matmul per map.
     """
-    d = S.dim
+    m, d = _matrices(S)
     X = np.asarray(X, dtype=complex)
     if X.shape[-2:] != (d * k, d * k):
         raise OperandError("operand dimension mismatch for ancilla application")
     # X[n, i, a, j, b] -> rows [n, a, b, (j, i)]: the column-stacked system
-    # operator of each ancilla pair, so the map is one matmul by S.matrix.T.
+    # operator of each ancilla pair, so each map is one matmul by its matrix.T.
     rows = X.reshape(-1, d, k, d, k).transpose(0, 2, 4, 3, 1).reshape(-1, d * d)
-    Y = (rows @ S.matrix.T).reshape(-1, k, k, d, d)  # [n, a, b, q, p]
-    return Y.transpose(0, 4, 1, 3, 2).reshape(X.shape)
+    Y = (rows @ np.swapaxes(m, -1, -2)).reshape(-1, k, k, d, d)  # [n, a, b, q, p]
+    return Y.transpose(0, 4, 1, 3, 2).reshape(m.shape[:-2] + X.shape)
 
 
 def image_basis(S: SuperOp, tol: float = RANK_CUTOFF) -> np.ndarray:

@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qmarkov import cli, contractivity
 from qmarkov.cli import main
+from qmarkov.qutrit_family import MapParams, family
+from qmarkov.superops import choi_min_eigenvalue, tp_error
 
 
 def run(argv):
@@ -75,6 +78,17 @@ class TestVerify:
         assert "--config" in capsys.readouterr().err
         assert code == 2
         assert not (tmp_path / "out").exists()
+
+
+class TestCpTp:
+    @pytest.mark.parametrize("points", [2, 200, 301])
+    def test_matches_per_map_extremes(self, points):
+        params = MapParams(theta=1.55, delta=1.05)
+        maps = [family(params)(t) for t in np.linspace(0.0, params.t4, points)]
+        result = cli.check_cp_tp(params, points)
+        assert result["min_choi_eig"] == min(choi_min_eigenvalue(S) for S in maps)
+        assert result["max_trace_error"] == max(tp_error(S) for S in maps)
+        assert result["passed"] is True
 
 
 class TestScan:
@@ -239,6 +253,8 @@ class TestUsage:
         ["sweep", "--theta-min", "nan"],
         ["scan", "--slack", "nan"],
         ["scan", "--slack", "-1"],
+        ["scan", "--seed", "-1"],
+        ["verify", "--seed", "-1"],
     ], ids=" ".join)
     def test_out_of_range_value(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "out")]) == 2

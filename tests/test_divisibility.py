@@ -10,12 +10,25 @@ from qmarkov.operators import OperandError, random_probes, trace_norm
 from qmarkov.qutrit_family import (G, RHO_A, RHO_B, MapParams, family,
                                    rotated_ket)
 from qmarkov.superops import SuperOp, choi_min_eigenvalue, compose, from_kraus
+from qmarkov.tolerances import TOL_PSD
 
 SEED = 3
 
 
 def identity_family(t):
     return SuperOp(3, np.eye(9, dtype=complex))
+
+
+def rank_jump_family(t):
+    """Rank-deficient before t = 2 and the identity from there: no map V
+    with V Lambda_s = Lambda_t exists across the jump."""
+    return family()(3.5) if t < 2.0 else SuperOp(3, np.eye(9, dtype=complex))
+
+
+def fading_family(t):
+    """10^(-8t) times the identity: full rank throughout, at scales from 1
+    to 1e-32, so each interval's rank must be read relative to its own map."""
+    return SuperOp(3, 10.0 ** (-8.0 * t) * np.eye(9, dtype=complex))
 
 
 class TestIntermediateMap:
@@ -86,6 +99,43 @@ class TestCpDivisibilityScan:
     def test_identity_family_all_cp(self):
         rows = cp_divisibility_scan(identity_family, np.linspace(0.0, 4.0, 9))
         assert all(r["verdict"] == "CP" for r in rows)
+
+    @pytest.mark.parametrize("fam", [family(), identity_family, rank_jump_family,
+                                     fading_family],
+                             ids=["qutrit", "identity", "rank-jump", "fading"])
+    def test_rows_match_interval_at_a_time(self, fam):
+        # 149 intervals across all four stages: two full batches of 64 and a
+        # partial one
+        grid = np.linspace(0.0, 4.0, 150)
+        rows = cp_divisibility_scan(fam, grid)
+        assert len(rows) == len(grid) - 1
+        for row, (s, t) in zip(rows, zip(grid, grid[1:])):
+            im = intermediate_map(fam, s, t)
+            lo = math.nan if im.definedness == "inconsistent" else \
+                choi_min_eigenvalue(im.map)
+            verdict = ("undefined-off-image" if math.isnan(lo)
+                       else "CP" if lo >= -TOL_PSD else "not-CP")
+            assert (row["s"], row["t"], row["definedness"], row["verdict"]) == \
+                (s, t, im.definedness, verdict)
+            assert row["residual"] == im.residual
+            assert np.array_equal(row["choi_min_eig"], lo, equal_nan=True)
+
+    def test_rank_jump_is_inconsistent(self):
+        rows = cp_divisibility_scan(rank_jump_family, [1.0, 3.0, 3.5])
+        assert [r["verdict"] for r in rows] == ["undefined-off-image", "CP"]
+        assert math.isnan(rows[0]["choi_min_eig"])
+
+    @pytest.mark.parametrize("points", [2, 65, 150])
+    def test_one_family_call_per_grid_point(self, points):
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return family()(t)
+
+        grid = list(np.linspace(0.0, 4.0, points))
+        cp_divisibility_scan(counting, grid)
+        assert calls == grid
 
     def test_grid_must_ascend(self):
         with pytest.raises(OperandError):

@@ -177,6 +177,37 @@ def test_scan_csv_matches_row_writer(tmp_path_factory, n_probes, k, seed, grid):
     assert path.read_bytes() == text.encode()
 
 
+# (k, probes): each k on both sides of the scan's batch budget
+# (SCAN_CHUNK_ENTRIES), so some draws batch up to 64 grid points and others
+# take one grid point per batch.
+BUDGET_SIDES = [(1, 1), (1, 2), (1, 7), (1, 1024), (1, 1025), (2, 1), (2, 3),
+                (2, 256), (2, 257)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(shape=st.sampled_from(BUDGET_SIDES), seed=st.integers(0, 2 ** 32 - 1),
+       extra=st.lists(st.floats(0.0, 3.99), min_size=65, max_size=110,
+                      unique=True))
+@example(shape=(1, 2), seed=0, extra=list(np.linspace(0.0, 4.0, 140, endpoint=False)))
+@example(shape=(2, 3), seed=1, extra=list(np.linspace(0.0, 4.0, 129, endpoint=False)))
+def test_scan_rows_match_point_at_a_time(shape, seed, extra):
+    """The batched scan's rows are bit-equal to ``norm_rderiv_at`` one grid
+    point at a time, on grids of more than one batch of 64 points (mostly
+    not a multiple of it) that contain the junctions t1 to t3, with
+    t = 2.0's kernel rows."""
+    k, n_probes = shape
+    grid = sorted(set(extra) | {1.0, 2.0, 3.0})
+    assert len(grid) > 64
+    probes = random_probes(3 * k, n_probes, seed)
+    report = norm_derivative_scan(family(), probes, grid, k=k)
+    stack = probes.stacked()
+    per_t = [norm_rderiv_at(family(), stack, t, k) for t in grid]
+    norm = np.array([n for n, _ in per_t]).T.ravel()
+    rderiv = np.array([d for _, d in per_t]).T.ravel()
+    assert np.array_equal(report.rows.norm, norm)
+    assert np.array_equal(report.rows.rderiv, rderiv)
+
+
 def _theta_sweep_per_lambda(theta_grid, tau, lam):
     """The sweep as it was written: one closed-form call per lambda."""
     rows = []

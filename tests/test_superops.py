@@ -8,7 +8,7 @@ from qmarkov.superops import (SuperOp, apply_to_extended, choi_min_eigenvalue,
                               image_basis, image_inclusion_residual,
                               image_rank, is_cp, is_image_nonincreasing,
                               is_tp, positivity_sample, superop_from_action,
-                              to_choi)
+                              to_choi, tp_error)
 
 SEED = 11
 
@@ -207,3 +207,30 @@ class TestAncillaApply:
         X = rng.standard_normal((3, 3))
         S = make_E(3)
         assert np.allclose(apply_to_extended(S, X, 1), S.apply(X))
+
+
+class TestStackedMaps:
+    """A stack (G, d^2, d^2) of map matrices gives, entry by entry, the bits
+    of the one-map call on each."""
+
+    def maps(self):
+        fam = family()
+        return [fam(t) for t in np.linspace(0.0, 4.0, 13)] + [transpose_map(),
+                                                             make_E(4)]
+
+    def test_choi_and_predicates(self):
+        maps = self.maps()
+        stack = np.stack([S.matrix for S in maps])
+        assert all(np.array_equal(C, to_choi(S)) for C, S in zip(to_choi(stack), maps))
+        assert choi_min_eigenvalue(stack).tolist() == [choi_min_eigenvalue(S)
+                                                       for S in maps]
+        assert tp_error(stack).tolist() == [tp_error(S) for S in maps]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_apply_to_extended(self, k):
+        maps = self.maps()
+        X = random_probes(3 * k, 7, SEED).stacked()
+        out = apply_to_extended(np.stack([S.matrix for S in maps]), X, k)
+        assert out.shape == (len(maps),) + X.shape
+        assert all(np.array_equal(Y, apply_to_extended(S, X, k))
+                   for Y, S in zip(out, maps))
