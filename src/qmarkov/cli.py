@@ -93,12 +93,12 @@ def check_continuity(params: MapParams, derivative: bool = False) -> dict:
 
 def check_cp_tp(params: MapParams, grid_points: int) -> dict:
     """CP from the Choi minimum eigenvalue, TP exactly from the Choi partial
-    trace, both read off the stacked maps of GRID_CHUNK grid points at a time."""
+    trace, both read off one ``Family.stack`` of GRID_CHUNK grid points at a time."""
     fam = family(params)
     grid = np.linspace(0.0, params.t4, grid_points)
     worst_choi, worst_tp = math.inf, 0.0
     for i in range(0, grid_points, GRID_CHUNK):
-        maps = np.stack([fam(t).matrix for t in grid[i:i + GRID_CHUNK]])
+        maps = fam.stack(grid[i:i + GRID_CHUNK])
         worst_choi = min(worst_choi, float(choi_min_eigenvalue(maps).min()))
         worst_tp = max(worst_tp, float(tp_error(maps).max()))
     return {"passed": worst_choi >= -TOL_PSD and worst_tp <= TOL_PSD,

@@ -9,6 +9,7 @@ lambda <-> 1/lambda reflection identity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +30,10 @@ def lambda_probe(lam: float) -> np.ndarray:
     return RHO_A - lam * RHO_B
 
 
+# Rows per batch of scan CSV lines; their Python objects take ~160 bytes a row.
+CSV_ROWS = 1 << 14
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """``rows``: record array ``t, probe_id, k, norm, rderiv, verdict`` in
@@ -45,15 +50,18 @@ class ScanReport:
     grid_spec: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        """Write the rows as CSV with CRLF line ends, one probe block at a time."""
-        block = self.grid_spec["points"]
+        """Write the rows as CSV with CRLF line ends.  t repeats in every probe
+        block and is formatted once; the other columns are taken as lists of
+        whole probe blocks, up to CSV_ROWS rows at a time."""
+        names, points = self.rows.dtype.names, self.grid_spec["points"]
+        ts = [f"{t:.12g}" for t in self.rows.t[:points].tolist()]
+        step = points * max(1, CSV_ROWS // points)
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.rows.dtype.names) + "\r\n")
-            for start in range(0, len(self.rows), block):
-                columns = (self.rows[name][start:start + block].tolist()
-                           for name in self.rows.dtype.names)
-                fh.writelines(f"{t:.12g},{p},{k},{n:.15g},{d:.15g},{v}\r\n"
-                              for t, p, k, n, d, v in zip(*columns))
+            fh.write(",".join(names) + "\r\n")
+            for part in (self.rows[i:i + step] for i in range(0, len(self.rows), step)):
+                columns = [part[name].tolist() for name in names[1:]]
+                fh.writelines(f"{t},{p},{k},{n:.15g},{d:.15g},{v}\r\n"
+                              for t, p, k, n, d, v in zip(itertools.cycle(ts), *columns))
 
     def summary(self) -> dict:
         return {
@@ -82,8 +90,8 @@ def _norm_rderiv(fam, stack: np.ndarray, ts, k: int):
     """Trace norms and exact right derivatives at the grid points ``ts``:
     two arrays (len(ts), probes), from one apply per map kind and one
     batched eigh over all points and probes."""
-    X = apply_to_extended(np.stack([fam(t).matrix for t in ts]), stack, k)
-    Xdot = apply_to_extended(np.stack([fam.dot(t).matrix for t in ts]), stack, k)
+    X = apply_to_extended(fam.stack(ts), stack, k)
+    Xdot = apply_to_extended(fam.dot_stack(ts), stack, k)
     lam, V = np.linalg.eigh((X + np.conj(np.swapaxes(X, -1, -2))) / 2)
     mag = np.abs(lam)
     kernel = mag <= KERNEL_CUTOFF * mag.max(axis=-1, keepdims=True)
@@ -109,8 +117,8 @@ def norm_rderiv_at(fam, stack: np.ndarray, t: float, k: int = 1):
         sum_{lam_i != 0} sign(lam_i) <v_i|Xdot|v_i> + ||P0 Xdot P0||_1,
 
     P0 the projector onto the kernel of X, which is the eigenvalues with
-    |lam| <= KERNEL_CUTOFF * max |lam| of each probe.  ``fam`` is a callable
-    t -> SuperOp with a ``dot(t)`` method giving the right derivative.
+    |lam| <= KERNEL_CUTOFF * max |lam| of each probe.  ``fam`` is a
+    ``qutrit_family.Family``, whose grids ``stack``/``dot_stack`` are used.
     Returns the arrays (norm, rderiv), one entry per probe: the one-point
     batch of ``norm_derivative_scan``.
     """
@@ -122,11 +130,11 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
                          slack: float = TOL_DERIV) -> ScanReport:
     """Right-derivative scan of ||(Lambda_t tensor Id_k)(X)||_1.
 
-    ``fam`` is a callable t -> SuperOp on the system factor with a ``dot(t)``
-    method for its right derivative (as ``qutrit_family.family`` returns);
-    for k > 1 the probes must live on the product space.  The grid goes in
-    consecutive batches of grid points (see SCAN_CHUNK_ENTRIES), each one
-    batched eigendecomposition of all its points and probes, and the
+    ``fam`` is a ``qutrit_family.Family`` on the system factor; for k > 1 the
+    probes must live on the product space.  The grid goes in consecutive
+    batches of grid points (see SCAN_CHUNK_ENTRIES), each one ``fam.stack``
+    and ``fam.dot_stack`` call and one batched eigendecomposition of all its
+    points and probes, and the
     derivatives are exact (``norm_rderiv_at``); the batching does not change
     any result.  Rows are sorted by (probe, t); a row fails when its right
     derivative exceeds ``slack``.

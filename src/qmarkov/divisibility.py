@@ -64,6 +64,13 @@ def _intermediate_maps(Ls: np.ndarray, Lt: np.ndarray, tol: float):
     return V, residual, definedness
 
 
+def _maps(family, ts) -> np.ndarray:
+    """Matrices of ``family`` at ``ts``, stacked: one ``family.stack(ts)`` call
+    when it has one (``qutrit_family.Family``), else one call per point."""
+    stack = getattr(family, "stack", None)
+    return stack(ts) if stack else np.stack([family(t).matrix for t in ts])
+
+
 def intermediate_map(family, s: float, t: float, tol: float = RANK_CUTOFF) -> IntermediateMap:
     """V = Lambda_t pinv(Lambda_s), with rank-revealing pseudoinverse: the
     one-interval batch of ``cp_divisibility_scan``."""
@@ -82,8 +89,9 @@ def cp_divisibility_scan(family, grid, tol: float = TOL_PSD) -> list:
     eigenvalue of the (minimum-norm completed) intermediate map and a
     verdict in {"CP", "not-CP", "undefined-off-image"}.  The not-CP verdict
     on rank-deficient intervals refers to the completion; the forcing
-    witness is the extension-independent certificate.  ``family`` is called
-    once per grid point, and the intervals go in batches of GRID_CHUNK
+    witness is the extension-independent certificate.  ``family`` is any
+    callable t -> SuperOp, evaluated once per grid point (through its
+    ``stack`` when it has one), and the intervals go in batches of GRID_CHUNK
     through one SVD, pinv and Choi eigvalsh each; the batching does not
     change any result.
     """
@@ -93,8 +101,9 @@ def cp_divisibility_scan(family, grid, tol: float = TOL_PSD) -> list:
     rows, maps = [], None
     for i in range(0, len(grid) - 1, GRID_CHUNK):
         stop = min(i + GRID_CHUNK, len(grid) - 1)
-        head = [] if maps is None else [maps[-1]]  # the previous batch's last map
-        maps = np.stack(head + [family(t).matrix for t in grid[i + len(head):stop + 1]])
+        fresh = _maps(family, grid[i + (maps is not None):stop + 1])
+        # the previous batch's last map heads the next one
+        maps = fresh if maps is None else np.concatenate([maps[-1:], fresh])
         V, residual, definedness = _intermediate_maps(maps[:-1], maps[1:], RANK_CUTOFF)
         lowest = choi_min_eigenvalue(V)
         for s, t, res, kind, lo in zip(grid[i:stop], grid[i + 1:stop + 1],

@@ -20,13 +20,14 @@ config file, e.g.::
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import OperandError
-from .superops import SuperOp, compose, from_kraus, superop_from_action, vec
+from .superops import SuperOp, compose, from_kraus, superop_from_action
 
 D1 = np.diag([-1.0, 1.0, 1.0])
 D2 = np.diag([1.0, -1.0, 1.0])
@@ -46,14 +47,18 @@ def rotated_ket(angle: float) -> np.ndarray:
     return np.array([math.sin(angle), math.cos(angle), 0.0], dtype=complex)
 
 
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau <= 1.0:
+        raise OperandError("tau must lie in [0, 1]")
+
+
 def rate_f(tau: float) -> float:
     """Rate of the second and third families, f(tau) = tau^2 / (1 - tau).
 
     f diverges at tau = 1, which drives both families to their tau = 1
     limits exactly.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise OperandError("tau must lie in [0, 1]")
+    _check_tau(tau)
     if tau == 1.0:
         return math.inf
     return tau * tau / (1.0 - tau)
@@ -61,8 +66,7 @@ def rate_f(tau: float) -> float:
 
 def rate_g(tau: float) -> float:
     """Integrated dephasing rate g(tau) = -ln(1 - tau) of gamma(s) = 1/(1 - s)."""
-    if not 0.0 <= tau <= 1.0:
-        raise OperandError("tau must lie in [0, 1]")
+    _check_tau(tau)
     if tau == 1.0:
         return math.inf
     return -math.log1p(-tau)
@@ -145,9 +149,9 @@ def make_E(i: int, params: MapParams | None = None) -> SuperOp:
     raise OperandError(f"map index must be 1..4, got {i}")
 
 
-def _gamma1_matrix(off_diagonal: float, diagonal: float = 1.0) -> np.ndarray:
-    """Diagonal coefficient map: ``diagonal`` on the diagonal matrix units
-    |i><i| and ``off_diagonal`` on the others.
+def _dephasing(off_diagonal: list, diagonal: float) -> np.ndarray:
+    """Stack of diagonal coefficient maps: ``diagonal`` on the diagonal matrix
+    units and one ``off_diagonal`` coefficient per point on the others.
 
     exp(g * L0) with L0(X) = sum_i D_i X D_i - 3X is of this form: in the
     matrix-unit basis L0 is diagonal, with coefficient 0 on diagonal units
@@ -155,9 +159,10 @@ def _gamma1_matrix(off_diagonal: float, diagonal: float = 1.0) -> np.ndarray:
     entries by exp(-4g) and leaves the diagonal alone.  Using the closed
     form keeps the tau -> 1 limit exact (coefficient exactly 0).
     """
-    coeffs = np.full(9, off_diagonal)
-    coeffs[::4] = diagonal
-    return np.diag(coeffs).astype(complex)
+    m = np.zeros((len(off_diagonal), 81), dtype=complex)
+    m[:, ::10] = np.array(off_diagonal)[:, None]  # the matrix diagonal
+    m[:, ::40] = diagonal  # |i><i| sits at index 4i
+    return m.reshape(-1, 9, 9)
 
 
 def dephasing_generator() -> SuperOp:
@@ -166,38 +171,45 @@ def dephasing_generator() -> SuperOp:
     return SuperOp(dim=3, matrix=m.astype(complex))
 
 
-def _gamma4_matrix(c00: float, c11: np.ndarray, c_trace: float) -> np.ndarray:
-    """Matrix of X -> c00 x00 |0><0| + x11 c11 + c_trace (x00 + x11) |2><2|.
-
-    Gamma^(4) and its derivative have this form: only the columns of |0><0|
-    (index 0) and |1><1| (index 4) are nonzero.
-    """
-    m = np.zeros((9, 9), dtype=complex)
-    m[0, 0] = c00
-    m[:, 4] = vec(c11)
-    m[8, [0, 4]] = c_trace
-    return m
+def _gamma4(c00: np.ndarray, vec_c11: np.ndarray, c_trace: np.ndarray) -> np.ndarray:
+    """Stack of X -> c00 x00 |0><0| + x11 c11 + c_trace (x00 + x11) |2><2|, the
+    form of Gamma^(4) and its derivative: only the columns of |0><0| (index 0)
+    and |1><1| (index 4) are nonzero.  ``vec_c11`` is (points, 9)."""
+    m = np.zeros((len(c00), 81), dtype=complex)
+    m[:, 0] = c00
+    m[:, 4::9] = vec_c11  # column 4
+    m[:, 72:77:4] = c_trace[:, None]  # row 8, columns 0 and 4
+    return m.reshape(-1, 9, 9)
 
 
-def _check_tau(tau: float) -> None:
-    if not 0.0 <= tau <= 1.0:
-        raise OperandError("tau must lie in [0, 1]")
+def _vec_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """vec |a><b| for each point of the ket stacks a and b."""
+    return (b.conj()[:, :, None] * a[:, None, :]).reshape(-1, 9)
 
 
-def gamma_family(i: int, tau: float, params: MapParams | None = None) -> SuperOp:
-    """Gamma^(i)_tau for i in 1..4 and tau in [0, 1]."""
-    params = params or MapParams()
-    _check_tau(tau)
+def _gammas(i: int, taus: list, params: MapParams, dot: bool) -> np.ndarray:
+    """Gamma^(i)_tau, or d Gamma^(i)/d tau (one-sided at 0 and 1) with ``dot``,
+    at each tau of ``taus``: a fresh (len(taus), 9, 9) complex array, from
+    scalar libm coefficients per point broadcast against constant matrices."""
     if i == 1:
-        g = rate_g(tau)
-        return SuperOp(dim=3, matrix=_gamma1_matrix(
-            0.0 if math.isinf(g) else math.exp(-4.0 * g)))
+        if dot:  # off-diagonal coefficient exp(-4 g(tau)) = (1 - tau)^4
+            return _dephasing([-4.0 * (1.0 - tau) ** 3 for tau in taus], 0.0)
+        return _dephasing([0.0 if math.isinf(g) else math.exp(-4.0 * g)
+                           for g in map(rate_g, taus)], 1.0)
     if i in (2, 3):
-        f = rate_f(tau)
-        w = 0.0 if math.isinf(f) else math.exp(-f)
-        target = E2 if i == 2 else E3
-        m = w * np.eye(9) + (1.0 - w) * target.matrix
-        return SuperOp(dim=3, matrix=m)
+        target = (E2 if i == 2 else E3).matrix
+        fs = [rate_f(tau) for tau in taus]
+        if not dot:
+            w = np.array([0.0 if math.isinf(f) else math.exp(-f)
+                          for f in fs])[:, None, None]
+            return w * np.eye(9) + (1.0 - w) * target
+        # d/dtau [w I + (1 - w) E] = -f'(tau) w (I - E) with w = exp(-f);
+        # f' w -> 0 as tau -> 1, where f diverges.
+        rate = [0.0 if math.isinf(f) else -(tau * (2.0 - tau) / (1.0 - tau) ** 2)
+                * math.exp(-f) for tau, f in zip(taus, fs)]
+        m = np.array(rate)[:, None, None] * (np.eye(9) - target)
+        m[np.isinf(fs)] = 0.0
+        return m
     if i == 4:
         # delta-smoothing reparameterizes the whole family as tau -> tau^delta.
         # Substituting only inside the rotation argument would make the norm of
@@ -207,90 +219,84 @@ def gamma_family(i: int, tau: float, params: MapParams | None = None) -> SuperOp
         # while still zeroing the right time-derivative at the third junction.
         # X -> (1 + s^2)(x00 |0><0| + x11 |psi><psi|) + (1 - s^2)(x00 + x11) |2><2|
         # with s = tau^delta and |psi> the ket rotated by theta*s.
-        sigma = tau ** params.delta
-        ket = rotated_ket(params.theta * sigma)
-        up, down = 1.0 + sigma * sigma, 1.0 - sigma * sigma
-        return SuperOp(dim=3, matrix=_gamma4_matrix(
-            up, up * np.outer(ket, ket.conj()), down))
+        delta, theta = params.delta, params.theta
+        sigma = np.array([tau ** delta for tau in taus])
+        kets = np.array([(math.sin(a), math.cos(a), 0.0)  # rotated_ket(theta s)
+                         for a in (theta * sigma).tolist()], dtype=complex)
+        vec_proj, up = _vec_outer(kets, kets), 1.0 + sigma * sigma
+        if not dot:
+            return _gamma4(up, up[:, None] * vec_proj, 1.0 - sigma * sigma)
+        # chain rule through s = tau^delta, with ds/dtau = 0 at tau = 0 for
+        # delta > 1, and d|psi>/ds = theta (cos, -sin, 0)
+        ds = [delta * tau ** (delta - 1.0) if tau > 0.0 else float(delta == 1.0)
+              for tau in taus]
+        dkets = np.zeros_like(kets)
+        dkets[:, 0], dkets[:, 1] = theta * kets[:, 1], theta * -kets[:, 0]
+        c11 = ((2.0 * sigma)[:, None] * vec_proj
+               + up[:, None] * (_vec_outer(dkets, kets) + _vec_outer(kets, dkets)))
+        return np.array(ds)[:, None, None] * _gamma4(2.0 * sigma, c11, -2.0 * sigma)
     raise OperandError(f"family index must be 1..4, got {i}")
+
+
+def gamma_family(i: int, tau: float, params: MapParams | None = None) -> SuperOp:
+    """Gamma^(i)_tau for i in 1..4 and tau in [0, 1]: the one-point ``_gammas``."""
+    _check_tau(tau)
+    return SuperOp(dim=3, matrix=_gammas(i, [tau], params or MapParams(), False)[0])
 
 
 def gamma_family_dot(i: int, tau: float, params: MapParams | None = None) -> SuperOp:
-    """d Gamma^(i)_tau / d tau for i in 1..4 and tau in [0, 1], from the
-    closed forms of ``gamma_family``; one-sided at the ends of [0, 1]."""
-    params = params or MapParams()
+    """d Gamma^(i)_tau / d tau, one-sided at the ends of [0, 1]."""
     _check_tau(tau)
-    if i == 1:
-        # off-diagonal coefficient exp(-4 g(tau)) = (1 - tau)^4
-        return SuperOp(dim=3, matrix=_gamma1_matrix(-4.0 * (1.0 - tau) ** 3, 0.0))
-    if i in (2, 3):
-        # d/dtau [w I + (1 - w) E] = -f'(tau) w (I - E) with w = exp(-f);
-        # f' w -> 0 as tau -> 1, where f diverges.
-        f = rate_f(tau)
-        if math.isinf(f):
-            return SuperOp(dim=3, matrix=np.zeros((9, 9), dtype=complex))
-        rate = tau * (2.0 - tau) / (1.0 - tau) ** 2
-        target = E2 if i == 2 else E3
-        return SuperOp(dim=3, matrix=-rate * math.exp(-f) * (np.eye(9) - target.matrix))
-    if i == 4:
-        # chain rule through s = tau^delta, with ds/dtau = 0 at tau = 0 for
-        # delta > 1, and d|psi>/ds = theta (cos, -sin, 0)
-        delta = params.delta
-        ds = delta * tau ** (delta - 1.0) if tau > 0.0 else float(delta == 1.0)
-        sigma = tau ** delta
-        ket = rotated_ket(params.theta * sigma)
-        dket = params.theta * np.array([ket[1], -ket[0], 0.0])
-        dproj = np.outer(dket, ket.conj()) + np.outer(ket, dket.conj())
-        return SuperOp(dim=3, matrix=ds * _gamma4_matrix(
-            2.0 * sigma, 2.0 * sigma * np.outer(ket, ket.conj())
-            + (1.0 + sigma * sigma) * dproj, -2.0 * sigma))
-    raise OperandError(f"family index must be 1..4, got {i}")
+    return SuperOp(dim=3, matrix=_gammas(i, [tau], params or MapParams(), True)[0])
 
 
 # Constant map that stage i's Gamma^(i) acts after, at index i - 1.
 _PREFIXES = (None, E1, E2_E1, E3_E2_E1)
 
 
-def _stage(t: float, params: MapParams) -> tuple[int, float, float]:
-    """(stage i, tau, segment length) of the stage containing t.
-
-    The stages are [0, t1), [t1, t2), [t2, t3) and [t3, t4]; t outside the
-    domain is an error.
-    """
-    if t < 0.0 or t > params.t4:
-        raise OperandError(f"t = {t} outside [0, {params.t4}]")
+def _lambda_stack(ts, params: MapParams, dot: bool) -> np.ndarray:
+    """Lambda_t, or d Lambda_t / dt with ``dot``, at each t of ``ts``: a fresh
+    (len(ts), 9, 9) complex array.  The stages are [0, t1), [t1, t2), [t2, t3)
+    and [t3, t4]; each takes one stacked Gamma^(i) (its derivative over the
+    segment length) and one batched matmul by its constant prefix."""
     starts = (0.0, params.t1, params.t2, params.t3, params.t4)
-    i = 1 if t < params.t1 else 2 if t < params.t2 else 3 if t < params.t3 else 4
-    length = starts[i] - starts[i - 1]
-    return i, (t - starts[i - 1]) / length, length
+    ts = np.asarray(ts, dtype=float).reshape(-1).tolist()
+    stages = {}  # stage i - 1: [(position, tau), ...]
+    for j, t in enumerate(ts):
+        if not 0.0 <= t <= params.t4:  # NaN too
+            raise OperandError(f"t = {t} outside [0, {params.t4}]")
+        s = bisect.bisect_right(starts, t, 1, 4) - 1
+        stages.setdefault(s, []).append((j, (t - starts[s]) / (starts[s + 1] - starts[s])))
+    out = np.empty((len(ts), 9, 9), dtype=complex)
+    for s, points in stages.items():
+        at, taus = map(list, zip(*points))
+        m = _gammas(s + 1, taus, params, dot)
+        if dot:
+            m = m / (starts[s + 1] - starts[s])
+        out[at] = m if _PREFIXES[s] is None else m @ _PREFIXES[s].matrix
+    return out
 
 
 def lambda_t(t: float, params: MapParams | None = None) -> SuperOp:
-    """The piecewise family on [0, t4]; t outside the domain is an error."""
-    params = params or MapParams()
-    i, tau, _ = _stage(t, params)
-    gamma, prefix = gamma_family(i, tau, params), _PREFIXES[i - 1]
-    return gamma if prefix is None else compose(gamma, prefix)
+    """The piecewise family on [0, t4] (the one-point ``Family.stack``); t
+    outside the domain is an error."""
+    return SuperOp(dim=3, matrix=_lambda_stack([t], params or MapParams(), False)[0])
 
 
 def lambda_t_dot(t: float, params: MapParams | None = None) -> SuperOp:
-    """d Lambda_t / dt from the right, within the stage ``lambda_t`` picks for t.
-
-    (1 / segment length) d Gamma^(i)/d tau composed with the stage's constant
-    prefix.  At t = t4 it is the left derivative, the end of stage 4.
-    """
-    params = params or MapParams()
-    i, tau, length = _stage(t, params)
-    m, prefix = gamma_family_dot(i, tau, params).matrix / length, _PREFIXES[i - 1]
-    return SuperOp(dim=3, matrix=m if prefix is None else m @ prefix.matrix)
+    """d Lambda_t / dt from the right within the stage ``lambda_t`` picks for t,
+    at t4 from the left (the one-point ``Family.dot_stack``)."""
+    return SuperOp(dim=3, matrix=_lambda_stack([t], params or MapParams(), True)[0])
 
 
 @dataclass(frozen=True)
 class Family:
     """Callable t -> Lambda_t with parameters bound; ``dot(t)`` is d Lambda/dt.
 
-    Both look ``lambda_t``/``lambda_t_dot`` up at call time, so a wrapper
-    installed on the module (as the traced benchmark does) sees every call.
+    The scans and the CP/TP check take their grid chunks from ``stack`` and
+    ``dot_stack``.  ``__call__`` and ``dot`` look up their one-point case
+    ``lambda_t``/``lambda_t_dot`` at call time, so a wrapper installed on
+    those module functions sees single-point calls only, not the grids.
     """
 
     params: MapParams
@@ -300,6 +306,14 @@ class Family:
 
     def dot(self, t: float) -> SuperOp:
         return lambda_t_dot(t, self.params)
+
+    def stack(self, ts) -> np.ndarray:
+        """Lambda_t at each t of ``ts``: a fresh (len(ts), 9, 9) complex array."""
+        return _lambda_stack(ts, self.params, False)
+
+    def dot_stack(self, ts) -> np.ndarray:
+        """d Lambda_t / dt (see ``lambda_t_dot``) at each t of ``ts``, as ``stack``."""
+        return _lambda_stack(ts, self.params, True)
 
 
 def family(params: MapParams | None = None) -> Family:
@@ -316,7 +330,8 @@ def continuity_report(params: MapParams | None = None,
     max-abs entry difference between Lambda_{t-eps} and Lambda_{t+eps}.
     With ``derivative=True`` the report also contains the gap between the
     one-sided finite-difference time derivatives of the matrix entries,
-    which should vanish for the smooth (delta > 1, pole-rate) variant.
+    which should vanish for the smooth (delta > 1, pole-rate) variant.  All
+    ladder points go through one ``Family.stack`` call.
     """
     params = params or MapParams()
     eps_ladder = tuple(eps_ladder)
@@ -324,19 +339,17 @@ def continuity_report(params: MapParams | None = None,
                 params.t3 - params.t2, params.t4 - params.t3) / 2
     if any(not 0.0 < e < limit for e in eps_ladder):
         raise OperandError("epsilon ladder must lie in (0, min segment length / 2)")
+    junctions = {"t1": params.t1, "t2": params.t2, "t3": params.t3}
+    offsets = (-1, 1, -2, 2) if derivative else (-1, 1)
+    maps = Family(params).stack([tj + o * eps for tj in junctions.values()
+                                 for eps in eps_ladder for o in offsets])
+    maps = maps.reshape(len(junctions), len(eps_ladder), len(offsets), 9, 9)
+    eps = np.array(eps_ladder)[:, None, None]
     report = {}
-    for name, tj in (("t1", params.t1), ("t2", params.t2), ("t3", params.t3)):
-        gaps, dgaps = [], []
-        for eps in eps_ladder:
-            left = lambda_t(tj - eps, params).matrix
-            right = lambda_t(tj + eps, params).matrix
-            gaps.append(float(np.max(np.abs(left - right))))
-            if derivative:
-                dleft = (left - lambda_t(tj - 2 * eps, params).matrix) / eps
-                dright = (lambda_t(tj + 2 * eps, params).matrix - right) / eps
-                dgaps.append(float(np.max(np.abs(dleft - dright))))
-        entry = {"eps": eps_ladder, "gap": tuple(gaps)}
-        if derivative:
-            entry["derivative_gap"] = tuple(dgaps)
-        report[name] = entry
+    for name, m in zip(junctions, maps):  # m[:, j]: offset j at each eps
+        report[name] = {"eps": eps_ladder,
+                        "gap": tuple(np.abs(m[:, 0] - m[:, 1]).max(axis=(1, 2)).tolist())}
+        if derivative:  # left against right one-sided difference quotient
+            dgap = np.abs((m[:, 0] - m[:, 2]) / eps - (m[:, 3] - m[:, 1]) / eps)
+            report[name]["derivative_gap"] = tuple(dgap.max(axis=(1, 2)).tolist())
     return report

@@ -20,10 +20,10 @@ from qmarkov.contractivity import (bound_chain_check,
                                    gamma4_derivative_closed_form,
                                    norm_derivative_scan, norm_rderiv_at,
                                    theta_window_sweep)
-from qmarkov.operators import random_probes, right_derivative
-from qmarkov.qutrit_family import (D1, D2, D3, K2, MapParams, family,
-                                   gamma_family, lambda_t, lambda_t_dot,
-                                   make_E)
+from qmarkov.operators import OperandError, random_probes, right_derivative
+from qmarkov.qutrit_family import (D1, D2, D3, E1, E2, E2_E1, E3, E3_E2_E1, K2,
+                                   MapParams, family, gamma_family, lambda_t,
+                                   lambda_t_dot, make_E)
 from qmarkov.superops import (SuperOp, compose, from_kraus, is_cp, is_tp,
                               to_choi)
 from qmarkov.tolerances import TOL_CLOSED_FORM, TOL_DERIV
@@ -128,6 +128,76 @@ def test_lambda_t_dot_vanishes_at_third_junction_when_smoothed():
 def test_elementary_maps_are_read_only(i):
     with pytest.raises(ValueError):
         make_E(i).matrix[0, 0] = 2.0
+
+
+def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal in every bit that a comparison can see, signed zeros included."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+@st.composite
+def family_grids(draw):
+    """Unequal junction times and a shuffled grid holding t1..t4 exactly, 0,
+    and points drawn anywhere in [0, t4]."""
+    steps = [draw(st.floats(0.1, 2.0)) for _ in range(4)]
+    t1, t2, t3, t4 = np.cumsum(steps).tolist()
+    params = MapParams(theta=draw(st.sampled_from([1.3, 1.5, math.pi / 2])),
+                       t1=t1, t2=t2, t3=t3, t4=t4,
+                       delta=draw(st.sampled_from([1.0, 1.05, 2.0])))
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=70))
+    grid = [0.0, t1, t2, t3, t4] + [u * t4 for u in inner]
+    return params, draw(st.permutations(grid))
+
+
+@PROPERTY_SETTINGS
+@given(family_grids())
+@example((MapParams(), list(np.linspace(0.0, 4.0, 200))))
+@example((MapParams(delta=1.05), list(np.linspace(3.0, 4.0, 401))))
+def test_stack_is_one_point_stacks(point):
+    """A grid's stack is bit-equal to its points' one-point stacks, so the
+    batched prefix matmul agrees with the per-matrix one, and ``lambda_t`` /
+    ``lambda_t_dot`` are the one-point stacks."""
+    p, grid = point
+    fam = family(p)
+    for stack, one in ((fam.stack, lambda_t), (fam.dot_stack, lambda_t_dot)):
+        per_point = np.concatenate([stack([t]) for t in grid])
+        assert _bit_equal(stack(grid), per_point)
+        assert _bit_equal(np.stack([one(t, p).matrix for t in grid]), per_point)
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -0.5, 4.0 + 1e-12, 9.0, math.nan])
+def test_stack_rejects_points_outside_domain(bad):
+    fam = family()
+    for evaluate in (fam.stack, fam.dot_stack):
+        with pytest.raises(OperandError):
+            evaluate([0.5, bad, 3.5])
+    for one in (lambda_t, lambda_t_dot):
+        with pytest.raises(OperandError):
+            one(bad)
+
+
+def test_stack_is_fresh_writable_memory():
+    """Writing into a returned stack leaves the constant maps and the next
+    evaluation as they were."""
+    fam = family(MapParams(delta=1.05))
+    grid = np.linspace(0.0, 4.0, 41)
+    constants = (E1, E2, E3, E2_E1, E3_E2_E1)
+    before = [S.matrix.copy() for S in constants]
+    # [0.5]: stage 1 alone, which takes no prefix matmul
+    points = (grid, [0.5])
+    expected = [stack(ts) for stack in (fam.stack, fam.dot_stack) for ts in points]
+    for stack in (fam.stack, fam.dot_stack):
+        for ts in points:
+            out = stack(ts)
+            assert out.flags.writeable
+            out[...] = 7.0
+    assert all(np.array_equal(S.matrix, m) for S, m in zip(constants, before))
+    again = [stack(ts) for stack in (fam.stack, fam.dot_stack) for ts in points]
+    assert all(_bit_equal(a, b) for a, b in zip(again, expected))
+    for i in (1, 2, 3):
+        assert not make_E(i).matrix.flags.writeable
 
 
 def test_import_leaves_scipy_unloaded():

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qmarkov import qutrit_family
+from qmarkov.cli import check_cp_tp
+from qmarkov.contractivity import norm_derivative_scan
+from qmarkov.divisibility import cp_divisibility_scan
 from qmarkov.operators import OperandError, check_density, random_probes, trace_norm
-from qmarkov.qutrit_family import (D1, D2, D3, G, RHO_A, RHO_B, MapParams,
+from qmarkov.qutrit_family import (D1, D2, D3, G, RHO_A, RHO_B, Family, MapParams,
                                    continuity_report, dephasing_generator,
                                    family, gamma_family, lambda_t,
                                    load_params, make_E, rate_f, rate_g,
                                    rotated_ket)
+from qmarkov.superops import GRID_CHUNK
 
 SEED = 5
 
@@ -253,3 +258,48 @@ def test_family_callable_binds_params():
     params = MapParams(theta=1.45)
     fam = family(params)
     assert np.allclose(fam(4.0).matrix, lambda_t(4.0, params).matrix)
+
+
+class TestStackCallers:
+    """The grid checks take each chunk from one ``Family.stack`` (and
+    ``dot_stack``) call and never evaluate the family one point at a time."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"stack": [], "dot_stack": []}
+        for name in calls:
+            def counting(fam, ts, _name=name, _original=getattr(Family, name)):
+                calls[_name].append(list(ts))
+                return _original(fam, ts)
+            monkeypatch.setattr(Family, name, counting)
+
+        def per_point(*args):
+            raise AssertionError("per-point family evaluation")
+        monkeypatch.setattr(qutrit_family, "lambda_t", per_point)
+        monkeypatch.setattr(qutrit_family, "lambda_t_dot", per_point)
+        return calls
+
+    @pytest.mark.parametrize("n_probes,chunk", [(2, GRID_CHUNK), (2000, 1)])
+    def test_scan(self, calls, n_probes, chunk):
+        grid = list(np.linspace(0.0, 4.0, 150, endpoint=False))
+        norm_derivative_scan(family(), random_probes(3, n_probes, SEED), grid)
+        chunks = [grid[i:i + chunk] for i in range(0, len(grid), chunk)]
+        assert calls == {"stack": chunks, "dot_stack": chunks}
+
+    def test_cp_tp(self, calls):
+        check_cp_tp(MapParams(), 150)
+        grid = list(np.linspace(0.0, 4.0, 150))
+        assert calls == {"stack": [grid[:64], grid[64:128], grid[128:]],
+                         "dot_stack": []}
+
+    def test_divisibility_scan(self, calls):
+        grid = list(np.linspace(0.0, 4.0, 150))
+        cp_divisibility_scan(family(), grid)
+        # 149 intervals in batches of 64; each batch reuses the last map
+        assert calls == {"stack": [grid[:65], grid[65:129], grid[129:]],
+                         "dot_stack": []}
+
+    def test_continuity_report(self, calls):
+        continuity_report(derivative=True)
+        assert len(calls["stack"]) == 1 and len(calls["stack"][0]) == 3 * 3 * 4
+        assert calls["dot_stack"] == []
