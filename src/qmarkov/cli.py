@@ -12,7 +12,6 @@ Exit codes: 0 pass, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -39,12 +38,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+_write_csv = contractivity.write_csv  # the one CSV writer, as the CLI's I/O site
 
 
 def _params(args) -> MapParams:
@@ -57,10 +51,6 @@ def _params(args) -> MapParams:
         return load_params(args.config)
     return MapParams(**{name: getattr(args, name) for name in ("theta", "delta")
                         if getattr(args, name) is not None})
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
 
 
 def check_continuity(params: MapParams, derivative: bool = False) -> dict:
@@ -200,10 +190,9 @@ def cmd_divisibility(args) -> int:
     fam = family(params)
     grid = np.linspace(0.0, params.t4, args.grid)
     rows = divisibility.cp_divisibility_scan(fam, grid)
-    _write_csv(out / "divisibility.csv",
-               ["s", "t", "definedness", "residual", "choi_min_eig", "verdict"],
-               [[_fmt(r["s"]), _fmt(r["t"]), r["definedness"], _fmt(r["residual"]),
-                 _fmt(r["choi_min_eig"]), r["verdict"]] for r in rows])
+    header = ("s", "t", "definedness", "residual", "choi_min_eig", "verdict")
+    _write_csv(out / "divisibility.csv", header, "%.15g,%.15g,%s,%.15g,%.15g,%s",
+               [[r[name] for r in rows] for name in header])
     forcing = check_forcing(params)
     summary = {"command": "divisibility", "theta": params.theta,
                "intervals": len(rows),
@@ -221,10 +210,10 @@ def cmd_sweep(args) -> int:
     thetas = np.arange(args.theta_min, args.theta_max + 1e-9, args.theta_step)
     rows = contractivity.theta_window_sweep(
         thetas, np.linspace(0.0, 1.0, 201), np.arange(0.0, 10.0 + 1e-9, 0.1))
-    _write_csv(out / "sweep.csv",
-               ["theta", "max_deriv", "arg_lambda", "arg_tau", "violation"],
-               [[_fmt(r["theta"]), _fmt(r["max_deriv"]), _fmt(r["arg_lambda"]),
-                 _fmt(r["arg_tau"]), str(r["violation"]).lower()] for r in rows])
+    header = ("theta", "max_deriv", "arg_lambda", "arg_tau", "violation")
+    _write_csv(out / "sweep.csv", header, "%.15g,%.15g,%.15g,%.15g,%s",
+               [[r[name] for r in rows] for name in header[:-1]]
+               + [np.where([r["violation"] for r in rows], "true", "false")])
     clean = [r["theta"] for r in rows if not r["violation"]]
     _write_json(out / "sweep_summary.json",
                 {"command": "sweep",
@@ -244,9 +233,11 @@ def cmd_bounds(args) -> int:
     result = contractivity.bound_chain_check(
         params.theta, np.arange(0.005, 1.0 + 1e-9, 0.005))
     rows = result["rows"]
+    flags = [name for name in rows.dtype.names if rows[name].dtype == bool]
     _write_csv(out / "bounds.csv", rows.dtype.names,
-               [[_fmt(v) if isinstance(v, float) else str(v).lower() for v in r]
-                for r in rows.tolist()])
+               ",".join("%s" if name in flags else "%.15g" for name in rows.dtype.names),
+               [np.where(rows[name], "true", "false") if name in flags else rows[name]
+                for name in rows.dtype.names])
     ok = result["chain_ok"] and result["lambda_monotone"] and \
         result["polynomial_nonpositive"]
     _write_json(out / "bounds_summary.json",

@@ -49,16 +49,19 @@ class ForcingWitness:
 
 def _intermediate_maps(Ls: np.ndarray, Lt: np.ndarray, tol: float):
     """V = Lt pinv(Ls) for stacks (c, n, n) of map matrices, with a
-    rank-revealing pseudoinverse; one batched SVD, pinv and matmul each.
+    rank-revealing pseudoinverse; one batched SVD and matmul each.
 
+    The pseudoinverse takes np.linalg.pinv(Ls, rcond=tol)'s steps, so V is
+    bit-equal to it, and the rank is read off the same singular values.
     Returns the arrays (V, residual, definedness), one entry per interval.
     """
     n = Ls.shape[-1]
-    sv = np.linalg.svd(Ls, compute_uv=False)
-    rank = np.where(sv[:, 0] > 0, np.sum(sv > tol * sv[:, :1], axis=-1), 0)
-    V = Lt @ np.linalg.pinv(Ls, rcond=tol)
+    u, sv, vh = np.linalg.svd(Ls.conj(), full_matrices=False)
+    large = sv > tol * sv[:, :1]
+    inv = np.divide(1, sv, out=np.zeros_like(sv), where=large)
+    V = Lt @ (np.swapaxes(vh, -1, -2) @ (inv[..., None] * np.swapaxes(u, -1, -2)))
     residual = np.abs(V @ Ls - Lt).max(axis=(-2, -1))
-    definedness = np.where(rank == n, "exact",
+    definedness = np.where(large.sum(axis=-1) == n, "exact",
                            np.where(residual < RESIDUAL_TOL, "image-restricted",
                                     "inconsistent"))
     return V, residual, definedness

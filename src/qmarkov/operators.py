@@ -141,12 +141,14 @@ def random_probes(dim: int, count: int, seed: int, kind: str = "random-hermitian
     if kind not in PROBE_KINDS:
         raise OperandError(f"unknown probe kind {kind!r}")
     rng = np.random.default_rng(seed)
+    if kind == "random-hermitian":
+        g = rng.standard_normal((count, 2, dim, dim))  # a loop's stream, in one draw
+        a = g[:, 0] + 1j * g[:, 1]
+        return ProbeSet(probes=tuple((a + np.conj(np.swapaxes(a, -1, -2))) / 2),
+                        seed=seed, kind=kind)
     probes = []
     for _ in range(count):
-        if kind == "random-hermitian":
-            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            probes.append((a + a.conj().T) / 2)
-        elif kind == "state-difference":
+        if kind == "state-difference":
             p1 = rng.random()
             probes.append(p1 * _random_state(rng, dim) - (1 - p1) * _random_state(rng, dim))
         else:
