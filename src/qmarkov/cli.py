@@ -29,11 +29,12 @@ from .tolerances import DEFAULT_SEED, TOL_DERIV, TOL_PSD
 CONTINUITY_LADDER = (1e-2, 1e-3, 1e-4)
 CONTINUITY_FINAL_GAP = 1e-3
 WITNESS_MIN_DISCREPANCY = 1e-6
+SCHEMA_VERSION = 1  # of every JSON summary
 
 
 def _write_json(path: Path, payload: dict) -> None:
     payload = dict(payload)
-    payload.setdefault("schema_version", 1)
+    payload["schema_version"] = SCHEMA_VERSION
     payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 

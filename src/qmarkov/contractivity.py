@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import OperandError, ProbeSet
-from .qutrit_family import RHO_A, RHO_B, MapParams, gamma_family
+from .qutrit_family import RHO_A, RHO_B
 from .superops import GRID_CHUNK, apply_to_extended
-from .tolerances import KERNEL_CUTOFF, TOL_CLOSED_FORM, TOL_DERIV
+from .tolerances import (KERNEL_CUTOFF, SINGULAR_ROOT, TOL_BOUND_CHAIN,
+                         TOL_CLOSED_FORM, TOL_DERIV)
 
 
 class SingularPointError(ValueError):
@@ -82,7 +83,6 @@ class ScanReport:
 
     def summary(self) -> dict:
         return {
-            "schema_version": 1,
             "max_rderiv": self.max_rderiv,
             "argmax_t": self.argmax_t,
             "argmax_probe": self.argmax_probe,
@@ -188,13 +188,18 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
                                  "t_max": float(grid[-1])})
 
 
+def _root(lam, tau, theta):
+    """sqrt(1 + lam^2 + 2 lam cos(2 theta tau)), the closed forms' square root."""
+    return np.sqrt(1 + lam ** 2 + 2 * lam * np.cos(2 * theta * tau))
+
+
 def gamma4_norm_closed_form(lam, tau, theta):
     """||Gamma^(4)_tau(rho_A - lam rho_B)||_1 for lam >= 0 (vectorized)."""
     lam = np.asarray(lam, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if np.any(lam < 0) or np.any(tau < 0) or np.any(tau > 1):
         raise OperandError("need lam >= 0 and tau in [0, 1]")
-    root = np.sqrt(1 + lam ** 2 + 2 * lam * np.cos(2 * theta * tau))
+    root = _root(lam, tau, theta)
     out = 0.5 * ((1 - tau ** 2) * np.abs(lam - 1) + (1 + tau ** 2) * root)
     return float(out) if out.ndim == 0 else out
 
@@ -210,36 +215,24 @@ def gamma4_derivative_closed_form(lam, tau, theta):
     tau = np.asarray(tau, dtype=float)
     if np.any(lam < 0) or np.any(tau < 0) or np.any(tau > 1):
         raise OperandError("need lam >= 0 and tau in [0, 1]")
-    root = np.sqrt(1 + lam ** 2 + 2 * lam * np.cos(2 * theta * tau))
-    if np.any(root <= 1e-12):
+    root = _root(lam, tau, theta)
+    if np.any(root <= SINGULAR_ROOT):
         raise SingularPointError("vanishing denominator at lam = 1, 2*theta*tau = pi")
     out = (tau * (-np.abs(lam - 1) + root)
            - lam * theta * (1 + tau ** 2) * np.sin(2 * theta * tau) / root)
     return float(out) if out.ndim == 0 else out
 
 
-def gamma4_norm_numeric(lam: float, tau: float, theta: float) -> float:
-    """Full matrix-evaluation oracle for the closed-form norm."""
-    from .operators import trace_norm
-    params = MapParams(theta=theta)
-    return trace_norm(gamma_family(4, tau, params).apply(lambda_probe(lam)))
-
-
-def _root(lam, tau, theta):
-    """sqrt(1 + lam^2 + 2 lam cos(2 theta tau)), the closed forms' square root."""
-    return np.sqrt(1 + lam ** 2 + 2 * lam * np.cos(2 * theta * tau))
-
-
-def _closed_form_mesh(lam, tau, theta):
-    """Closed-form derivative on the broadcast (lam, tau) mesh, with -inf at
-    its singular points (lam = 1, 2*theta*tau = pi); returns (values, number
-    of singular points)."""
+def _closed_form_mesh(fn, lam, tau, theta):
+    """``fn(lam, tau, theta)`` on the broadcast (lam, tau) mesh, with -inf at
+    the closed forms' singular points (lam = 1, 2*theta*tau = pi, where
+    ``_root`` vanishes); returns (values, number of singular points)."""
     lam, tau = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                    np.asarray(tau, dtype=float))
-    keep = _root(lam, tau, theta) > 1e-12
+    keep = _root(lam, tau, theta) > SINGULAR_ROOT
     vals = np.full(keep.shape, -math.inf)
     if keep.any():
-        vals[keep] = gamma4_derivative_closed_form(lam[keep], tau[keep], theta)
+        vals[keep] = fn(lam[keep], tau[keep], theta)
     return vals, int(keep.size - keep.sum())
 
 
@@ -255,7 +248,8 @@ def theta_window_sweep(theta_grid, tau_grid, lam_grid) -> list:
     lam_mesh, tau_mesh = np.meshgrid(lam, tau, indexing="ij")
     rows = []
     for theta in theta_grid:
-        vals, skipped = _closed_form_mesh(lam_mesh, tau_mesh, theta)
+        vals, skipped = _closed_form_mesh(gamma4_derivative_closed_form,
+                                          lam_mesh, tau_mesh, theta)
         best, best_lam, best_tau = -math.inf, None, None
         if skipped < vals.size:
             i, j = np.unravel_index(np.argmax(vals), vals.shape)
@@ -290,8 +284,8 @@ def bound_chain_check(theta: float, tau_grid, lam_grid=None) -> dict:
     lam = np.asarray(list(lam_grid) if lam_grid is not None else np.arange(1.0, 11.0))
     if np.any(lam < 1.0):
         raise OperandError("bound chain covers lam >= 1")
-    tol = 1e-10
-    vals, skipped = _closed_form_mesh(lam[:, None], tau, theta)
+    vals, skipped = _closed_form_mesh(gamma4_derivative_closed_form,
+                                      lam[:, None], tau, theta)
     sup = vals.max(axis=0)
     bound_a = (tau * np.sqrt(np.maximum(2 + 2 * np.cos(2 * theta * tau), 0.0))
                - (1 + tau * tau) * (theta / 2) * np.sin(2 * theta * tau))
@@ -301,22 +295,21 @@ def bound_chain_check(theta: float, tau_grid, lam_grid=None) -> dict:
     # that can differ in the last bit, which would move printed digits.
     poly = (2 - theta ** 2) * tau - (theta ** 2 - theta ** 4 / 3) * np.float_power(tau, 3)
     rows = np.rec.fromarrays(
-        [tau, sup, bound_a, bound_b, bracket, poly, sup <= bound_a + tol,
-         np.abs(bound_a - bound_b) <= tol, bracket <= poly + tol, poly <= tol],
+        [tau, sup, bound_a, bound_b, bracket, poly,
+         sup <= bound_a + TOL_BOUND_CHAIN, np.abs(bound_a - bound_b) <= TOL_BOUND_CHAIN,
+         bracket <= poly + TOL_BOUND_CHAIN, poly <= TOL_BOUND_CHAIN],
         names=("tau", "sup_derivative", "bound_sqrt", "bound_cos", "bracket",
                "polynomial", "link1", "link2", "link3", "link4"))
     # lam-monotonicity of the bracketed term: its lam-derivative is
     # -1 + (lam + cos(2 theta tau)) / sqrt(1 + lam^2 + 2 lam cos(2 theta tau)) <= 0.
-    mono_lam, mono_tau = np.broadcast_arrays(np.linspace(1.0, 10.0, 37)[:, None], tau)
-    root = _root(mono_lam, mono_tau, theta)
-    keep = root > 1e-12
-    mono = np.full(keep.shape, -math.inf)
-    mono[keep] = -1 + (mono_lam[keep] + np.cos(2 * theta * mono_tau[keep])) / root[keep]
-    skipped += int(keep.size - keep.sum())
+    mono, mono_skipped = _closed_form_mesh(
+        lambda lam, tau, theta: -1 + (lam + np.cos(2 * theta * tau)) / _root(lam, tau, theta),
+        np.linspace(1.0, 10.0, 37)[:, None], tau, theta)
+    skipped += mono_skipped
     return {"theta": theta, "rows": rows, "singular_points_skipped": skipped,
             "chain_ok": bool(np.all(rows.link1 & rows.link2 & rows.link3)),
             "polynomial_nonpositive": bool(np.all(rows.link4)),
-            "lambda_monotone": not np.any(mono > tol),
+            "lambda_monotone": not np.any(mono > TOL_BOUND_CHAIN),
             "worst_lambda_derivative": float(np.max(mono, initial=-math.inf))}
 
 

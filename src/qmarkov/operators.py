@@ -1,9 +1,8 @@
 """Dense Hermitian-operator arithmetic.
 
-Trace norm, tensor products, partial traces, seeded probe generation and a
-right-sided derivative estimator.  Everything here is a pure function of
-immutable inputs; matrices are plain complex numpy arrays validated on
-entry.
+Hermiticity and density-matrix validation, the trace norm and seeded probe
+ensembles.  Everything here is a pure function of immutable inputs;
+matrices are plain complex numpy arrays validated on entry.
 """
 
 from __future__ import annotations
@@ -12,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import DEFAULT_H0, TOL_HERM, TOL_PSD
+from .tolerances import TOL_HERM, TOL_PSD
 
-PROBE_KINDS = ("random-hermitian", "state-difference", "image-restricted")
+PROBE_KINDS = ("random-hermitian", "state-difference")
 
 
 class OperandError(ValueError):
@@ -47,56 +46,6 @@ def trace_norm(X, tol: float = TOL_HERM) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(X))))
 
 
-def tensor(A, B) -> np.ndarray:
-    """Kronecker product of two validated Hermitian operators."""
-    return np.kron(as_hermitian(A), as_hermitian(B))
-
-
-def partial_trace(X, dims: tuple[int, int], keep: str = "first") -> np.ndarray:
-    """Partial trace of ``X`` on a ``dims = (dA, dB)`` bipartition."""
-    X = as_hermitian(X)
-    dA, dB = dims
-    if dA * dB != X.shape[0]:
-        raise OperandError(f"dims {dims} incompatible with matrix of size {X.shape[0]}")
-    X4 = X.reshape(dA, dB, dA, dB)
-    if keep == "first":
-        return np.einsum("ikjk->ij", X4)
-    if keep == "second":
-        return np.einsum("kikj->ij", X4)
-    raise OperandError(f"keep must be 'first' or 'second', got {keep!r}")
-
-
-def _richardson(d):
-    """Extrapolate forward differences d = [D(h), D(h/2), D(h/4)] to h -> 0.
-
-    Two Richardson levels remove the O(h) and O(h^2) error terms.  When the
-    two first-level extrapolants disagree strongly the stencil straddles a
-    kink of f; extrapolation is then meaningless and the smallest-step plain
-    difference (a faithful one-sided estimate) is returned instead.
-    """
-    d0, d1, d2 = d
-    a1 = 2.0 * d1 - d0
-    a2 = 2.0 * d2 - d1
-    rich = (4.0 * a2 - a1) / 3.0
-    scale = np.maximum(np.maximum(np.abs(d0), np.abs(d1)), np.abs(d2))
-    bad = np.abs(a2 - a1) > 0.1 * scale + 1e-9
-    return np.where(bad, d2, rich)
-
-
-def right_derivative(f, t: float, h0: float = DEFAULT_H0) -> float:
-    """One-sided derivative lim_{h -> 0+} [f(t+h) - f(t)] / h.
-
-    Forward differences at steps h0, h0/2, h0/4 with Richardson
-    extrapolation; evaluations never leave [t, t + h0], so only the
-    right-limit behaviour of ``f`` matters.
-    """
-    if h0 <= 0:
-        raise OperandError("h0 must be positive")
-    f0 = f(t)
-    diffs = [(f(t + h) - f0) / h for h in (h0, h0 / 2, h0 / 4)]
-    return float(_richardson(np.asarray(diffs)))
-
-
 @dataclass(frozen=True)
 class ProbeSet:
     """Deterministic seeded collection of Hermitian probe operators."""
@@ -126,15 +75,14 @@ def _random_state(rng, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_probes(dim: int, count: int, seed: int, kind: str = "random-hermitian",
-                  basis=None) -> ProbeSet:
+def random_probes(dim: int, count: int, seed: int,
+                  kind: str = "random-hermitian") -> ProbeSet:
     """Seeded probe ensemble.
 
     ``random-hermitian``: Ginibre draw Hermitized as (A + A^dag)/2, which has
     full support almost surely.  ``state-difference`` draws p1*rho1 - p2*rho2
     with random pure/mixed states and random bias p1 in [0, 1], covering
-    biased discrimination problems.  ``image-restricted`` draws real random
-    combinations of a supplied operator ``basis``.
+    biased discrimination problems.
     """
     if count < 1:
         raise OperandError("count must be >= 1")
@@ -148,13 +96,6 @@ def random_probes(dim: int, count: int, seed: int, kind: str = "random-hermitian
                         seed=seed, kind=kind)
     probes = []
     for _ in range(count):
-        if kind == "state-difference":
-            p1 = rng.random()
-            probes.append(p1 * _random_state(rng, dim) - (1 - p1) * _random_state(rng, dim))
-        else:
-            if basis is None:
-                raise OperandError("image-restricted probes need a basis")
-            coeffs = rng.standard_normal(len(basis))
-            X = sum(c * b for c, b in zip(coeffs, basis))
-            probes.append((X + X.conj().T) / 2)
+        p1 = rng.random()
+        probes.append(p1 * _random_state(rng, dim) - (1 - p1) * _random_state(rng, dim))
     return ProbeSet(probes=tuple(probes), seed=seed, kind=kind)

@@ -95,8 +95,8 @@ class MapParams:
     delta: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.t1 < self.t2 < self.t3 < self.t4):
-            raise OperandError("junction times must satisfy 0 < t1 < t2 < t3 < t4")
+        if not (0.0 < self.t1 < self.t2 < self.t3 < self.t4 < math.inf):
+            raise OperandError("junction times must satisfy 0 < t1 < t2 < t3 < t4 < inf")
         if not (0.0 < self.theta < math.pi):
             raise OperandError("theta must lie in (0, pi)")
         if not 1.0 <= self.delta < math.inf:
@@ -291,21 +291,18 @@ def lambda_t_dot(t: float, params: MapParams | None = None) -> SuperOp:
 
 @dataclass(frozen=True)
 class Family:
-    """Callable t -> Lambda_t with parameters bound; ``dot(t)`` is d Lambda/dt.
+    """Callable t -> Lambda_t with parameters bound.
 
     The scans and the CP/TP check take their grid chunks from ``stack`` and
-    ``dot_stack``.  ``__call__`` and ``dot`` look up their one-point case
-    ``lambda_t``/``lambda_t_dot`` at call time, so a wrapper installed on
-    those module functions sees single-point calls only, not the grids.
+    ``dot_stack``.  ``__call__`` looks up its one-point case ``lambda_t`` at
+    call time, so a wrapper installed on that module function sees
+    single-point calls only, not the grids.
     """
 
     params: MapParams
 
     def __call__(self, t: float) -> SuperOp:
         return lambda_t(t, self.params)
-
-    def dot(self, t: float) -> SuperOp:
-        return lambda_t_dot(t, self.params)
 
     def stack(self, ts) -> np.ndarray:
         """Lambda_t at each t of ``ts``: a fresh (len(ts), 9, 9) complex array."""
@@ -317,7 +314,7 @@ class Family:
 
 
 def family(params: MapParams | None = None) -> Family:
-    """Callable t -> Lambda_t with parameters bound (and ``dot`` its derivative)."""
+    """Callable t -> Lambda_t with parameters bound, and its grids (see ``Family``)."""
     return Family(params or MapParams())
 
 

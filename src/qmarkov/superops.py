@@ -3,6 +3,8 @@
 A linear map on d x d operators is stored as its d^2 x d^2 matrix acting on
 column-stacked vectorizations, vec(|i><j|) sitting at index j*d + i.  All
 Choi/Kraus formulas below are written against this single convention.
+Also here: CP/TP read off the Choi matrix, S tensor Id_k on a product
+space, and image bases with the image-inclusion check.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import OperandError, check_density
+from .operators import OperandError
 from .tolerances import RANK_CUTOFF, TOL_PSD
 
 
@@ -150,33 +152,6 @@ def is_tp(S: SuperOp, tol: float = TOL_PSD) -> bool:
     return tp_error(S) <= tol
 
 
-def positivity_sample(S: SuperOp, n: int, seed: int, tol: float = TOL_PSD):
-    """Sample positivity of S on random pure states.
-
-    Returns (min_eig, witness): the minimum output eigenvalue over n
-    Gaussian-normalized pure inputs and, when it dips below -tol, the worst
-    input state as a witness.  A negative result certifies non-positivity; a
-    nonnegative one is evidence only (positivity is not decidable by
-    sampling).
-    """
-    if n < 1:
-        raise OperandError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    min_eig = np.inf
-    witness = None
-    for _ in range(n):
-        psi = rng.standard_normal(S.dim) + 1j * rng.standard_normal(S.dim)
-        psi /= np.linalg.norm(psi)
-        state = np.outer(psi, psi.conj())
-        out = S.apply(state)
-        lo = float(np.linalg.eigvalsh((out + out.conj().T) / 2).min())
-        if lo < min_eig:
-            min_eig = lo
-            if lo < -tol:
-                witness = check_density(state)
-    return min_eig, witness
-
-
 def apply_to_extended(S, X: np.ndarray, k: int) -> np.ndarray:
     """Apply S tensor Id_k to an operator on the d*k-dimensional product space.
 
@@ -232,11 +207,10 @@ def image_inclusion_residual(S_earlier: SuperOp, S_later: SuperOp,
 def is_image_nonincreasing(family, grid, tol: float = RANK_CUTOFF) -> bool:
     """Check Im decreasing along an ascending time grid.
 
-    ``family`` is either a callable t -> SuperOp or a sequence of SuperOps
-    aligned with ``grid``.  Each later image must sit inside the previous one
-    up to a projection residual of ``tol``.
+    ``family`` is a callable t -> SuperOp.  Each later image must sit inside
+    the previous one up to a projection residual of ``tol``.
     """
-    sampled = [family(t) for t in grid] if callable(family) else list(family)
+    sampled = [family(t) for t in grid]
     for earlier, later in zip(sampled, sampled[1:]):
         if image_inclusion_residual(earlier, later, tol) > tol:
             return False

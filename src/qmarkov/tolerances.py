@@ -1,8 +1,9 @@
 """Central tolerance table.
 
 Modeling tolerances (what counts as Hermitian, positive, trace preserving)
-are kept separate from method noise floors (finite differencing, rank
-cutoffs) so a failed check points at the right culprit.
+are kept separate from method noise floors (kernel and rank cutoffs, the
+closed forms' singular point) so a failed check points at the right
+culprit.
 """
 
 # Hermiticity / exact-structure tolerance (floating point noise floor).
@@ -11,22 +12,30 @@ TOL_HERM = 1e-12
 # Allowed negativity for "positive semidefinite" eigenvalue checks.
 TOL_PSD = 1e-10
 
-# Slack for "<= 0" assertions on finite-difference derivative estimates.
+# Slack for "<= 0" assertions on the scan's exact right derivatives (the
+# default --slack): a row fails when its derivative exceeds it.  Rounding
+# and the kernel over-read (see KERNEL_CUTOFF) stay below 1e-11 on the
+# default grids, while the k = 2 scan's backflow reads 6e-2.
 TOL_DERIV = 1e-6
 
 # Slack for "<= 0" assertions on closed-form evaluations.
 TOL_CLOSED_FORM = 1e-12
 
+# The closed-form derivative divides by sqrt(1 + lam^2 + 2 lam cos(2 theta
+# tau)), which vanishes only at lam = 1, 2 theta tau = pi: a root at or below
+# this is that singular point, skipped and counted.  It reads exactly 0 there
+# (cos(pi) rounds to -1); at lam = 1 with 2 theta tau off pi it exceeds 1e-8.
+SINGULAR_ROOT = 1e-12
+
+# Slack of the bound chain's links between order-1 closed forms: far above
+# their rounding, far below a genuine violation (link 4 at theta = 1.3 is
+# off by 1.5e-3 already at tau = 0.005).
+TOL_BOUND_CHAIN = 1e-10
+
 # Relative singular-value cutoff for rank decisions (image bases,
 # pseudoinverses).  Far above float noise, far below the spectral gaps of
 # the maps handled here.
 RANK_CUTOFF = 1e-8
-
-# Default initial step of the finite-difference right-derivative estimator
-# (operators.right_derivative), the oracle the exact scan is tested against;
-# two Richardson halvings on top of this pass closed-form checks at 1e-5
-# without catastrophic cancellation at the 1e-12 matrix tolerance floor.
-DEFAULT_H0 = 1e-4
 
 # Eigenvalues of an evolved probe with |lam| <= KERNEL_CUTOFF * max |lam| of
 # that probe count as its kernel in the exact right derivative of the trace

@@ -261,6 +261,15 @@ class TestUsage:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "scan", "divisibility", "bounds"])
+    @pytest.mark.parametrize("t4", ["inf", "1e400"])
+    def test_non_finite_junction_time(self, command, t4, tmp_path, capsys):
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(f"theta = 1.5\nt4 = {t4}\n")
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "t4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")

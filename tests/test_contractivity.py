@@ -5,15 +5,14 @@ import pytest
 
 from qmarkov.contractivity import (SingularPointError, bound_chain_check,
                                    gamma4_derivative_closed_form,
-                                   gamma4_norm_closed_form,
-                                   gamma4_norm_numeric, lambda_probe,
+                                   gamma4_norm_closed_form, lambda_probe,
                                    lambda_reflection_check,
                                    norm_derivative_scan, theta_window_sweep)
-from qmarkov.operators import (OperandError, ProbeSet, random_probes,
-                               right_derivative, trace_norm)
+from qmarkov.operators import OperandError, ProbeSet, random_probes, trace_norm
 from qmarkov.qutrit_family import RHO_A, RHO_B, MapParams, family
 from qmarkov.superops import apply_to_extended
-from qmarkov.tolerances import DEFAULT_H0
+
+from oracles import DEFAULT_H0, gamma4_norm_numeric, right_derivative
 
 SEED = 17
 THETA = 1.5

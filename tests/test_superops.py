@@ -7,8 +7,7 @@ from qmarkov.superops import (SuperOp, apply_to_extended, choi_min_eigenvalue,
                               compose, from_kraus, identity_superop,
                               image_basis, image_inclusion_residual,
                               image_rank, is_cp, is_image_nonincreasing,
-                              is_tp, positivity_sample, superop_from_action,
-                              to_choi, tp_error)
+                              is_tp, superop_from_action, to_choi, tp_error)
 
 SEED = 11
 
@@ -136,24 +135,6 @@ class TestChoi:
             preserved = all(
                 abs(np.trace(S.apply(X)) - np.trace(X)) <= 1e-10 for X in probes)
             assert is_tp(S) == preserved
-
-
-class TestPositivitySample:
-    def test_identity_clean(self):
-        lo, witness = positivity_sample(identity_superop(3), 50, SEED)
-        assert lo >= -1e-12
-        assert witness is None
-
-    def test_transpose_positive(self):
-        lo, witness = positivity_sample(transpose_map(), 500, SEED)
-        assert lo >= -1e-10
-        assert witness is None
-
-    def test_depolarizing_like_witness(self):
-        S = superop_from_action(lambda X: np.trace(X) * np.eye(3) / 3 - X / 2, 3)
-        lo, witness = positivity_sample(S, 20, SEED)
-        assert lo == pytest.approx(-1 / 6, abs=1e-10)
-        assert witness is not None
 
 
 class TestImage:
