@@ -18,7 +18,7 @@ from .operators import OperandError, ProbeSet
 from .qutrit_family import RHO_A, RHO_B
 from .superops import GRID_CHUNK, apply_to_extended
 from .tolerances import (KERNEL_CUTOFF, SINGULAR_ROOT, TOL_BOUND_CHAIN,
-                         TOL_CLOSED_FORM, TOL_DERIV)
+                         TOL_CLOSED_FORM, TOL_DERIV, TOL_REFLECTION)
 
 
 class SingularPointError(ValueError):
@@ -95,20 +95,23 @@ class ScanReport:
 
 
 # A scan batch holds the probes at up to GRID_CHUNK grid points, so one
-# apply per map kind and one eigh serve the whole batch.  It also holds at
-# most SCAN_CHUNK_ENTRIES complex entries of evolved probes (about 2048
-# qutrit probes), and at least one grid point: a probe stack that fills the
-# budget alone (2000 probes, or 500 at k = 2) keeps one point per batch,
+# apply per map kind and at most one eigh serve the whole batch.  It also
+# holds at most SCAN_CHUNK_ENTRIES complex entries of evolved probes (about
+# 2048 qutrit probes), and at least one grid point: a probe stack that fills
+# the budget alone (2000 probes, or 500 at k = 2) keeps one point per batch,
 # where batching saves no per-call overhead worth the memory.
 SCAN_CHUNK_ENTRIES = 2048 * 9
 
 
-def _norm_rderiv(fam, stack: np.ndarray, ts, k: int):
-    """Trace norms and exact right derivatives at the grid points ``ts``:
-    two arrays (len(ts), probes), from one apply per map kind and one
-    batched eigh over all points and probes."""
-    X = apply_to_extended(fam.stack(ts), stack, k)
-    Xdot = apply_to_extended(fam.dot_stack(ts), stack, k)
+# Vectorized indices j*3 + i of the off-diagonal qutrit matrix units |i><j|:
+# a map whose rows there are all 0 has diagonal output.
+_OFF_DIAGONAL = [1, 2, 3, 5, 6, 7]
+
+
+def _eigh_norm_rderiv(X: np.ndarray, Xdot: np.ndarray):
+    """Trace norms and exact right derivatives (see ``norm_rderiv_at``) of a
+    stack (..., n, n) of operators X with derivatives Xdot, from one batched
+    eigh: the general path of ``_norm_rderiv``."""
     lam, V = np.linalg.eigh((X + np.conj(np.swapaxes(X, -1, -2))) / 2)
     mag = np.abs(lam)
     # eigh sorts lam ascending, so the largest |lam| sits at one end
@@ -123,6 +126,61 @@ def _norm_rderiv(fam, stack: np.ndarray, ts, k: int):
         block = np.where(mask, (inner + np.conj(np.swapaxes(inner, -1, -2))) / 2, 0.0)
         rderiv[rows] += np.abs(np.linalg.eigvalsh(block)).sum(axis=-1)
     return mag.sum(axis=-1), rderiv
+
+
+def _dephased_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, dephased: np.ndarray):
+    """``_eigh_norm_rderiv`` of qutrit stacks X, Xdot (points, probes, 3, 3)
+    whose X is exactly diagonal at the points marked in ``dephased``.
+
+    There the eigenvalues of X are its real diagonal sorted ascending, and
+    each <v_i|Xdot|v_i> is the matching diagonal entry of Xdot, so a row
+    skips eigh unless it has a kernel eigenvalue or two equal diagonal
+    entries; the norm and sign sum are then reduced as eigh's path reduces
+    them, to the same bits.  (LAPACK rescales a matrix whose largest entry
+    lies outside about [1e-146, 1e146] and then rounds even a diagonal; the
+    shortcut keeps the exact diagonal there.)  Every other row goes through
+    one batched eigh.
+    """
+    lam = np.diagonal(X, axis1=-2, axis2=-1)[dephased].real
+    order = np.argsort(lam, axis=-1)
+    lam = np.take_along_axis(lam, order, axis=-1)
+    # eigh's path sums each rate from +0.0, so a zero rate is +0.0 there too;
+    # the sign sum below then matches whatever value a reduction starts from
+    rates = np.take_along_axis(np.diagonal(Xdot, axis1=-2, axis2=-1)[dephased].real,
+                               order, axis=-1) + 0.0
+    mag = np.abs(lam)
+    norm, rderiv = np.empty(X.shape[:2]), np.empty(X.shape[:2])
+    norm[dephased] = mag.sum(axis=-1)
+    rderiv[dephased] = (np.sign(lam) * rates).sum(axis=-1)
+    # rows with a kernel eigenvalue or a tie, and rows off the dephased
+    # points, take eigh; NaN and inf fail both comparisons and take it too
+    slow = np.ones(X.shape[:2], dtype=bool)
+    slow[dephased] = ~((mag.min(axis=-1) > KERNEL_CUTOFF * mag.max(axis=-1))
+                       & (lam[..., 1:] > lam[..., :-1]).all(axis=-1))
+    if slow.any():
+        norm[slow], rderiv[slow] = _eigh_norm_rderiv(X[slow], Xdot[slow])
+    return norm, rderiv
+
+
+def _norm_rderiv(fam, stack: np.ndarray, ts, k: int):
+    """Trace norms and exact right derivatives at the grid points ``ts``:
+    two arrays (len(ts), probes), from one apply per map kind.
+
+    For k = 1, the points whose Lambda_t has diagonal output (its rows at
+    ``_OFF_DIAGONAL`` are exactly 0, as after the complete dephasing E1 on
+    [t1, t3]) map every probe to a diagonal X, and take the shortcut of
+    ``_dephased_norm_rderiv``.  All other rows, and every row for k > 1, go
+    through one batched eigh (``_eigh_norm_rderiv``).  The test is per
+    point and both paths give the same bits on a row, so neither the
+    shortcut nor the chunking moves a result.
+    """
+    maps = fam.stack(ts)
+    X = apply_to_extended(maps, stack, k)
+    Xdot = apply_to_extended(fam.dot_stack(ts), stack, k)
+    dephased = ~maps[:, _OFF_DIAGONAL].any(axis=(-2, -1))
+    if k > 1 or not dephased.any():
+        return _eigh_norm_rderiv(X, Xdot)
+    return _dephased_norm_rderiv(X, Xdot, dephased)
 
 
 def norm_rderiv_at(fam, stack: np.ndarray, t: float, k: int = 1):
@@ -151,10 +209,13 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
     ``fam`` is a ``qutrit_family.Family`` on the system factor; for k > 1 the
     probes must live on the product space.  The grid goes in consecutive
     batches of grid points (see SCAN_CHUNK_ENTRIES), each one ``fam.stack``
-    and ``fam.dot_stack`` call and one batched eigendecomposition of all its
-    points and probes, and the
-    derivatives are exact (``norm_rderiv_at``); the batching does not change
-    any result.  Rows are sorted by (probe, t); a row fails when its right
+    and ``fam.dot_stack`` call and at most one batched eigendecomposition of
+    its points and probes, and the derivatives are exact (``norm_rderiv_at``).
+    For k = 1, points where Lambda_t has diagonal output ([t1, t3], after
+    the complete dephasing E1) read eigenvalues and rates off the diagonals
+    instead; rows with a kernel eigenvalue or a repeated diagonal entry fall
+    back to eigh.  Neither the shortcut nor the batching changes any bit of
+    a result.  Rows are sorted by (probe, t); a row fails when its right
     derivative exceeds ``slack``.
     """
     grid = list(grid)
@@ -314,7 +375,7 @@ def bound_chain_check(theta: float, tau_grid, lam_grid=None) -> dict:
 
 
 def lambda_reflection_check(lam: float, tau: float, theta: float,
-                            tol: float = 1e-10) -> bool:
+                            tol: float = TOL_REFLECTION) -> bool:
     """Reflection identity d(lam) = lam * d(1/lam) for 0 < lam < 1."""
     if not 0.0 < lam < 1.0:
         raise OperandError("reflection check covers 0 < lam < 1")

@@ -17,10 +17,7 @@ import numpy as np
 
 from .operators import OperandError, trace_norm
 from .superops import GRID_CHUNK, SuperOp, choi_min_eigenvalue
-from .tolerances import RANK_CUTOFF, TOL_PSD
-
-RESIDUAL_TOL = 1e-8
-PURITY_TOL = 1e-8
+from .tolerances import PURITY_TOL, RANK_CUTOFF, RESIDUAL_TOL, TOL_PSD
 
 
 @dataclass(frozen=True)

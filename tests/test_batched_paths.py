@@ -1,14 +1,20 @@
 """The one-call paths against the loops and library calls they replaced: the
 probe ensemble drawn in one call, the intermediate maps from one SVD per
-batch, and the bound on what the scan's kernel cutoff can over-read."""
+batch, the scan's diagonal shortcut against its eigh path, and the bound on
+what the scan's kernel cutoff can over-read."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qmarkov.contractivity import norm_derivative_scan
+from qmarkov.contractivity import (_OFF_DIAGONAL, _dephased_norm_rderiv,
+                                   _eigh_norm_rderiv, _norm_rderiv,
+                                   norm_derivative_scan)
 from qmarkov.divisibility import RESIDUAL_TOL, _intermediate_maps
 from qmarkov.operators import random_probes
-from qmarkov.qutrit_family import family
+from qmarkov.qutrit_family import MapParams, family
 from qmarkov.superops import apply_to_extended
 from qmarkov.tolerances import KERNEL_CUTOFF, RANK_CUTOFF, TOL_DERIV
 
@@ -106,3 +112,110 @@ def test_kernel_over_read_is_bounded():
     assert np.all(small.any(axis=-1)[above])
     assert np.all(rderiv[above] <= bound[above] + ROUNDING)
     assert bound.max() < 1e-11 < TOL_DERIV
+
+
+def _assert_same_bits(got, expected):
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# Signed zeros, ties and magnitudes from 1e-6 to 1e3.  A matrix whose
+# largest entry is below about 1e-146 (or above 1e146) is rescaled inside
+# LAPACK's eigh, which then rounds even a diagonal; the shortcut keeps the
+# exact diagonal there, so the two agree only inside that range.
+SIGNED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.builds(lambda x, sign: sign * x, st.floats(1e-6, 1e3), st.sampled_from([1.0, -1.0])))
+
+
+def _tied_probe(draw):
+    """A Hermitian qutrit probe with two or three equal diagonal entries."""
+    a, b = draw(SIGNED_FLOATS), draw(SIGNED_FLOATS)
+    diag = draw(st.permutations([a, a, draw(st.sampled_from([a, b]))]))
+    off = draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    probe = np.diag(np.asarray(diag, dtype=complex))
+    for (i, j), re, im in zip([(0, 1), (0, 2), (1, 2)], off[::2], off[1::2]):
+        probe[i, j], probe[j, i] = complex(re, im), complex(re, -im)
+    return probe
+
+
+@st.composite
+def _dephased_scans(draw):
+    """(params, grid, probes): the junctions t1, t2, t3, points dense at the
+    end of stage 2 (where kernel rows sit) and points anywhere in stages
+    2-3, with random-hermitian or state-difference probes, tied-diagonal
+    probes and the zero probe."""
+    times = draw(st.sampled_from([{}, {"t1": 0.7, "t2": 1.9, "t3": 2.3, "t4": 5.1}]))
+    params = MapParams(delta=draw(st.sampled_from([1.0, 1.05])), **times)
+    t1, t2, t3 = params.t1, params.t2, params.t3
+    end = draw(st.lists(st.floats(0.96, 1.0, exclude_max=True), min_size=1, max_size=12))
+    inside = draw(st.lists(st.floats(t1, t3), max_size=6))
+    grid = sorted({t1, t2, t3, *inside, *(t1 + u * (t2 - t1) for u in end)})
+    kind = draw(st.sampled_from(["random-hermitian", "state-difference"]))
+    probes = list(random_probes(3, draw(st.integers(1, 8)),
+                                draw(st.integers(0, 2 ** 32 - 1)), kind).probes)
+    probes += [_tied_probe(draw) for _ in range(draw(st.integers(0, 3)))]
+    probes.append(np.zeros((3, 3), dtype=complex))
+    return params, grid, np.stack(draw(st.permutations(probes)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dephased_scans())
+def test_dephased_shortcut_bit_equal_to_eigh(scan):
+    """Where Lambda_t has diagonal output, the scan's rows (shortcut or
+    eigh fallback) are bit-equal, sign of zero included, to the eigh path on
+    the same X and Xdot."""
+    params, grid, stack = scan
+    fam = family(params)
+    maps = fam.stack(grid)
+    assert not maps[:, _OFF_DIAGONAL].any()  # the whole grid dephases
+    X = apply_to_extended(maps, stack, 1)
+    Xdot = apply_to_extended(fam.dot_stack(grid), stack, 1)
+    _assert_same_bits(_norm_rderiv(fam, stack, grid, 1), _eigh_norm_rderiv(X, Xdot))
+
+
+@settings(max_examples=100, deadline=None)
+@given(diag=st.integers(1, 6).flatmap(lambda n: arrays(np.float64, (n, 3), elements=SIGNED_FLOATS)),
+       rates=arrays(np.float64, (6, 3, 3), elements=SIGNED_FLOATS))
+@example(diag=np.array([[0.2, 0.3, 0.5], [-0.2, -0.3, -0.5]]), rates=np.full((6, 3, 3), -0.0))
+@example(diag=np.array([[2.0, 2.0, 1.0]]), rates=np.diag([0.1, 0.2, 0.3])[None].repeat(6, 0))
+def test_shortcut_matches_eigh_on_signed_zeros_and_ties(diag, rates):
+    """On exactly diagonal X with arbitrary Xdot, signed zeros and ties
+    included, the shortcut gives eigh's bits.  A tie must take eigh: for
+    diag(2, 2, 1) LAPACK orders the eigenvectors e2, e1, e0, a stable sort
+    e2, e0, e1, and the rates 0.3 + 0.2 + 0.1 and 0.3 + 0.1 + 0.2 differ in
+    the last bit."""
+    X = np.zeros((1, len(diag), 3, 3), dtype=complex)
+    X[0, :, [0, 1, 2], [0, 1, 2]] = diag.T
+    Xdot = rates[None, :len(diag)].astype(complex)
+    _assert_same_bits(_dephased_norm_rderiv(X, Xdot, np.array([True])),
+                      _eigh_norm_rderiv(X, Xdot))
+
+
+def _eigh_matrices(monkeypatch, scan):
+    """Matrices ``scan()`` passes to np.linalg.eigh."""
+    count, eigh = [0], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    scan()
+    return count[0]
+
+
+def test_shortcut_takes_stages_2_3_at_k1_only(monkeypatch):
+    """The default verify scan (200 probes x 200 points) sends 20,200 of its
+    40,000 rows to eigh: every row at the 99 points of stages 1 and 4 other
+    than t3, and at t = 1.98 and t = 2.0, where stage 2's weight (about
+    1e-21) or E2 E1 leaves every X a kernel eigenvalue.  A k = 2 scan never
+    takes the shortcut."""
+    grid = np.linspace(0.0, 4.0, 200, endpoint=False)
+    probes = random_probes(3, 200, 20210907)
+    assert _eigh_matrices(monkeypatch, lambda: norm_derivative_scan(
+        family(), probes, grid)) == 20200
+    probes = random_probes(6, 500, 20210907)
+    assert _eigh_matrices(monkeypatch, lambda: norm_derivative_scan(
+        family(), probes, np.linspace(0.0, 4.0, 40, endpoint=False), k=2)) == 20000
