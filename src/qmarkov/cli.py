@@ -22,13 +22,12 @@ import numpy as np
 
 from . import contractivity, divisibility
 from .operators import random_probes
-from .qutrit_family import (MapParams, continuity_report, family, load_params)
+from .qutrit_family import (CONTINUITY_LADDER, MapParams, continuity_report,
+                            family, load_params)
 from .superops import GRID_CHUNK, choi_min_eigenvalue, tp_error
-from .tolerances import DEFAULT_SEED, TOL_DERIV, TOL_PSD
+from .tolerances import (CONTINUITY_FINAL_GAP, CONTINUITY_MIN_EXPONENT, DEFAULT_SEED,
+                         TOL_PSD, WITNESS_MIN_DISCREPANCY)
 
-CONTINUITY_LADDER = (1e-2, 1e-3, 1e-4)
-CONTINUITY_FINAL_GAP = 1e-3
-WITNESS_MIN_DISCREPANCY = 1e-6
 SCHEMA_VERSION = 1  # of every JSON summary
 
 
@@ -55,15 +54,15 @@ def _params(args) -> MapParams:
 
 
 def check_continuity(params: MapParams, derivative: bool = False) -> dict:
-    """Junction gaps must shrink along the epsilon ladder.
+    """Junction gaps must shrink along CONTINUITY_LADDER.
 
-    Map-value gaps additionally must end below an absolute threshold.  The
+    Map-value gaps additionally must end below CONTINUITY_FINAL_GAP.  The
     derivative gaps of the smooth variant decay like eps^(delta - 1), too
     slowly for any absolute cutoff on a short ladder, so convergence to zero
-    is certified by a strictly positive fitted power-law exponent instead;
+    is certified by a fitted power-law exponent above CONTINUITY_MIN_EXPONENT;
     a last gap of exactly 0 has no exponent (recorded as null) and passes.
     """
-    report = continuity_report(params, CONTINUITY_LADDER, derivative=derivative)
+    report = continuity_report(params, derivative=derivative)
     ok = True
     for entry in report.values():
         gaps = entry["derivative_gap"] if derivative else entry["gap"]
@@ -75,7 +74,7 @@ def check_continuity(params: MapParams, derivative: bool = False) -> dict:
                 exponent = (math.log(gaps[0] / gaps[-1])
                             / math.log(CONTINUITY_LADDER[0] / CONTINUITY_LADDER[-1]))
             entry["fitted_exponent"] = exponent
-            if exponent is not None and exponent <= 0.02:
+            if exponent is not None and exponent <= CONTINUITY_MIN_EXPONENT:
                 ok = False
         elif gaps[-1] >= CONTINUITY_FINAL_GAP:
             ok = False
@@ -134,8 +133,7 @@ def cmd_verify(args) -> int:
     checks["divisibility"] = check_forcing(params)
     probes = random_probes(3, args.probes, args.seed)
     grid = np.linspace(0.0, params.t4, args.grid, endpoint=False)
-    report = contractivity.norm_derivative_scan(fam, probes, grid, k=1,
-                                                slack=args.slack)
+    report = contractivity.norm_derivative_scan(fam, probes, grid, k=1)
     report.to_csv(out / "verify_scan.csv")
     checks["contractivity"] = {"passed": report.passed,
                                "max_rderiv": report.max_rderiv,
@@ -170,8 +168,7 @@ def cmd_scan(args) -> int:
     dim = 3 * args.k
     probes = random_probes(dim, args.probes, args.seed)
     grid = np.linspace(0.0, params.t4, args.grid, endpoint=False)
-    report = contractivity.norm_derivative_scan(family(params), probes, grid,
-                                               k=args.k, slack=args.slack)
+    report = contractivity.norm_derivative_scan(family(params), probes, grid, k=args.k)
     report.to_csv(out / "scan.csv")
     summary = report.summary()
     summary["theta"] = params.theta
@@ -274,8 +271,6 @@ FLAGS = {
     "--grid": dict(type=_ranged(int, lambda v: v >= 2, ">= 2"), default=200),
     "--probes": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=200),
     "--k": dict(type=_ranged(int, lambda v: v >= 1, ">= 1"), default=1),
-    "--slack": dict(type=_ranged(float, lambda v: 0 <= v < math.inf,
-                                 "finite and >= 0"), default=TOL_DERIV),
     "--theta-min": dict(type=_ranged(float, math.isfinite, "finite"), default=1.0),
     "--theta-max": dict(type=_ranged(float, math.isfinite, "finite"), default=1.7),
     "--theta-step": dict(type=_ranged(float, lambda v: 0 < v < math.inf,
@@ -287,9 +282,9 @@ PARAM_FLAGS = ("--theta", "--delta", "--config")
 # (name, help, handler, flags): each subcommand declares only the flags it reads.
 SUBCOMMANDS = (
     ("verify", "run the full certification suite", cmd_verify,
-     PARAM_FLAGS + ("--seed", "--grid", "--probes", "--slack", "--out")),
+     PARAM_FLAGS + ("--seed", "--grid", "--probes", "--out")),
     ("scan", "trace-norm right-derivative scan", cmd_scan,
-     PARAM_FLAGS + ("--seed", "--grid", "--probes", "--k", "--slack", "--out")),
+     PARAM_FLAGS + ("--seed", "--grid", "--probes", "--k", "--out")),
     ("divisibility", "interval CP verdicts + forcing witness", cmd_divisibility,
      PARAM_FLAGS + ("--grid", "--out")),
     ("sweep", "theta-window violation sweep", cmd_sweep,

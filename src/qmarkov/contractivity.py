@@ -58,7 +58,7 @@ def write_csv(path, header, fmt: str, columns) -> None:
 @dataclass(frozen=True)
 class ScanReport:
     """``rows``: record array ``t, probe_id, k, norm, rderiv, verdict`` in
-    probe-major order; ``verdict`` is "fail" where ``rderiv`` > ``slack``."""
+    probe-major order; ``verdict`` is "fail" where ``rderiv`` > ``slack`` = TOL_DERIV."""
 
     rows: np.recarray
     max_rderiv: float
@@ -202,8 +202,7 @@ def norm_rderiv_at(fam, stack: np.ndarray, t: float, k: int = 1):
     return norm[0], rderiv[0]
 
 
-def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
-                         slack: float = TOL_DERIV) -> ScanReport:
+def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     """Right-derivative scan of ||(Lambda_t tensor Id_k)(X)||_1.
 
     ``fam`` is a ``qutrit_family.Family`` on the system factor; for k > 1 the
@@ -216,7 +215,7 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
     instead; rows with a kernel eigenvalue or a repeated diagonal entry fall
     back to eigh.  Neither the shortcut nor the batching changes any bit of
     a result.  Rows are sorted by (probe, t); a row fails when its right
-    derivative exceeds ``slack``.
+    derivative exceeds TOL_DERIV.
     """
     grid = list(grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -238,13 +237,13 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1,
     rows = np.rec.fromarrays(
         [np.tile(np.asarray(grid, dtype=float), n), np.repeat(np.arange(n), len(grid)),
          np.full(rderiv.size, k), norm_rows.T.ravel(), rderiv,
-         np.where(rderiv > slack, "fail", "ok")],
+         np.where(rderiv > TOL_DERIV, "fail", "ok")],
         names=("t", "probe_id", "k", "norm", "rderiv", "verdict"))
     pmax, gmax = np.unravel_index(np.argmax(flat), flat.shape)
     max_rd = float(flat[pmax, gmax])
     return ScanReport(rows=rows, max_rderiv=max_rd,
                       argmax_t=float(grid[gmax]), argmax_probe=int(pmax),
-                      passed=max_rd <= slack, slack=slack, seed=probes.seed, k=k,
+                      passed=max_rd <= TOL_DERIV, slack=TOL_DERIV, seed=probes.seed, k=k,
                       grid_spec={"points": len(grid), "t_min": float(grid[0]),
                                  "t_max": float(grid[-1])})
 

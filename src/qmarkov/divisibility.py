@@ -71,18 +71,18 @@ def _maps(family, ts) -> np.ndarray:
     return stack(ts) if stack else np.stack([family(t).matrix for t in ts])
 
 
-def intermediate_map(family, s: float, t: float, tol: float = RANK_CUTOFF) -> IntermediateMap:
+def intermediate_map(family, s: float, t: float) -> IntermediateMap:
     """V = Lambda_t pinv(Lambda_s), with rank-revealing pseudoinverse: the
     one-interval batch of ``cp_divisibility_scan``."""
     if s >= t:
         raise OperandError("need s < t")
     Ls, Lt = family(s), family(t)
-    V, residual, definedness = _intermediate_maps(Ls.matrix[None], Lt.matrix[None], tol)
+    V, residual, kind = _intermediate_maps(Ls.matrix[None], Lt.matrix[None], RANK_CUTOFF)
     return IntermediateMap(s=s, t=t, map=SuperOp(dim=Ls.dim, matrix=V[0]),
-                           residual=float(residual[0]), definedness=str(definedness[0]))
+                           residual=float(residual[0]), definedness=str(kind[0]))
 
 
-def cp_divisibility_scan(family, grid, tol: float = TOL_PSD) -> list:
+def cp_divisibility_scan(family, grid) -> list:
     """Per-interval CP verdicts for consecutive grid pairs.
 
     Each row carries the interval, definedness, residual, Choi minimum
@@ -112,30 +112,28 @@ def cp_divisibility_scan(family, grid, tol: float = TOL_PSD) -> list:
             if kind == "inconsistent":
                 row.update(choi_min_eig=float("nan"), verdict="undefined-off-image")
             else:
-                row.update(choi_min_eig=float(lo), verdict="CP" if lo >= -tol else "not-CP")
+                row.update(choi_min_eig=float(lo), verdict="CP" if lo >= -TOL_PSD else "not-CP")
             rows.append(row)
     return rows
 
 
-def _support_projector(rho: np.ndarray, cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def _support_projector(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    keep = vals > cutoff
+    keep = vals > RANK_CUTOFF
     return vecs[:, keep] @ vecs[:, keep].conj().T
 
 
-def _support_intersection(P1: np.ndarray, P2: np.ndarray,
-                          cutoff: float = RANK_CUTOFF) -> np.ndarray | None:
+def _support_intersection(P1: np.ndarray, P2: np.ndarray) -> np.ndarray | None:
     """Unit vector in Ran(P1) intersect Ran(P2), via the kernel of P1perp + P2perp."""
     d = P1.shape[0]
     gap = (np.eye(d) - P1) + (np.eye(d) - P2)
     vals, vecs = np.linalg.eigh(gap)
-    if vals[0] < cutoff:
+    if vals[0] < RANK_CUTOFF:
         return vecs[:, 0]
     return None
 
 
-def positive_forcing_witness(family, s: float, t: float,
-                             tol: float = PURITY_TOL) -> ForcingWitness | None:
+def positive_forcing_witness(family, s: float, t: float) -> ForcingWitness | None:
     """Search for a pure-state forcing configuration on (s, t).
 
     Candidate inputs (computational-basis projectors plus a few seeded
@@ -161,13 +159,13 @@ def positive_forcing_witness(family, s: float, t: float,
         sigma = Ls.apply(state)
         target = Lt.apply(state)
         tr = np.trace(sigma).real
-        if tr <= tol:
+        if tr <= PURITY_TOL:
             continue
         sigma = sigma / tr
         target = target / tr
         purity_target = float(np.trace(target @ target).real)
         purity_sigma = float(np.trace(sigma @ sigma).real)
-        if purity_target > 1.0 - tol and purity_sigma < 1.0 - tol:
+        if purity_target > 1.0 - PURITY_TOL and purity_sigma < 1.0 - PURITY_TOL:
             candidates.append((sigma, target))
 
     best = None

@@ -20,29 +20,29 @@ class OperandError(ValueError):
     """Input operand violates a structural precondition."""
 
 
-def as_hermitian(X, tol: float = TOL_HERM) -> np.ndarray:
-    """Validate Hermiticity of ``X`` (within ``tol``) and return it as complex."""
+def as_hermitian(X) -> np.ndarray:
+    """Validate Hermiticity of ``X`` (within TOL_HERM) and return it as complex."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] < 1:
         raise OperandError(f"expected a square matrix, got shape {X.shape}")
-    if np.max(np.abs(X - X.conj().T)) > tol:
+    if np.max(np.abs(X - X.conj().T)) > TOL_HERM:
         raise OperandError("matrix is not Hermitian within tolerance")
     return X
 
 
-def check_density(rho, tol_trace: float = TOL_HERM, tol_psd: float = TOL_PSD) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, PSD up to ``tol_psd``."""
+def check_density(rho) -> np.ndarray:
+    """Validate a density matrix: Hermitian, unit trace, PSD up to TOL_PSD."""
     rho = as_hermitian(rho)
-    if abs(np.trace(rho).real - 1.0) > tol_trace or abs(np.trace(rho).imag) > tol_trace:
+    if abs(np.trace(rho).real - 1.0) > TOL_HERM or abs(np.trace(rho).imag) > TOL_HERM:
         raise OperandError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -tol_psd:
+    if np.linalg.eigvalsh(rho).min() < -TOL_PSD:
         raise OperandError("density matrix has a negative eigenvalue beyond tolerance")
     return rho
 
 
-def trace_norm(X, tol: float = TOL_HERM) -> float:
+def trace_norm(X) -> float:
     """Sum of absolute eigenvalues of Hermitian ``X``."""
-    X = as_hermitian(X, tol)
+    X = as_hermitian(X)
     return float(np.sum(np.abs(np.linalg.eigvalsh(X))))
 
 

@@ -318,8 +318,11 @@ def family(params: MapParams | None = None) -> Family:
     return Family(params or MapParams())
 
 
+CONTINUITY_LADDER = (1e-2, 1e-3, 1e-4)
+
+
 def continuity_report(params: MapParams | None = None,
-                      eps_ladder=(1e-2, 1e-3, 1e-4),
+                      eps_ladder=CONTINUITY_LADDER,
                       derivative: bool = False) -> dict:
     """Sup-norm gaps across each junction for a decreasing epsilon ladder.
 

@@ -130,9 +130,9 @@ def choi_min_eigenvalue(S):
     return float(out) if out.ndim == 0 else out
 
 
-def is_cp(S: SuperOp, tol: float = TOL_PSD) -> bool:
-    """Complete positivity: Choi matrix PSD up to ``tol``."""
-    return choi_min_eigenvalue(S) >= -tol
+def is_cp(S: SuperOp) -> bool:
+    """Complete positivity: Choi matrix PSD up to TOL_PSD."""
+    return choi_min_eigenvalue(S) >= -TOL_PSD
 
 
 def tp_error(S):
@@ -147,9 +147,9 @@ def tp_error(S):
     return float(out) if out.ndim == 0 else out
 
 
-def is_tp(S: SuperOp, tol: float = TOL_PSD) -> bool:
+def is_tp(S: SuperOp) -> bool:
     """Trace preservation: Choi partial trace over the output factor is the identity."""
-    return tp_error(S) <= tol
+    return tp_error(S) <= TOL_PSD
 
 
 def apply_to_extended(S, X: np.ndarray, k: int) -> np.ndarray:
@@ -171,47 +171,37 @@ def apply_to_extended(S, X: np.ndarray, k: int) -> np.ndarray:
     return Y.transpose(0, 4, 1, 3, 2).reshape(m.shape[:-2] + X.shape)
 
 
-def image_basis(S: SuperOp, tol: float = RANK_CUTOFF) -> np.ndarray:
+def image_basis(S: SuperOp) -> np.ndarray:
     """Orthonormal (Hilbert-Schmidt) basis of Im(S), shape (rank, d, d).
 
-    Rank-revealing SVD with a relative singular-value cutoff.
+    Rank-revealing SVD with the relative singular-value cutoff RANK_CUTOFF.
     """
     u, s, _ = np.linalg.svd(S.matrix)
     if s[0] == 0:
         return np.zeros((0, S.dim, S.dim), dtype=complex)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     return np.stack([unvec(u[:, i]) for i in range(rank)])
 
 
-def image_rank(S: SuperOp, tol: float = RANK_CUTOFF) -> int:
-    return image_basis(S, tol).shape[0]
+def image_rank(S: SuperOp) -> int:
+    return image_basis(S).shape[0]
 
 
-def image_inclusion_residual(S_earlier: SuperOp, S_later: SuperOp,
-                             tol: float = RANK_CUTOFF) -> float:
+def image_inclusion_residual(S_earlier: SuperOp, S_later: SuperOp) -> float:
     """Largest residual of Im(S_later) basis vectors projected onto Im(S_earlier)."""
-    b_early = image_basis(S_earlier, tol)
-    b_late = image_basis(S_later, tol)
-    if b_late.shape[0] == 0:
-        return 0.0
-    E = b_early.reshape(b_early.shape[0], -1).T if b_early.shape[0] else None
-    worst = 0.0
-    for op in b_late:
-        v = op.reshape(-1)
-        if E is not None:
-            v = v - E @ (E.conj().T @ v)
-        worst = max(worst, float(np.linalg.norm(v)))
-    return worst
+    E, L = (image_basis(S).reshape(-1, S.dim ** 2).T for S in (S_earlier, S_later))
+    return float(np.linalg.norm(L - E @ (E.conj().T @ L), axis=0).max(initial=0.0))
 
 
-def is_image_nonincreasing(family, grid, tol: float = RANK_CUTOFF) -> bool:
+def is_image_nonincreasing(family, grid) -> bool:
     """Check Im decreasing along an ascending time grid.
 
     ``family`` is a callable t -> SuperOp.  Each later image must sit inside
-    the previous one up to a projection residual of ``tol``.
+    the previous one up to a projection residual of RANK_CUTOFF, which is
+    also the relative rank cutoff of each image basis.
     """
     sampled = [family(t) for t in grid]
     for earlier, later in zip(sampled, sampled[1:]):
-        if image_inclusion_residual(earlier, later, tol) > tol:
+        if image_inclusion_residual(earlier, later) > RANK_CUTOFF:
             return False
     return True

@@ -3,7 +3,8 @@
 Modeling tolerances (what counts as Hermitian, positive, trace preserving)
 are kept separate from method noise floors (kernel and rank cutoffs, the
 closed forms' singular point) so a failed check points at the right
-culprit.
+culprit.  Every threshold is read by name where it decides something, and
+none is passed in as a parameter, apart from lambda_reflection_check's tol.
 """
 
 # Hermiticity / exact-structure tolerance (floating point noise floor).
@@ -12,8 +13,8 @@ TOL_HERM = 1e-12
 # Allowed negativity for "positive semidefinite" eigenvalue checks.
 TOL_PSD = 1e-10
 
-# Slack for "<= 0" assertions on the scan's exact right derivatives (the
-# default --slack): a row fails when its derivative exceeds it.  Rounding
+# Slack for "<= 0" assertions on the scan's exact right derivatives, recorded
+# as the scan's "slack": a row fails when its derivative exceeds it.  Rounding
 # and the kernel over-read (see KERNEL_CUTOFF) stay below 1e-11 on the
 # default grids, while the k = 2 scan's backflow reads 6e-2.
 TOL_DERIV = 1e-6
@@ -45,14 +46,13 @@ RANK_CUTOFF = 1e-8
 
 # Largest max-abs residual |V Lambda_s - Lambda_t| for which the minimum-norm
 # V of a rank-deficient interval still counts as reproducing Lambda_t
-# ("image-restricted" rather than "inconsistent").  Residuals are rounding
-# (below 1e-13) except where RANK_CUTOFF drops a genuine singular value and
-# leaves Lambda_t's part along it, as stage 2's weight and stage 1's
-# (1 - tau)^4 fall under the cutoff near their ends.  The default 200-point
-# grid reads 8.0e-9 on (1.950, 1.970); the largest seen is 9.99e-9, on
-# (1.94918, 1.94918 + 1e-9), where the dropped singular value is 1.41e-8,
-# just under RANK_CUTOFF times the largest, sqrt(2).
-RESIDUAL_TOL = 1e-8
+# ("image-restricted" rather than "inconsistent").  If Lambda_t = W Lambda_s,
+# a singular value sigma <= RANK_CUTOFF * sigma_max(Lambda_s) that the cutoff
+# drops leaves a residual of at most ||W|| sigma: 1e-8 here, with sigma_max =
+# sqrt(2) (9.99999999999412e-9 on (1.9491785011793674, + 1e-15), at the end of
+# stage 2).  Other residuals are rounding, below 1e-13; a kernel of Lambda_s
+# outside Lambda_t's leaves O(1).  100 times the cutoff clears the bound 100x.
+RESIDUAL_TOL = 100 * RANK_CUTOFF
 
 # The forcing witness's floor on the trace of Lambda_s(state), below which an
 # input is dropped, and on the purity defect 1 - Tr rho^2, below which a
@@ -72,6 +72,21 @@ PURITY_TOL = 1e-8
 # sign sum it replaces), by up to twice its rate: a cutoff of 1e-10 reads a
 # spurious 3.3e-7 at t = 1.96 on the default verify scan, 1e-13 reads 1.9e-15.
 KERNEL_CUTOFF = 1e-13
+
+# A junction gap of the maps at the ladder's last rung (1e-4) at or above this
+# fails continuity: a continuous Lambda_t leaves O(eps), 7.5e-5 at t3 by default.
+CONTINUITY_FINAL_GAP = 1e-3
+
+# Derivative gaps at t3 decay like eps^(delta - 1): the power law fitted over
+# the ladder reads 0.0499 at delta = 1.05 (1.005 at t1, t2), and a gap that
+# does not shrink fits 0 or less.  An exponent at or below this floor fails,
+# so delta <= 1.02 fails too, though its derivative is continuous.
+CONTINUITY_MIN_EXPONENT = 0.02
+
+# The forcing witness's discrepancy is 2 |cos theta| (0.14 at theta = 1.5,
+# 0.042 at 1.55); at or below this it reads "inconclusive", as at theta =
+# pi/2, where both forced targets coincide up to rounding (1.5e-16).
+WITNESS_MIN_DISCREPANCY = 1e-6
 
 # Fixed published seed so default runs are reproducible.
 DEFAULT_SEED = 20210907

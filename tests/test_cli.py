@@ -1,9 +1,12 @@
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+import qmarkov
 from qmarkov import cli, contractivity
 from qmarkov.cli import main
 from qmarkov.qutrit_family import MapParams, family
@@ -307,3 +310,37 @@ class TestStrictJson:
         assert result["passed"] is True
         assert all(e["fitted_exponent"] is None for e in result["report"].values())
         json.dumps(result, allow_nan=False)
+
+
+def _public_functions():
+    """Every public function of ``qmarkov.__all__``, of the submodules among
+    them and of ``qmarkov.cli``, and the public methods of their classes."""
+    objs = [getattr(qmarkov, name) for name in qmarkov.__all__]
+    for module in [cli] + [obj for obj in objs if inspect.ismodule(obj)]:
+        objs += vars(module).values()
+    found = [obj for obj in objs if inspect.isfunction(obj)]
+    for cls in (obj for obj in objs if inspect.isclass(obj)):
+        found += [fn for _, fn in inspect.getmembers(cls, inspect.isfunction)]
+    return {fn for fn in found
+            if fn.__module__.startswith("qmarkov.") and not fn.__name__.startswith("_")}
+
+
+class TestNoThresholdKnob:
+    """Verdict thresholds live in ``tolerances`` and are read by name: no
+    function parameter or flag can set one."""
+
+    def test_no_tolerance_parameter(self):
+        knobs = {f"{fn.__module__}.{fn.__qualname__}({name})"
+                 for fn in _public_functions()
+                 for name in inspect.signature(fn).parameters
+                 if re.fullmatch(r"tol|cutoff|slack|tol_.*", name)}
+        # kept: the acceptance test sets it
+        assert knobs == {"qmarkov.contractivity.lambda_reflection_check(tol)"}
+        assert not [flag for flag in cli.FLAGS if re.search(r"tol|cutoff|slack", flag)]
+
+    @pytest.mark.parametrize("argv", [["verify", "--slack", "1e-6"],
+                                      ["scan", "--slack", "1"]], ids=" ".join)
+    def test_slack_flag_is_rejected(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "--slack" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -10,7 +10,7 @@ from qmarkov.operators import OperandError, random_probes, trace_norm
 from qmarkov.qutrit_family import (G, RHO_A, RHO_B, MapParams, family,
                                    rotated_ket)
 from qmarkov.superops import SuperOp, choi_min_eigenvalue, compose, from_kraus
-from qmarkov.tolerances import TOL_PSD
+from qmarkov.tolerances import RANK_CUTOFF, RESIDUAL_TOL, TOL_PSD
 
 SEED = 3
 
@@ -70,6 +70,18 @@ class TestIntermediateMap:
     def test_requires_ordered_times(self):
         with pytest.raises(OperandError):
             intermediate_map(family(), 2.0, 1.0)
+
+    def test_rank_cutoff_residual_clears_residual_tol(self):
+        """At the end of stage 2 RANK_CUTOFF drops a singular value of Lambda_s
+        of 1.41e-8 and leaves a residual at its bound, RANK_CUTOFF times
+        Lambda_s's largest singular value sqrt(2), split over two entries:
+        9.99999999999412e-9.  The interval must stay image-restricted, with
+        room for that bound to move."""
+        s = 1.9491785011793674
+        im = intermediate_map(family(), s, s + 1e-15)
+        assert im.definedness == "image-restricted"
+        assert RANK_CUTOFF / 2 < im.residual < 2 * RANK_CUTOFF
+        assert 10 * im.residual < RESIDUAL_TOL
 
 
 class TestCpDivisibilityScan:
