@@ -22,10 +22,9 @@ import numpy as np
 
 from . import contractivity, divisibility
 from .operators import random_probes
-from .qutrit_family import (CONTINUITY_LADDER, MapParams, continuity_report,
-                            family, load_params)
+from .qutrit_family import MapParams, continuity_report, family, load_params
 from .superops import GRID_CHUNK, choi_min_eigenvalue, tp_error
-from .tolerances import (CONTINUITY_FINAL_GAP, CONTINUITY_MIN_EXPONENT, DEFAULT_SEED,
+from .tolerances import (CONTINUITY_FINAL_GAP, DEFAULT_SEED, DERIVATIVE_JUNCTION_GAP,
                          TOL_PSD, WITNESS_MIN_DISCREPANCY)
 
 SCHEMA_VERSION = 1  # of every JSON summary
@@ -54,31 +53,30 @@ def _params(args) -> MapParams:
 
 
 def check_continuity(params: MapParams, derivative: bool = False) -> dict:
-    """Junction gaps must shrink along CONTINUITY_LADDER.
+    """Junction continuity of Lambda_t, or with ``derivative`` of its time
+    derivative.
 
-    Map-value gaps additionally must end below CONTINUITY_FINAL_GAP.  The
-    derivative gaps of the smooth variant decay like eps^(delta - 1), too
-    slowly for any absolute cutoff on a short ladder, so convergence to zero
-    is certified by a fitted power-law exponent above CONTINUITY_MIN_EXPONENT;
-    a last gap of exactly 0 has no exponent (recorded as null) and passes.
+    Map-value gaps must shrink along the ladder of ``continuity_report`` and
+    end below CONTINUITY_FINAL_GAP.  Derivative gaps are exact: at each
+    junction t_j the left derivative (the stage that ends at t_j, at
+    tau = 1) is compared with the right one (the stage that starts there,
+    at tau = 0), and their largest entry gap must not exceed
+    DERIVATIVE_JUNCTION_GAP.
     """
-    report = continuity_report(params, derivative=derivative)
-    ok = True
-    for entry in report.values():
-        gaps = entry["derivative_gap"] if derivative else entry["gap"]
-        if any(b >= a for a, b in zip(gaps, gaps[1:])):
-            ok = False
-        if derivative:
-            exponent = None
-            if gaps[-1] != 0.0:
-                exponent = (math.log(gaps[0] / gaps[-1])
-                            / math.log(CONTINUITY_LADDER[0] / CONTINUITY_LADDER[-1]))
-            entry["fitted_exponent"] = exponent
-            if exponent is not None and exponent <= CONTINUITY_MIN_EXPONENT:
-                ok = False
-        elif gaps[-1] >= CONTINUITY_FINAL_GAP:
-            ok = False
-    return {"passed": ok, "report": report}
+    if not derivative:
+        report = continuity_report(params)
+        gaps = [entry["gap"] for entry in report.values()]
+        shrinking = all(b < a for g in gaps for a, b in zip(g, g[1:]))
+        return {"passed": shrinking and all(g[-1] < CONTINUITY_FINAL_GAP for g in gaps),
+                "report": report}
+    fam, junctions = family(params), [params.t1, params.t2, params.t3]
+    gaps = np.abs(fam.dot_stack(junctions, left=True) - fam.dot_stack(junctions))
+    report = {name: {"t": t, "derivative_gap": gap}
+              for name, t, gap in zip(("t1", "t2", "t3"), junctions,
+                                      gaps.max(axis=(1, 2)).tolist())}
+    return {"passed": all(entry["derivative_gap"] <= DERIVATIVE_JUNCTION_GAP
+                          for entry in report.values()),
+            "report": report}
 
 
 def check_cp_tp(params: MapParams, grid_points: int) -> dict:

@@ -9,6 +9,7 @@ lambda <-> 1/lambda reflection identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -103,21 +104,59 @@ class ScanReport:
 SCAN_CHUNK_ENTRIES = 2048 * 9
 
 
-# Vectorized indices j*3 + i of the off-diagonal qutrit matrix units |i><j|:
-# a map whose rows there are all 0 has diagonal output.
-_OFF_DIAGONAL = [1, 2, 3, 5, 6, 7]
+# Vectorized rows (j*3 + i and i*3 + j) of the output entries |i><j| and
+# |j><i| that link qutrit output pairs (0, 1), (0, 2) and (1, 2), the bits 1,
+# 2 and 4 of a point's output code.
+_PAIR_ROWS = [[1, 3], [2, 6], [5, 7]]
+
+
+def _output_codes(maps: np.ndarray) -> np.ndarray:
+    """Per map of a stack (points, 9, 9), the bits of the output pairs whose
+    rows are not all exactly 0: 0 for diagonal output (after the complete
+    dephasing E1, on [t1, t3]), 1 for span{|0>, |1>} plus |2> (stage 4), 7
+    for a full qutrit (stage 1)."""
+    return maps[:, _PAIR_ROWS].any(axis=(-2, -1)) @ np.array([1, 2, 4])
+
+
+@functools.lru_cache(maxsize=None)
+def _block_entries(code: int, k: int):
+    """The output blocks of Lambda_t tensor Id_k for an output code, as
+    ((size, rows, cols), ...): X[..., rows, cols] of an operator stack
+    (..., 3k, 3k) is the stack (..., blocks, size, size) of its size x size
+    blocks, one per qutrit block B, which spans B tensor C^k.  None when one
+    block spans the whole space."""
+    linked = [pair for bit, pair in enumerate([(0, 1), (0, 2), (1, 2)]) if code >> bit & 1]
+    if len(linked) > 1:
+        return None
+    blocks = [linked[0], (3 - sum(linked[0]),)] if linked else [(0,), (1,), (2,)]
+    by_size = {}
+    for block in blocks:
+        q = [i * k + a for i in block for a in range(k)]
+        by_size.setdefault(len(q), []).append(q)
+    return tuple((size, np.array(qs)[:, :, None], np.array(qs)[:, None, :])
+                 for size, qs in sorted(by_size.items()))
+
+
+def _eigh_spectrum(X: np.ndarray, Xdot: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors V of the Hermitised stack X
+    (..., n, n) from one batched eigh, Xdot @ V, and the Kato rates
+    <v_i|Xdot|v_i>.  An infinite entry makes its matrix NaN: halving it is a
+    complex division, whose inf * 0 would otherwise warn."""
+    with np.errstate(invalid="ignore"):
+        X = (X + np.conj(np.swapaxes(X, -1, -2))) / 2
+    lam, V = np.linalg.eigh(X)
+    XdotV = Xdot @ V
+    return lam, V, XdotV, np.einsum("...ji,...ji->...i", V.conj(), XdotV).real
 
 
 def _eigh_norm_rderiv(X: np.ndarray, Xdot: np.ndarray):
     """Trace norms and exact right derivatives (see ``norm_rderiv_at``) of a
     stack (..., n, n) of operators X with derivatives Xdot, from one batched
-    eigh: the general path of ``_norm_rderiv``."""
-    lam, V = np.linalg.eigh((X + np.conj(np.swapaxes(X, -1, -2))) / 2)
+    eigh: the full-space path of ``_block_norm_rderiv``."""
+    lam, V, XdotV, rates = _eigh_spectrum(X, Xdot)
     mag = np.abs(lam)
     # eigh sorts lam ascending, so the largest |lam| sits at one end
     kernel = mag <= KERNEL_CUTOFF * np.maximum(mag[..., :1], mag[..., -1:])
-    XdotV = Xdot @ V
-    rates = np.einsum("...ji,...ji->...i", V.conj(), XdotV).real  # <v_i|Xdot|v_i>
     rderiv = np.where(kernel, 0.0, np.sign(lam) * rates).sum(axis=-1)
     rows = np.nonzero(kernel.any(axis=-1))
     if rows[0].size:
@@ -128,35 +167,82 @@ def _eigh_norm_rderiv(X: np.ndarray, Xdot: np.ndarray):
     return mag.sum(axis=-1), rderiv
 
 
-def _dephased_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, dephased: np.ndarray):
-    """``_eigh_norm_rderiv`` of qutrit stacks X, Xdot (points, probes, 3, 3)
-    whose X is exactly diagonal at the points marked in ``dephased``.
+def _pair_spectrum(B: np.ndarray, Bdot: np.ndarray):
+    """Eigenvalues m -+ r of the Hermitised 2 x 2 matrices of a stack B
+    (..., 2, 2), and their Kato rates mdot -+ rdot with Bdot, in closed
+    form: m = (a + d)/2, r = |((a - d)/2, b)| for B = [[a, b], [b*, d]].
+    A row with r = 0 (a tie) reads NaN rates."""
+    a, d, b = B[..., 0, 0].real, B[..., 1, 1].real, (B[..., 0, 1] + B[..., 1, 0].conj()) / 2
+    ad, dd = Bdot[..., 0, 0].real, Bdot[..., 1, 1].real
+    bd = (Bdot[..., 0, 1] + Bdot[..., 1, 0].conj()) / 2
+    m, h = 0.5 * a + 0.5 * d, 0.5 * a - 0.5 * d
+    r = np.hypot(h, np.abs(b))
+    mdot = 0.5 * ad + 0.5 * dd
+    rdot = (h * (0.5 * ad - 0.5 * dd) + b.real * bd.real + b.imag * bd.imag) / r
+    return np.stack([m - r, m + r], axis=-1), np.stack([mdot - rdot, mdot + rdot], axis=-1)
 
-    There the eigenvalues of X are its real diagonal sorted ascending, and
-    each <v_i|Xdot|v_i> is the matching diagonal entry of Xdot, so a row
-    skips eigh unless it has a kernel eigenvalue or two equal diagonal
-    entries; the norm and sign sum are then reduced as eigh's path reduces
-    them, to the same bits.  (LAPACK rescales a matrix whose largest entry
-    lies outside about [1e-146, 1e146] and then rounds even a diagonal; the
-    shortcut keeps the exact diagonal there.)  Every other row goes through
-    one batched eigh.
+
+def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: int):
+    """``_eigh_norm_rderiv`` of stacks X, Xdot (points, probes, 3k, 3k)
+    where X = (Lambda_t tensor Id_k)(probe) and ``codes`` holds each point's
+    ``_output_codes``: X is then block diagonal, with zero entries exactly
+    where Lambda_t's output rows are.
+
+    Per block the eigenvalues and Kato rates <v_i|Xdot|v_i> are read off the
+    diagonal (1 x 1), in closed form (2 x 2, ``_pair_spectrum``) or from one
+    batched eigh per block size; only a block's own entries of Xdot enter
+    them.  A row's values are sorted ascending and reduced as eigh's path
+    reduces them, so a row of 1 x 1 blocks gives eigh's bits.  (LAPACK
+    rescales a matrix whose largest entry lies outside about [1e-146,
+    1e146] and then rounds even a diagonal; the blocks keep the exact
+    diagonal there.)  A row with a kernel eigenvalue needs the cross-block
+    entries of Xdot in ||P0 Xdot P0||_1, and a row with a tie has no
+    well-ordered pairing of values and rates; both take one batched eigh of
+    the full X, as do the points where one block spans the space, and rows
+    with NaN or inf, which fail the comparisons or the finiteness test.
     """
-    lam = np.diagonal(X, axis1=-2, axis2=-1)[dephased].real
-    order = np.argsort(lam, axis=-1)
-    lam = np.take_along_axis(lam, order, axis=-1)
-    # eigh's path sums each rate from +0.0, so a zero rate is +0.0 there too;
-    # the sign sum below then matches whatever value a reduction starts from
-    rates = np.take_along_axis(np.diagonal(Xdot, axis1=-2, axis2=-1)[dephased].real,
-                               order, axis=-1) + 0.0
-    mag = np.abs(lam)
     norm, rderiv = np.empty(X.shape[:2]), np.empty(X.shape[:2])
-    norm[dephased] = mag.sum(axis=-1)
-    rderiv[dephased] = (np.sign(lam) * rates).sum(axis=-1)
-    # rows with a kernel eigenvalue or a tie, and rows off the dephased
-    # points, take eigh; NaN and inf fail both comparisons and take it too
     slow = np.ones(X.shape[:2], dtype=bool)
-    slow[dephased] = ~((mag.min(axis=-1) > KERNEL_CUTOFF * mag.max(axis=-1))
-                       & (lam[..., 1:] > lam[..., :-1]).all(axis=-1))
+    # the codes present; np.unique would do, but its first call costs 1.6 MB of RSS
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
+        sizes = _block_entries(code, k)
+        if sizes is None:
+            continue
+        at = codes == code
+        at = slice(None) if at.all() else at
+        Xg, Xdotg = X[at], Xdot[at]
+        lam, rates = [], []
+        # non-finite entries and ties only raise flags in rows that take eigh
+        with np.errstate(all="ignore"):
+            for size, rows, cols in sizes:
+                B, Bdot = Xg[..., rows, cols], Xdotg[..., rows, cols]
+                if size == 1:
+                    values = B[..., 0, 0].real, Bdot[..., 0, 0].real
+                elif size == 2:
+                    values = _pair_spectrum(B, Bdot)
+                else:
+                    block_lam, _, _, block_rates = _eigh_spectrum(B, Bdot)
+                    values = block_lam, block_rates
+                lam.append(values[0].reshape(Xg.shape[:2] + (-1,)))
+                rates.append(values[1].reshape(Xg.shape[:2] + (-1,)))
+            lam, rates = np.concatenate(lam, axis=-1), np.concatenate(rates, axis=-1)
+            order = np.argsort(lam, axis=-1)
+            lam = np.take_along_axis(lam, order, axis=-1)
+            # eigh's path sums each rate from +0.0, so a zero rate is +0.0 there
+            # too; the sign sum below then matches whatever a reduction starts from
+            rates = np.take_along_axis(rates, order, axis=-1) + 0.0
+            mag = np.abs(lam)
+            norm[at] = mag.sum(axis=-1)
+            rderiv[at] = (np.sign(lam) * rates).sum(axis=-1)
+            # reduced column by column: numpy reduces short rows one at a time
+            smallest = functools.reduce(np.minimum, np.moveaxis(mag, -1, 0))
+            rising = functools.reduce(np.logical_and,
+                                      np.moveaxis(lam[..., 1:] > lam[..., :-1], -1, 0))
+            # the values are sorted, so the largest |lam| sits at one end
+            slow[at] = ~((smallest > KERNEL_CUTOFF * np.maximum(mag[..., 0], mag[..., -1]))
+                         & rising & np.isfinite(rderiv[at]))
+    if slow.all():
+        return _eigh_norm_rderiv(X, Xdot)
     if slow.any():
         norm[slow], rderiv[slow] = _eigh_norm_rderiv(X[slow], Xdot[slow])
     return norm, rderiv
@@ -164,23 +250,20 @@ def _dephased_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, dephased: np.ndarray)
 
 def _norm_rderiv(fam, stack: np.ndarray, ts, k: int):
     """Trace norms and exact right derivatives at the grid points ``ts``:
-    two arrays (len(ts), probes), from one apply per map kind.
+    two arrays (len(ts), probes), from one apply per map kind and the block
+    kernel ``_block_norm_rderiv``.
 
-    For k = 1, the points whose Lambda_t has diagonal output (its rows at
-    ``_OFF_DIAGONAL`` are exactly 0, as after the complete dephasing E1 on
-    [t1, t3]) map every probe to a diagonal X, and take the shortcut of
-    ``_dephased_norm_rderiv``.  All other rows, and every row for k > 1, go
-    through one batched eigh (``_eigh_norm_rderiv``).  The test is per
-    point and both paths give the same bits on a row, so neither the
-    shortcut nor the chunking moves a result.
+    The output blocks of each point are read off the rows of its Lambda_t
+    alone (its derivative can link blocks that Lambda_t keeps apart, as at
+    t3): one 3 x 3 block in stage 1, three 1 x 1 blocks on [t1, t3] after
+    the complete dephasing E1, and span{|0>, |1>} plus |2> in stage 4, each
+    tensored with the ancilla.  A row's result does not depend on the other
+    points or probes of its batch, so the chunking moves no result.
     """
     maps = fam.stack(ts)
     X = apply_to_extended(maps, stack, k)
     Xdot = apply_to_extended(fam.dot_stack(ts), stack, k)
-    dephased = ~maps[:, _OFF_DIAGONAL].any(axis=(-2, -1))
-    if k > 1 or not dephased.any():
-        return _eigh_norm_rderiv(X, Xdot)
-    return _dephased_norm_rderiv(X, Xdot, dephased)
+    return _block_norm_rderiv(X, Xdot, _output_codes(maps), k)
 
 
 def norm_rderiv_at(fam, stack: np.ndarray, t: float, k: int = 1):
@@ -193,10 +276,13 @@ def norm_rderiv_at(fam, stack: np.ndarray, t: float, k: int = 1):
         sum_{lam_i != 0} sign(lam_i) <v_i|Xdot|v_i> + ||P0 Xdot P0||_1,
 
     P0 the projector onto the kernel of X, which is the eigenvalues with
-    |lam| <= KERNEL_CUTOFF * max |lam| of each probe.  ``fam`` is a
-    ``qutrit_family.Family``, whose grids ``stack``/``dot_stack`` are used.
-    Returns the arrays (norm, rderiv), one entry per probe: the one-point
-    batch of ``norm_derivative_scan``.
+    |lam| <= KERNEL_CUTOFF * max |lam| of each probe.  X is block diagonal
+    where Lambda_t's output is, and the eigenvalues and rates come per
+    block (``_block_norm_rderiv``); a probe with a kernel eigenvalue takes
+    one eigh of the whole X.  ``fam`` is a ``qutrit_family.Family``, whose
+    grids ``stack``/``dot_stack`` are used.  Returns the arrays (norm,
+    rderiv), one entry per probe: the one-point batch of
+    ``norm_derivative_scan``.
     """
     norm, rderiv = _norm_rderiv(fam, stack, [t], k)
     return norm[0], rderiv[0]
@@ -208,13 +294,15 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     ``fam`` is a ``qutrit_family.Family`` on the system factor; for k > 1 the
     probes must live on the product space.  The grid goes in consecutive
     batches of grid points (see SCAN_CHUNK_ENTRIES), each one ``fam.stack``
-    and ``fam.dot_stack`` call and at most one batched eigendecomposition of
-    its points and probes, and the derivatives are exact (``norm_rderiv_at``).
-    For k = 1, points where Lambda_t has diagonal output ([t1, t3], after
-    the complete dephasing E1) read eigenvalues and rates off the diagonals
-    instead; rows with a kernel eigenvalue or a repeated diagonal entry fall
-    back to eigh.  Neither the shortcut nor the batching changes any bit of
-    a result.  Rows are sorted by (probe, t); a row fails when its right
+    and ``fam.dot_stack`` call, and the derivatives are exact
+    (``norm_rderiv_at``).  Each point's X splits into the output blocks of
+    its Lambda_t tensored with C^k: one block in stage 1, three on [t1, t3]
+    and two in stage 4.  1 x 1 blocks are read off the diagonal, 2 x 2
+    blocks in closed form and larger ones by one batched eigh per block
+    size; the stage-1 points and the rows with a kernel eigenvalue, a tie
+    or a non-finite value take one batched eigh of the whole X.  A row of
+    1 x 1 blocks gives eigh's bits, and the batching changes no bit of a
+    result.  Rows are sorted by (probe, t); a row fails when its right
     derivative exceeds TOL_DERIV.
     """
     grid = list(grid)

@@ -77,11 +77,12 @@ KERNEL_CUTOFF = 1e-13
 # fails continuity: a continuous Lambda_t leaves O(eps), 7.5e-5 at t3 by default.
 CONTINUITY_FINAL_GAP = 1e-3
 
-# Derivative gaps at t3 decay like eps^(delta - 1): the power law fitted over
-# the ladder reads 0.0499 at delta = 1.05 (1.005 at t1, t2), and a gap that
-# does not shrink fits 0 or less.  An exponent at or below this floor fails,
-# so delta <= 1.02 fails too, though its derivative is continuous.
-CONTINUITY_MIN_EXPONENT = 0.02
+# Largest entry gap between the left and right time derivatives of Lambda_t
+# at a junction for which the derivative counts as continuous.  Both sides
+# are closed forms, and for delta > 1 both read exactly 0.0 at t1, t2 and t3
+# (stages 1-3 at tau = 1, stages 2-4 at tau = 0); the kink of delta = 1
+# reads 0.75 at t3.  Anything above rounding is a genuine jump.
+DERIVATIVE_JUNCTION_GAP = 1e-12
 
 # The forcing witness's discrepancy is 2 |cos theta| (0.14 at theta = 1.5,
 # 0.042 at 1.55); at or below this it reads "inconclusive", as at theta =

@@ -1,7 +1,10 @@
 """The one-call paths against the loops and library calls they replaced: the
 probe ensemble drawn in one call, the intermediate maps from one SVD per
-batch, the scan's diagonal shortcut against its eigh path, and the bound on
+batch, the scan's block kernel against its full eigh path, and the bound on
 what the scan's kernel cutoff can over-read."""
+
+import collections
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmarkov.contractivity import (_OFF_DIAGONAL, _dephased_norm_rderiv,
-                                   _eigh_norm_rderiv, _norm_rderiv,
+from qmarkov.contractivity import (_block_norm_rderiv, _eigh_norm_rderiv,
+                                   _norm_rderiv, _output_codes,
                                    norm_derivative_scan)
 from qmarkov.divisibility import RESIDUAL_TOL, _intermediate_maps
 from qmarkov.operators import random_probes
@@ -169,7 +172,7 @@ def test_dephased_shortcut_bit_equal_to_eigh(scan):
     params, grid, stack = scan
     fam = family(params)
     maps = fam.stack(grid)
-    assert not maps[:, _OFF_DIAGONAL].any()  # the whole grid dephases
+    assert not _output_codes(maps).any()  # the whole grid dephases
     X = apply_to_extended(maps, stack, 1)
     Xdot = apply_to_extended(fam.dot_stack(grid), stack, 1)
     _assert_same_bits(_norm_rderiv(fam, stack, grid, 1), _eigh_norm_rderiv(X, Xdot))
@@ -189,33 +192,160 @@ def test_shortcut_matches_eigh_on_signed_zeros_and_ties(diag, rates):
     X = np.zeros((1, len(diag), 3, 3), dtype=complex)
     X[0, :, [0, 1, 2], [0, 1, 2]] = diag.T
     Xdot = rates[None, :len(diag)].astype(complex)
-    _assert_same_bits(_dephased_norm_rderiv(X, Xdot, np.array([True])),
+    _assert_same_bits(_block_norm_rderiv(X, Xdot, np.array([0]), 1),
                       _eigh_norm_rderiv(X, Xdot))
 
 
 def _eigh_matrices(monkeypatch, scan):
-    """Matrices ``scan()`` passes to np.linalg.eigh."""
-    count, eigh = [0], np.linalg.eigh
+    """Matrices ``scan()`` passes to np.linalg.eigh, counted by size."""
+    count, eigh = collections.Counter(), np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        count[0] += int(np.prod(np.shape(a)[:-2]))
+        count[np.shape(a)[-1]] += int(np.prod(np.shape(a)[:-2]))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     scan()
-    return count[0]
+    return dict(count)
 
 
-def test_shortcut_takes_stages_2_3_at_k1_only(monkeypatch):
-    """The default verify scan (200 probes x 200 points) sends 20,200 of its
-    40,000 rows to eigh: every row at the 99 points of stages 1 and 4 other
-    than t3, and at t = 1.98 and t = 2.0, where stage 2's weight (about
-    1e-21) or E2 E1 leaves every X a kernel eigenvalue.  A k = 2 scan never
-    takes the shortcut."""
+def test_eigh_takes_stage_1_kernel_rows_and_stage_4_blocks(monkeypatch):
+    """The default verify scan (200 probes x 200 points) sends 10,400 of its
+    40,000 rows to eigh, all 3 x 3: every row at the 50 points of stage 1,
+    and at t = 1.98 and t = 2.0, where stage 2's weight (about 1e-21) or
+    E2 E1 leaves every X a kernel eigenvalue; stage 4 takes the closed 2 x 2
+    form.  The k = 2 scan (500 probes x 40 points) sends 5,500 full 6 x 6
+    matrices (the 10 points of stage 1, and t = 2.0) and 4,500 4 x 4 blocks
+    span{|0>, |1>} x C^2 (the 9 points of stage 4 after t3)."""
     grid = np.linspace(0.0, 4.0, 200, endpoint=False)
     probes = random_probes(3, 200, 20210907)
     assert _eigh_matrices(monkeypatch, lambda: norm_derivative_scan(
-        family(), probes, grid)) == 20200
+        family(), probes, grid)) == {3: 10400}
     probes = random_probes(6, 500, 20210907)
     assert _eigh_matrices(monkeypatch, lambda: norm_derivative_scan(
-        family(), probes, np.linspace(0.0, 4.0, 40, endpoint=False), k=2)) == 20000
+        family(), probes, np.linspace(0.0, 4.0, 40, endpoint=False), k=2)) == {6: 5500, 4: 4500}
+
+
+@st.composite
+def _block_scans(draw):
+    """(params, grid, k, probes): the junctions t1..t4, one point inside
+    each stage and points near the end of stage 2 (where kernel rows sit),
+    with k in {1, 2, 3}, random-hermitian or state-difference probes, and
+    the zero probe."""
+    times = draw(st.sampled_from([{}, {"t1": 0.7, "t2": 1.9, "t3": 2.3, "t4": 5.1}]))
+    params = MapParams(theta=draw(st.sampled_from([math.sqrt(2), 1.5, math.pi / 2])),
+                       delta=draw(st.sampled_from([1.0, 1.05])), **times)
+    starts = [0.0, params.t1, params.t2, params.t3, params.t4]
+    inside = [a + draw(st.floats(0.0, 1.0, exclude_max=True)) * (b - a)
+              for a, b in zip(starts, starts[1:])]
+    end = draw(st.lists(st.floats(0.96, 1.0, exclude_max=True), max_size=4))
+    grid = sorted({*starts[1:], *inside,
+                   *(params.t1 + u * (params.t2 - params.t1) for u in end)})
+    k = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random-hermitian", "state-difference"]))
+    probes = list(random_probes(3 * k, draw(st.integers(1, 6)),
+                                draw(st.integers(0, 2 ** 32 - 1)), kind).probes)
+    probes.append(np.zeros((3 * k, 3 * k), dtype=complex))
+    return params, grid, k, np.stack(draw(st.permutations(probes)))
+
+
+def _assert_close(got, expected):
+    """The bounds on the block kernel's rounding against the full eigh."""
+    (norm, rderiv), (norm_ref, rderiv_ref) = got, expected
+    assert np.all(np.abs(norm - norm_ref) <= 1e-14 * np.maximum(1.0, norm_ref))
+    assert np.all(np.abs(rderiv - rderiv_ref) <= 1e-13)
+    assert np.array_equal(rderiv > TOL_DERIV, rderiv_ref > TOL_DERIV)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_scans())
+def test_block_kernel_matches_eigh(scan):
+    """In every stage and at every junction, for k = 1, 2, 3, the block
+    kernel's norms and right derivatives agree with the full eigh of the same
+    X and Xdot to rounding, and give the same verdicts."""
+    params, grid, k, stack = scan
+    fam = family(params)
+    X = apply_to_extended(fam.stack(grid), stack, k)
+    Xdot = apply_to_extended(fam.dot_stack(grid), stack, k)
+    _assert_close(_norm_rderiv(fam, stack, grid, k), _eigh_norm_rderiv(X, Xdot))
+
+
+def _stage4_rows(pairs, last, rates):
+    """Rows (1, len(pairs), 3, 3) of stage-4 shape: the 2 x 2 blocks ``pairs``
+    on span{|0>, |1>} and ``last`` on |2>, with derivatives ``rates``."""
+    X = np.zeros((1, len(pairs), 3, 3), dtype=complex)
+    X[0, :, :2, :2], X[0, :, 2, 2] = pairs, last
+    return X, np.broadcast_to(rates, X.shape).astype(complex)
+
+
+def _rotated(lam, angle=0.3, phase=0.7):
+    """The 2 x 2 Hermitian matrix with eigenvalues ``lam`` in a complex basis."""
+    U = np.array([[math.cos(angle), -math.sin(angle) * np.exp(-1j * phase)],
+                  [math.sin(angle) * np.exp(1j * phase), math.cos(angle)]])
+    return U @ np.diag(lam) @ U.conj().T
+
+
+RATES = np.array([[0.3, 0.1 - 0.2j, 0.5j], [0.1 + 0.2j, -0.7, 0.2],
+                  [-0.5j, 0.2, 0.4]])
+
+
+def test_pair_closed_form_near_the_kernel_cutoff(monkeypatch):
+    """A 2 x 2 block eigenvalue 5 % above KERNEL_CUTOFF times the row's
+    largest |lam| stays in the closed form; 5 % below, it is kernel, and the
+    row takes eigh."""
+    X, Xdot = _stage4_rows([_rotated([1.0, 1.05 * KERNEL_CUTOFF]),
+                            _rotated([1.0, 0.95 * KERNEL_CUTOFF])], 0.5, RATES)
+    rows = {}
+    assert _eigh_matrices(monkeypatch, lambda: rows.update(
+        got=_block_norm_rderiv(X, Xdot, np.array([1]), 1))) == {3: 1}
+    expected = _eigh_norm_rderiv(X, Xdot)
+    _assert_close(rows["got"], expected)
+    _assert_same_bits([v[:, 1] for v in rows["got"]], [v[:, 1] for v in expected])
+
+
+def _outcome(fn):
+    """``fn()``'s arrays, or the type of the error it raised: LAPACK may fail
+    to converge on a NaN entry, and then eigh raises LinAlgError."""
+    try:
+        return fn()
+    except np.linalg.LinAlgError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("pair,last", [
+    (0.7 * np.eye(2), 0.2),  # r = 0: a tie inside the block
+    (np.diag([0.4, 0.9]), 0.4),  # a tie across blocks
+    (np.array([[-0.0, -0.0], [-0.0, 1.0]]), -0.5),  # a signed-zero eigenvalue
+    (np.zeros((2, 2)), -0.0),  # the zero row
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), 0.5),
+    (np.array([[1.0, np.nan], [np.nan, 2.0]]), 0.5),
+    (np.diag([1.0, 2.0]), np.nan),
+], ids=["r=0", "cross-tie", "signed-zero", "zero", "inf", "nan", "nan-1x1"])
+@pytest.mark.parametrize("rates", [RATES, np.full((3, 3), -0.0)], ids=["rates", "zero-rates"])
+def test_pair_fallbacks_take_eigh(monkeypatch, pair, last, rates):
+    """Ties, zero eigenvalues (signed zeros included) and non-finite entries
+    take eigh, and give its bits (or its error); none raises a
+    RuntimeWarning, which this suite turns into an error."""
+    X, Xdot = _stage4_rows([pair], last, rates)
+    rows = {}
+    assert _eigh_matrices(monkeypatch, lambda: rows.update(
+        got=_outcome(lambda: _block_norm_rderiv(X, Xdot, np.array([1]), 1)))) == {3: 1}
+    got, expected = rows["got"], _outcome(lambda: _eigh_norm_rderiv(X, Xdot))
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_non_finite_rates_take_eigh(monkeypatch):
+    """A NaN in a block's derivative leaves its eigenvalues finite but its
+    rates NaN; the row takes eigh."""
+    X, Xdot = _stage4_rows([_rotated([1.0, -2.0])], 0.5, RATES)
+    Xdot[0, 0, 0, 1] = np.nan
+    rows = {}
+    assert _eigh_matrices(monkeypatch, lambda: rows.update(
+        got=_block_norm_rderiv(X, Xdot, np.array([1]), 1))) == {3: 1}
+    for a, b in zip(rows["got"], _eigh_norm_rderiv(X, Xdot)):
+        assert np.array_equal(a, b, equal_nan=True)

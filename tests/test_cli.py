@@ -299,17 +299,35 @@ class TestStrictJson:
         capsys.readouterr()
         assert len(list(tmp_path.glob("*/*_summary.json"))) == len(runs)
 
-    def test_exact_zero_derivative_gap_has_null_exponent(self, monkeypatch):
-        ladder = cli.CONTINUITY_LADDER
-        report = {name: {"eps": ladder, "gap": (1e-2, 1e-3, 1e-4),
-                         "derivative_gap": (1e-3, 1e-5, 0.0)}
-                  for name in ("t1", "t2", "t3")}
-        monkeypatch.setattr(cli, "continuity_report",
-                            lambda *args, **kwargs: report)
-        result = cli.check_continuity(None, derivative=True)
+    def test_derivative_continuity_report_is_strict(self):
+        result = cli.check_continuity(MapParams(delta=1.05), derivative=True)
         assert result["passed"] is True
-        assert all(e["fitted_exponent"] is None for e in result["report"].values())
         json.dumps(result, allow_nan=False)
+
+
+class TestDerivativeContinuity:
+    """The junction check compares the one-sided derivatives themselves."""
+
+    @pytest.mark.parametrize("delta", [1.01, 1.02, 1.05])
+    def test_smooth_variant_gaps_are_exactly_zero(self, delta):
+        result = cli.check_continuity(MapParams(delta=delta), derivative=True)
+        assert result["passed"] is True
+        assert [e["derivative_gap"] for e in result["report"].values()] == [0.0] * 3
+
+    def test_kink_at_t3_without_smoothing(self):
+        result = cli.check_continuity(MapParams(), derivative=True)
+        assert result["passed"] is False
+        gaps = {name: e["derivative_gap"] for name, e in result["report"].items()}
+        assert gaps == {"t1": 0.0, "t2": 0.0, "t3": 0.75}
+
+    @pytest.mark.parametrize("delta", ["1.01", "1.02"])
+    def test_verify_passes_just_above_delta_1(self, delta, tmp_path, capsys):
+        code = run(["verify", "--delta", delta, "--out", str(tmp_path),
+                    "--grid", "40", "--probes", "20"])
+        capsys.readouterr()
+        assert code == 0
+        summary = json.loads((tmp_path / "verify_summary.json").read_text())
+        assert summary["checks"]["derivative-continuity"]["passed"] is True
 
 
 def _public_functions():

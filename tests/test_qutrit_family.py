@@ -11,7 +11,7 @@ from qmarkov.divisibility import cp_divisibility_scan
 from qmarkov.operators import OperandError, check_density, random_probes, trace_norm
 from qmarkov.qutrit_family import (D1, D2, D3, G, RHO_A, RHO_B, Family, MapParams,
                                    continuity_report, dephasing_generator,
-                                   family, gamma_family, lambda_t,
+                                   family, gamma_family, gamma_family_dot, lambda_t,
                                    load_params, make_E, rate_f, rate_g,
                                    rotated_ket)
 from qmarkov.superops import GRID_CHUNK
@@ -247,16 +247,28 @@ class TestContinuity:
         stack = compose(make_E(3), compose(make_E(2), make_E(1)))
         assert np.allclose(compose(g0, stack).matrix, stack.matrix, atol=1e-14)
 
-    def test_smooth_variant_derivative_gaps_shrink(self):
-        report = continuity_report(MapParams(theta=1.55, delta=1.05),
-                                   derivative=True)
-        for entry in report.values():
-            dgaps = entry["derivative_gap"]
-            assert dgaps[0] > dgaps[1] > dgaps[2]
+    def test_smooth_variant_derivative_is_continuous(self):
+        # both one-sided derivatives are exact, and agree to the bit
+        params = MapParams(theta=1.55, delta=1.05)
+        fam, junctions = family(params), [params.t1, params.t2, params.t3]
+        assert np.array_equal(fam.dot_stack(junctions, left=True), fam.dot_stack(junctions))
 
     def test_epsilon_validation(self):
         with pytest.raises(OperandError):
             continuity_report(eps_ladder=(0.9,))
+
+    def test_left_derivative_takes_the_stage_that_ends(self):
+        # at t_j the stage ending there at tau = 1, its prefix applied; off the
+        # junctions, and at 0 and t4, the same bits as the right derivative
+        params = MapParams(delta=1.05, t1=0.7, t2=1.9, t3=2.3, t4=5.1)
+        fam = family(params)
+        left = fam.dot_stack([params.t1, params.t2, params.t3], left=True)
+        starts = (0.0, params.t1, params.t2, params.t3)
+        for i, (m, prefix) in enumerate(zip(left, (None, make_E(1), qutrit_family.E2_E1))):
+            gamma = gamma_family_dot(i + 1, 1.0, params).matrix / (starts[i + 1] - starts[i])
+            assert np.array_equal(m, gamma if prefix is None else gamma @ prefix.matrix)
+        ts = [0.0, 0.3, 1.2, 2.0, 3.7, params.t4]
+        assert np.array_equal(fam.dot_stack(ts, left=True), fam.dot_stack(ts))
 
 
 def test_family_callable_binds_params():
@@ -305,6 +317,6 @@ class TestStackCallers:
                          "dot_stack": []}
 
     def test_continuity_report(self, calls):
-        continuity_report(derivative=True)
-        assert len(calls["stack"]) == 1 and len(calls["stack"][0]) == 3 * 3 * 4
+        continuity_report()
+        assert len(calls["stack"]) == 1 and len(calls["stack"][0]) == 3 * 3 * 2
         assert calls["dot_stack"] == []
