@@ -22,10 +22,9 @@ import numpy as np
 
 from . import contractivity, divisibility
 from .operators import random_probes
-from .qutrit_family import MapParams, continuity_report, family, load_params
+from .qutrit_family import CONTRACTIVE_WINDOW, MapParams, family, load_params
 from .superops import GRID_CHUNK, choi_min_eigenvalue, tp_error
-from .tolerances import (CONTINUITY_FINAL_GAP, DEFAULT_SEED, DERIVATIVE_JUNCTION_GAP,
-                         TOL_PSD, WITNESS_MIN_DISCREPANCY)
+from .tolerances import DEFAULT_SEED, JUNCTION_GAP, TOL_PSD, WITNESS_MIN_DISCREPANCY
 
 SCHEMA_VERSION = 1  # of every JSON summary
 
@@ -40,42 +39,21 @@ def _write_json(path: Path, payload: dict) -> None:
 _write_csv = contractivity.write_csv  # the one CSV writer, as the CLI's I/O site
 
 
-def _params(args) -> MapParams:
-    """MapParams from --config or --theta/--delta.
-
-    Raises ValueError (OperandError) for values outside the family's domain
-    or a malformed config, and OSError for an unreadable config.
-    """
-    if args.config:
-        return load_params(args.config)
-    return MapParams(**{name: getattr(args, name) for name in ("theta", "delta")
-                        if getattr(args, name) is not None})
-
-
 def check_continuity(params: MapParams, derivative: bool = False) -> dict:
     """Junction continuity of Lambda_t, or with ``derivative`` of its time
     derivative.
 
-    Map-value gaps must shrink along the ladder of ``continuity_report`` and
-    end below CONTINUITY_FINAL_GAP.  Derivative gaps are exact: at each
-    junction t_j the left derivative (the stage that ends at t_j, at
-    tau = 1) is compared with the right one (the stage that starts there,
-    at tau = 0), and their largest entry gap must not exceed
-    DERIVATIVE_JUNCTION_GAP.
+    At each junction t_j the left value (the stage that ends at t_j, at
+    tau = 1) is compared with the right one (the stage that starts there, at
+    tau = 0).  Both are exact, and their largest entry gap must not exceed
+    JUNCTION_GAP.
     """
-    if not derivative:
-        report = continuity_report(params)
-        gaps = [entry["gap"] for entry in report.values()]
-        shrinking = all(b < a for g in gaps for a, b in zip(g, g[1:]))
-        return {"passed": shrinking and all(g[-1] < CONTINUITY_FINAL_GAP for g in gaps),
-                "report": report}
     fam, junctions = family(params), [params.t1, params.t2, params.t3]
-    gaps = np.abs(fam.dot_stack(junctions, left=True) - fam.dot_stack(junctions))
-    report = {name: {"t": t, "derivative_gap": gap}
-              for name, t, gap in zip(("t1", "t2", "t3"), junctions,
-                                      gaps.max(axis=(1, 2)).tolist())}
-    return {"passed": all(entry["derivative_gap"] <= DERIVATIVE_JUNCTION_GAP
-                          for entry in report.values()),
+    values = fam.dot_stack if derivative else fam.stack
+    gaps = np.abs(values(junctions, left=True) - values(junctions)).max(axis=(1, 2))
+    report = {name: {"t": t, "gap": gap}
+              for name, t, gap in zip(("t1", "t2", "t3"), junctions, gaps.tolist())}
+    return {"passed": all(entry["gap"] <= JUNCTION_GAP for entry in report.values()),
             "report": report}
 
 
@@ -116,23 +94,25 @@ def check_closed_form(params: MapParams) -> dict:
     return result
 
 
-def cmd_verify(args) -> int:
-    params = args.params
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fam = family(params)
-    smooth = params.delta > 1.0
+def _scan(args, k: int, path: Path) -> contractivity.ScanReport:
+    """The scan of ``args.probes`` seeded probes on C^3 tensor C^k over
+    ``args.grid`` points of [0, t4), its rows written to ``path``."""
+    probes = random_probes(3 * k, args.probes, args.seed)
+    grid = np.linspace(0.0, args.params.t4, args.grid, endpoint=False)
+    report = contractivity.norm_derivative_scan(family(args.params), probes, grid, k=k)
+    report.to_csv(path)
+    return report
 
+
+def cmd_verify(args, out: Path) -> int:
+    params = args.params
     checks = {}
     checks["continuity"] = check_continuity(params)
-    if smooth:
+    if params.delta > 1.0:
         checks["derivative-continuity"] = check_continuity(params, derivative=True)
     checks["cp-tp"] = check_cp_tp(params, args.grid)
     checks["divisibility"] = check_forcing(params)
-    probes = random_probes(3, args.probes, args.seed)
-    grid = np.linspace(0.0, params.t4, args.grid, endpoint=False)
-    report = contractivity.norm_derivative_scan(fam, probes, grid, k=1)
-    report.to_csv(out / "verify_scan.csv")
+    report = _scan(args, 1, out / "verify_scan.csv")
     checks["contractivity"] = {"passed": report.passed,
                                "max_rderiv": report.max_rderiv,
                                "argmax_t": report.argmax_t}
@@ -159,17 +139,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_scan(args) -> int:
-    params = args.params
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dim = 3 * args.k
-    probes = random_probes(dim, args.probes, args.seed)
-    grid = np.linspace(0.0, params.t4, args.grid, endpoint=False)
-    report = contractivity.norm_derivative_scan(family(params), probes, grid, k=args.k)
-    report.to_csv(out / "scan.csv")
+def cmd_scan(args, out: Path) -> int:
+    report = _scan(args, args.k, out / "scan.csv")
     summary = report.summary()
-    summary["theta"] = params.theta
+    summary["theta"] = args.params.theta
     summary["command"] = "scan"
     if args.k > 1:
         summary["note"] = "exploratory — no analytic claim for k > 1"
@@ -179,13 +152,10 @@ def cmd_scan(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_divisibility(args) -> int:
+def cmd_divisibility(args, out: Path) -> int:
     params = args.params
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fam = family(params)
-    grid = np.linspace(0.0, params.t4, args.grid)
-    rows = divisibility.cp_divisibility_scan(fam, grid)
+    rows = divisibility.cp_divisibility_scan(family(params),
+                                             np.linspace(0.0, params.t4, args.grid))
     header = ("s", "t", "definedness", "residual", "choi_min_eig", "verdict")
     _write_csv(out / "divisibility.csv", header, "%.15g,%.15g,%s,%.15g,%.15g,%s",
                [[r[name] for r in rows] for name in header])
@@ -200,9 +170,7 @@ def cmd_divisibility(args) -> int:
     return 0 if forcing["passed"] else 1
 
 
-def cmd_sweep(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(args, out: Path) -> int:
     thetas = np.arange(args.theta_min, args.theta_max + 1e-9, args.theta_step)
     rows = contractivity.theta_window_sweep(
         thetas, np.linspace(0.0, 1.0, 201), np.arange(0.0, 10.0 + 1e-9, 0.1))
@@ -216,16 +184,15 @@ def cmd_sweep(args) -> int:
                  "violations": [r["theta"] for r in rows if r["violation"]],
                  "clean": clean})
     print(f"{len(rows) - len(clean)} of {len(rows)} thetas violate")
-    if clean != [float(t) for t in thetas if math.sqrt(2) <= t <= math.pi / 2]:
+    low, high = CONTRACTIVE_WINDOW
+    if clean != [float(t) for t in thetas if low <= t <= high]:
         print("clean thetas differ from the window [sqrt(2), pi/2]")
         return 1
     return 0
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args, out: Path) -> int:
     params = args.params
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = contractivity.bound_chain_check(
         params.theta, np.arange(0.005, 1.0 + 1e-9, 0.005))
     rows = result["rows"]
@@ -308,17 +275,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "config"):
-        if args.config and (args.theta, args.delta) != (None, None):
+        given = {name: value for name in ("theta", "delta")
+                 if (value := getattr(args, name)) is not None}
+        if args.config and given:
             parser.error("--config sets theta and delta; drop --theta/--delta")
-        try:
-            args.params = _params(args)
+        try:  # OperandError (a ValueError): bad values or config; OSError: unreadable
+            args.params = load_params(args.config) if args.config else MapParams(**given)
         except (ValueError, OSError) as err:
             parser.error(str(err))
         if args.command == "bounds" and args.params.theta > math.pi / 2:
             parser.error("bounds: the bound chain is stated for theta in (0, pi/2]")
     if getattr(args, "theta_min", 0.0) > getattr(args, "theta_max", 0.0):
         parser.error("--theta-min must not exceed --theta-max")
-    return args.func(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return args.func(args, out)
 
 
 if __name__ == "__main__":

@@ -310,7 +310,7 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
         raise OperandError("grid must be non-empty and ascending")
     if k < 1:
         raise OperandError("k must be >= 1")
-    stack = probes.stacked()
+    stack = probes.probes
     n = stack.shape[0]
     chunk = max(1, min(GRID_CHUNK, SCAN_CHUNK_ENTRIES // stack.size))
 

@@ -48,21 +48,29 @@ def trace_norm(X) -> float:
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """Deterministic seeded collection of Hermitian probe operators."""
+    """Deterministic seeded collection of Hermitian probe operators, held as
+    one (count, d, d) complex array and validated on construction: finite,
+    and Hermitian within TOL_HERM."""
 
-    probes: tuple
+    probes: np.ndarray
     seed: int
     kind: str
 
+    def __post_init__(self):
+        X = np.asarray(self.probes, dtype=complex)
+        if X.ndim != 3 or X.shape[1] != X.shape[2] or 0 in X.shape:
+            raise OperandError(f"expected a non-empty (count, d, d) stack, got {X.shape}")
+        if not np.isfinite(X).all() or \
+                np.max(np.abs(X - np.conj(np.swapaxes(X, -1, -2)))) > TOL_HERM:
+            raise OperandError("probes must be finite and Hermitian within tolerance")
+        object.__setattr__(self, "probes", X)
+
     @property
     def dim(self) -> int:
-        return self.probes[0].shape[0]
+        return self.probes.shape[1]
 
     def __len__(self) -> int:
         return len(self.probes)
-
-    def stacked(self) -> np.ndarray:
-        return np.stack(self.probes)
 
 
 def _random_state(rng, dim: int) -> np.ndarray:
@@ -92,10 +100,10 @@ def random_probes(dim: int, count: int, seed: int,
     if kind == "random-hermitian":
         g = rng.standard_normal((count, 2, dim, dim))  # a loop's stream, in one draw
         a = g[:, 0] + 1j * g[:, 1]
-        return ProbeSet(probes=tuple((a + np.conj(np.swapaxes(a, -1, -2))) / 2),
+        return ProbeSet(probes=(a + np.conj(np.swapaxes(a, -1, -2))) / 2,
                         seed=seed, kind=kind)
     probes = []
     for _ in range(count):
         p1 = rng.random()
         probes.append(p1 * _random_state(rng, dim) - (1 - p1) * _random_state(rng, dim))
-    return ProbeSet(probes=tuple(probes), seed=seed, kind=kind)
+    return ProbeSet(probes=probes, seed=seed, kind=kind)

@@ -72,7 +72,8 @@ def rate_g(tau: float) -> float:
     return -math.log1p(-tau)
 
 
-SQRT2 = math.sqrt(2.0)
+# The theta window [sqrt(2), pi/2] of monotone trace-norm contractivity.
+CONTRACTIVE_WINDOW = (math.sqrt(2.0), math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class MapParams:
 
     @property
     def in_contractive_window(self) -> bool:
-        return SQRT2 <= self.theta <= math.pi / 2
+        return CONTRACTIVE_WINDOW[0] <= self.theta <= CONTRACTIVE_WINDOW[1]
 
 
 def load_params(path) -> MapParams:
@@ -306,15 +307,15 @@ class Family:
     def __call__(self, t: float) -> SuperOp:
         return lambda_t(t, self.params)
 
-    def stack(self, ts) -> np.ndarray:
-        """Lambda_t at each t of ``ts``: a fresh (len(ts), 9, 9) complex array."""
-        return _lambda_stack(ts, self.params, False)
+    def stack(self, ts, left: bool = False) -> np.ndarray:
+        """Lambda_t at each t of ``ts``: a fresh (len(ts), 9, 9) complex array.
+        With ``left``, the left limit: at a junction t_j it is the stage that
+        ends there, at tau = 1 (at 0 it is still stage 1)."""
+        return _lambda_stack(ts, self.params, False, left)
 
     def dot_stack(self, ts, left: bool = False) -> np.ndarray:
         """d Lambda_t / dt (see ``lambda_t_dot``) at each t of ``ts``, as
-        ``stack``.  With ``left``, the left derivative: at a junction t_j it
-        is the derivative of the stage that ends there, at tau = 1 (at 0 it
-        is still the right one)."""
+        ``stack``; with ``left``, the left derivative."""
         return _lambda_stack(ts, self.params, True, left)
 
 
@@ -332,9 +333,10 @@ def continuity_report(params: MapParams | None = None,
 
     For each junction t in {t1, t2, t3} and each eps, the gap is the
     max-abs entry difference between Lambda_{t-eps} and Lambda_{t+eps}.
-    All ladder points go through one ``Family.stack`` call.  (The time
-    derivative needs no ladder: ``Family.dot_stack`` gives both one-sided
-    derivatives at a junction exactly.)
+    All ladder points go through one ``Family.stack`` call.  This is the
+    reference of acceptance criterion 1, on the tau -> 1 approach of the
+    stage 1-3 formulas; the junction check itself compares the exact
+    one-sided values ``Family.stack(ts, left=True)`` and ``Family.stack(ts)``.
     """
     params = params or MapParams()
     eps_ladder = tuple(eps_ladder)

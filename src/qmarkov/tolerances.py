@@ -73,16 +73,13 @@ PURITY_TOL = 1e-8
 # spurious 3.3e-7 at t = 1.96 on the default verify scan, 1e-13 reads 1.9e-15.
 KERNEL_CUTOFF = 1e-13
 
-# A junction gap of the maps at the ladder's last rung (1e-4) at or above this
-# fails continuity: a continuous Lambda_t leaves O(eps), 7.5e-5 at t3 by default.
-CONTINUITY_FINAL_GAP = 1e-3
-
-# Largest entry gap between the left and right time derivatives of Lambda_t
-# at a junction for which the derivative counts as continuous.  Both sides
-# are closed forms, and for delta > 1 both read exactly 0.0 at t1, t2 and t3
-# (stages 1-3 at tau = 1, stages 2-4 at tau = 0); the kink of delta = 1
-# reads 0.75 at t3.  Anything above rounding is a genuine jump.
-DERIVATIVE_JUNCTION_GAP = 1e-12
+# Largest entry gap between the left and right limits of Lambda_t, and of its
+# time derivative, at a junction for which each counts as continuous.  Both
+# sides are closed forms (stages 1-3 at tau = 1, stages 2-4 at tau = 0): the
+# maps read exactly 0.0 at t1, t2 and t3, and so do the derivatives for
+# delta > 1; the kink of delta = 1 reads 0.75 at t3.  Anything above
+# rounding is a genuine jump.
+JUNCTION_GAP = 1e-12
 
 # The forcing witness's discrepancy is 2 |cos theta| (0.14 at theta = 1.5,
 # 0.042 at 1.55); at or below this it reads "inconclusive", as at theta =

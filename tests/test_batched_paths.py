@@ -39,7 +39,7 @@ def test_random_probes_bit_equal_to_loop(dim, count, seed):
     expected = _probes_by_loop(dim, count, seed)
     assert len(probes) == count and probes.dim == dim
     assert all(p.tobytes() == e.tobytes() for p, e in zip(probes.probes, expected))
-    assert probes.stacked().tobytes() == np.stack(expected).tobytes()
+    assert probes.probes.tobytes() == np.stack(expected).tobytes()
 
 
 def _old_definedness(Ls, Lt, tol):
@@ -101,7 +101,7 @@ def test_kernel_over_read_is_bounded():
     probes = random_probes(3, 2, 20210907)
     grid = np.linspace(0.0, 4.0, 1000, endpoint=False)
     rderiv = norm_derivative_scan(fam, probes, grid).rows.rderiv.reshape(2, -1).T
-    stack = probes.stacked()
+    stack = probes.probes
     X = apply_to_extended(fam.stack(grid), stack, 1)
     Xdot = apply_to_extended(fam.dot_stack(grid), stack, 1)
     lam, V = np.linalg.eigh((X + np.conj(np.swapaxes(X, -1, -2))) / 2)

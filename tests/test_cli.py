@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import qmarkov
-from qmarkov import cli, contractivity
+from qmarkov import cli, contractivity, qutrit_family
 from qmarkov.cli import main
 from qmarkov.qutrit_family import MapParams, family
-from qmarkov.superops import choi_min_eigenvalue, tp_error
+from qmarkov.superops import SuperOp, choi_min_eigenvalue, tp_error
+from qmarkov.tolerances import JUNCTION_GAP
 
 
 def run(argv):
@@ -104,6 +105,14 @@ class TestScan:
         summary = json.loads((tmp_path / "scan_summary.json").read_text())
         assert summary["passed"] is True
         assert "note" not in summary
+
+    def test_verify_writes_the_same_scan(self, tmp_path, capsys):
+        flags = ["--grid", "20", "--probes", "5", "--seed", "7"]
+        run(["verify", "--out", str(tmp_path / "v")] + flags)
+        run(["scan", "--out", str(tmp_path / "s")] + flags)
+        capsys.readouterr()
+        assert (tmp_path / "v" / "verify_scan.csv").read_bytes() == \
+            (tmp_path / "s" / "scan.csv").read_bytes()
 
     def test_csv_deterministic_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -305,6 +314,42 @@ class TestStrictJson:
         json.dumps(result, allow_nan=False)
 
 
+class TestMapContinuity:
+    """The junction check compares the exact one-sided values of Lambda_t."""
+
+    @pytest.mark.parametrize("params", [
+        MapParams(), MapParams(delta=1.05), MapParams(delta=110.0),
+        MapParams(t1=0.7, t2=1.9, t3=2.3, t4=5.1),
+        MapParams(delta=1.05, t1=0.7, t2=1.9, t3=2.3, t4=5.1),
+        MapParams(delta=110.0, t1=0.7, t2=1.9, t3=2.3, t4=5.1)],
+        ids=["delta=1", "delta=1.05", "delta=110", "t=0.7/1.9/2.3/5.1, delta=1",
+             "t=0.7/1.9/2.3/5.1, delta=1.05", "t=0.7/1.9/2.3/5.1, delta=110"])
+    def test_gaps_are_exactly_zero(self, params):
+        result = cli.check_continuity(params)
+        assert result["passed"] is True
+        assert [e["gap"] for e in result["report"].values()] == [0.0] * 3
+        assert [e["t"] for e in result["report"].values()] == [params.t1, params.t2, params.t3]
+
+    def test_jump_in_a_stage_prefix_fails(self, monkeypatch):
+        # 1e-9 off the stage-3 prefix E2 E1: the epsilon ladder of
+        # continuity_report still shrinks and ends below 1e-3
+        prefixes = list(qutrit_family._PREFIXES)
+        prefixes[2] = SuperOp(dim=3, matrix=prefixes[2].matrix + 1e-9)
+        monkeypatch.setattr(qutrit_family, "_PREFIXES", tuple(prefixes))
+        result = cli.check_continuity(MapParams())
+        assert result["passed"] is False
+        assert result["report"]["t1"]["gap"] == 0.0
+        assert result["report"]["t2"]["gap"] > JUNCTION_GAP
+
+    def test_verify_passes_at_large_delta(self, tmp_path, capsys):
+        # the epsilon ladder's t3 rungs underflow to 0.0 here
+        code = run(["verify", "--delta", "110", "--out", str(tmp_path),
+                    "--grid", "40", "--probes", "20"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[PASS] continuity" in out
+
+
 class TestDerivativeContinuity:
     """The junction check compares the one-sided derivatives themselves."""
 
@@ -312,12 +357,12 @@ class TestDerivativeContinuity:
     def test_smooth_variant_gaps_are_exactly_zero(self, delta):
         result = cli.check_continuity(MapParams(delta=delta), derivative=True)
         assert result["passed"] is True
-        assert [e["derivative_gap"] for e in result["report"].values()] == [0.0] * 3
+        assert [e["gap"] for e in result["report"].values()] == [0.0] * 3
 
     def test_kink_at_t3_without_smoothing(self):
         result = cli.check_continuity(MapParams(), derivative=True)
         assert result["passed"] is False
-        gaps = {name: e["derivative_gap"] for name, e in result["report"].items()}
+        gaps = {name: e["gap"] for name, e in result["report"].items()}
         assert gaps == {"t1": 0.0, "t2": 0.0, "t3": 0.75}
 
     @pytest.mark.parametrize("delta", ["1.01", "1.02"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmarkov.operators import OperandError, random_probes, trace_norm
+from qmarkov.operators import OperandError, ProbeSet, random_probes, trace_norm
 
 from oracles import right_derivative
 
@@ -124,3 +124,22 @@ class TestRandomProbes:
             random_probes(3, 0, 1)
         with pytest.raises(OperandError):
             random_probes(3, 1, 1, "no-such-kind")
+
+
+class TestProbeSet:
+    def test_holds_one_array(self):
+        ps = ProbeSet((np.diag([1.0, 0.0, -1.0]),), 0, "x")
+        assert ps.probes.shape == (1, 3, 3) and ps.probes.dtype == complex
+        assert len(ps) == 1 and ps.dim == 3
+
+    @pytest.mark.parametrize("probes", [
+        (np.diag([1, np.nan, -1]),),  # a scan of it died in eigh
+        (np.diag([1, np.inf, -1]),),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]),),  # not Hermitian
+        np.eye(3),  # one matrix, not a stack
+        np.zeros((2, 3, 2)),  # not square
+        np.zeros((0, 3, 3)),  # empty
+    ], ids=["nan", "inf", "non-hermitian", "2-d", "non-square", "empty"])
+    def test_rejects(self, probes):
+        with pytest.raises(OperandError):
+            ProbeSet(probes, 0, "x")

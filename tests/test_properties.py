@@ -218,7 +218,7 @@ def _scan_csv_by_rows(fam, probes, grid, k):
     """The scan as it was written with one row object per (probe, t) and
     csv.writer, on the scan's own per-grid-point numbers; returns (row
     count, CSV text)."""
-    stack = probes.stacked()
+    stack = probes.probes
     per_t = [norm_rderiv_at(fam, stack, t, k) for t in grid]
     rows = []
     for pid in range(len(stack)):
@@ -272,7 +272,7 @@ def test_scan_rows_match_point_at_a_time(shape, seed, extra):
     assert len(grid) > 64
     probes = random_probes(3 * k, n_probes, seed)
     report = norm_derivative_scan(family(), probes, grid, k=k)
-    stack = probes.stacked()
+    stack = probes.probes
     per_t = [norm_rderiv_at(family(), stack, t, k) for t in grid]
     norm = np.array([n for n, _ in per_t]).T.ravel()
     rderiv = np.array([d for _, d in per_t]).T.ravel()

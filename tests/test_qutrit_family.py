@@ -257,18 +257,23 @@ class TestContinuity:
         with pytest.raises(OperandError):
             continuity_report(eps_ladder=(0.9,))
 
-    def test_left_derivative_takes_the_stage_that_ends(self):
+    @pytest.mark.parametrize("values,gammas", [("stack", gamma_family),
+                                               ("dot_stack", gamma_family_dot)],
+                             ids=["stack", "dot_stack"])
+    def test_left_value_takes_the_stage_that_ends(self, values, gammas):
         # at t_j the stage ending there at tau = 1, its prefix applied; off the
-        # junctions, and at 0 and t4, the same bits as the right derivative
+        # junctions, and at 0 and t4, the same bits as the right value
         params = MapParams(delta=1.05, t1=0.7, t2=1.9, t3=2.3, t4=5.1)
-        fam = family(params)
-        left = fam.dot_stack([params.t1, params.t2, params.t3], left=True)
+        values = getattr(family(params), values)
+        left = values([params.t1, params.t2, params.t3], left=True)
         starts = (0.0, params.t1, params.t2, params.t3)
         for i, (m, prefix) in enumerate(zip(left, (None, make_E(1), qutrit_family.E2_E1))):
-            gamma = gamma_family_dot(i + 1, 1.0, params).matrix / (starts[i + 1] - starts[i])
+            gamma = gammas(i + 1, 1.0, params).matrix
+            if gammas is gamma_family_dot:
+                gamma = gamma / (starts[i + 1] - starts[i])
             assert np.array_equal(m, gamma if prefix is None else gamma @ prefix.matrix)
         ts = [0.0, 0.3, 1.2, 2.0, 3.7, params.t4]
-        assert np.array_equal(fam.dot_stack(ts, left=True), fam.dot_stack(ts))
+        assert np.array_equal(values(ts, left=True), values(ts))
 
 
 def test_family_callable_binds_params():

@@ -210,7 +210,7 @@ class TestStackedMaps:
     @pytest.mark.parametrize("k", [1, 2])
     def test_apply_to_extended(self, k):
         maps = self.maps()
-        X = random_probes(3 * k, 7, SEED).stacked()
+        X = random_probes(3 * k, 7, SEED).probes
         out = apply_to_extended(np.stack([S.matrix for S in maps]), X, k)
         assert out.shape == (len(maps),) + X.shape
         assert all(np.array_equal(Y, apply_to_extended(S, X, k))
