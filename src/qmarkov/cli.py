@@ -171,9 +171,8 @@ def cmd_divisibility(args, out: Path) -> int:
 
 
 def cmd_sweep(args, out: Path) -> int:
-    thetas = np.arange(args.theta_min, args.theta_max + 1e-9, args.theta_step)
     rows = contractivity.theta_window_sweep(
-        thetas, np.linspace(0.0, 1.0, 201), np.arange(0.0, 10.0 + 1e-9, 0.1))
+        args.thetas, np.linspace(0.0, 1.0, 201), np.arange(0.0, 10.0 + 1e-9, 0.1))
     header = ("theta", "max_deriv", "arg_lambda", "arg_tau", "violation")
     _write_csv(out / "sweep.csv", header, "%.15g,%.15g,%.15g,%.15g,%s",
                [[r[name] for r in rows] for name in header[:-1]]
@@ -185,7 +184,7 @@ def cmd_sweep(args, out: Path) -> int:
                  "clean": clean})
     print(f"{len(rows) - len(clean)} of {len(rows)} thetas violate")
     low, high = CONTRACTIVE_WINDOW
-    if clean != [float(t) for t in thetas if low <= t <= high]:
+    if clean != [float(t) for t in args.thetas if low <= t <= high]:
         print("clean thetas differ from the window [sqrt(2), pi/2]")
         return 1
     return 0
@@ -285,8 +284,13 @@ def main(argv=None) -> int:
             parser.error(str(err))
         if args.command == "bounds" and args.params.theta > math.pi / 2:
             parser.error("bounds: the bound chain is stated for theta in (0, pi/2]")
-    if getattr(args, "theta_min", 0.0) > getattr(args, "theta_max", 0.0):
-        parser.error("--theta-min must not exceed --theta-max")
+    if args.command == "sweep":
+        if args.theta_min > args.theta_max:
+            parser.error("--theta-min must not exceed --theta-max")
+        try:  # numpy refuses a grid too long to index before it allocates one
+            args.thetas = np.arange(args.theta_min, args.theta_max + 1e-9, args.theta_step)
+        except ValueError as err:
+            parser.error(f"--theta-step {args.theta_step}: {err}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return args.func(args, out)

@@ -19,7 +19,8 @@ from .operators import OperandError, ProbeSet
 from .qutrit_family import RHO_A, RHO_B
 from .superops import GRID_CHUNK, apply_to_extended
 from .tolerances import (KERNEL_CUTOFF, SINGULAR_ROOT, TOL_BOUND_CHAIN,
-                         TOL_CLOSED_FORM, TOL_DERIV, TOL_REFLECTION)
+                         TOL_CLOSED_FORM, TOL_DERIV, TOL_REFLECTION, TRIPLE_FLOOR,
+                         TRIPLE_GAP)
 
 
 class SingularPointError(ValueError):
@@ -123,12 +124,15 @@ def _block_entries(code: int, k: int):
     """The output blocks of Lambda_t tensor Id_k for an output code, as
     ((size, rows, cols), ...): X[..., rows, cols] of an operator stack
     (..., 3k, 3k) is the stack (..., blocks, size, size) of its size x size
-    blocks, one per qutrit block B, which spans B tensor C^k.  None when one
-    block spans the whole space."""
+    blocks, one per qutrit block B, which spans B tensor C^k.  Two linked
+    pairs join all three levels in one block."""
     linked = [pair for bit, pair in enumerate([(0, 1), (0, 2), (1, 2)]) if code >> bit & 1]
     if len(linked) > 1:
-        return None
-    blocks = [linked[0], (3 - sum(linked[0]),)] if linked else [(0,), (1,), (2,)]
+        blocks = [(0, 1, 2)]
+    elif linked:
+        blocks = [linked[0], (3 - sum(linked[0]),)]
+    else:
+        blocks = [(0,), (1,), (2,)]
     by_size = {}
     for block in blocks:
         q = [i * k + a for i in block for a in range(k)]
@@ -167,19 +171,86 @@ def _eigh_norm_rderiv(X: np.ndarray, Xdot: np.ndarray):
     return mag.sum(axis=-1), rderiv
 
 
+def _hermitised(M: np.ndarray, i: int, j: int):
+    """Entry (i, j) of the Hermitised matrices of a stack M (..., n, n)."""
+    return (M[..., i, j] + M[..., j, i].conj()) / 2
+
+
+def _re_dot(x, y):
+    """Re(x conj(y)), elementwise."""
+    return x.real * y.real + x.imag * y.imag
+
+
 def _pair_spectrum(B: np.ndarray, Bdot: np.ndarray):
     """Eigenvalues m -+ r of the Hermitised 2 x 2 matrices of a stack B
     (..., 2, 2), and their Kato rates mdot -+ rdot with Bdot, in closed
     form: m = (a + d)/2, r = |((a - d)/2, b)| for B = [[a, b], [b*, d]].
     A row with r = 0 (a tie) reads NaN rates."""
-    a, d, b = B[..., 0, 0].real, B[..., 1, 1].real, (B[..., 0, 1] + B[..., 1, 0].conj()) / 2
-    ad, dd = Bdot[..., 0, 0].real, Bdot[..., 1, 1].real
-    bd = (Bdot[..., 0, 1] + Bdot[..., 1, 0].conj()) / 2
+    a, d, b = B[..., 0, 0].real, B[..., 1, 1].real, _hermitised(B, 0, 1)
+    ad, dd, bd = Bdot[..., 0, 0].real, Bdot[..., 1, 1].real, _hermitised(Bdot, 0, 1)
     m, h = 0.5 * a + 0.5 * d, 0.5 * a - 0.5 * d
     r = np.hypot(h, np.abs(b))
     mdot = 0.5 * ad + 0.5 * dd
     rdot = (h * (0.5 * ad - 0.5 * dd) + b.real * bd.real + b.imag * bd.imag) / r
     return np.stack([m - r, m + r], axis=-1), np.stack([mdot - rdot, mdot + rdot], axis=-1)
+
+
+# arccos(q)/3 plus these angles gives the cubic's roots in ascending order
+_TRIPLE_ANGLES = (2 * math.pi / 3, 4 * math.pi / 3, 0.0)
+
+
+def _triple_spectrum(B: np.ndarray, Bdot: np.ndarray):
+    """Eigenvalues (ascending) of the Hermitised 3 x 3 matrices of a stack B
+    (..., 3, 3), and their Kato rates with Bdot, in closed form: the
+    trigonometric roots of the characteristic cubic (Smith, Commun. ACM 4,
+    168, 1961).  With m = tr B / 3, p = sqrt(tr (B - m)^2 / 6) and q =
+    det((B - m)/p) / 2, lam_j = m + 2p cos(arccos(q)/3 + 2 pi j/3).  The rate
+    of lam_i is Tr(P_i Bdot), with P_i = (B - lam_j)(B - lam_k) / ((lam_i -
+    lam_j)(lam_i - lam_k)) the spectral projector, from Tr Bdot, Tr (B - m)
+    Bdot and Tr (B - m)^2 Bdot.
+
+    The roots lose digits near a double root (Kopp, Int. J. Mod. Phys. C
+    19, 523, 2008), so a row reads NaN rates, and takes eigh, where
+    neighbouring eigenvalues lie closer than TRIPLE_GAP times its largest
+    |lam| (sqrt(TRIPLE_GAP) for a pair of opposite signs) or its smallest
+    |lam| is at most TRIPLE_FLOOR times it; ties, the zero block and
+    non-finite rows fail the same tests."""
+    d0, d1, d2 = B[..., 0, 0].real, B[..., 1, 1].real, B[..., 2, 2].real
+    m = (d0 + d1 + d2) / 3
+    d0, d1, d2 = d0 - m, d1 - m, d2 - m
+    b01, b02, b12 = _hermitised(B, 0, 1), _hermitised(B, 0, 2), _hermitised(B, 1, 2)
+    s01, s02, s12 = _re_dot(b01, b01), _re_dot(b02, b02), _re_dot(b12, b12)
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2 * (s01 + s02 + s12)) / 6)
+    # det((B - m)/p) / 2 from the scaled entries, so that no power of p overflows
+    n0, n1, n2, c01, c02, c12 = d0 / p, d1 / p, d2 / p, b01 / p, b02 / p, b12 / p
+    q = (n0 * n1 * n2 + 2 * _re_dot(c01 * c12, c02) - n0 * _re_dot(c12, c12)
+         - n1 * _re_dot(c02, c02) - n2 * _re_dot(c01, c01)) / 2
+    phi = np.arccos(np.clip(q, -1.0, 1.0)) / 3
+    mu = [2 * p * np.cos(phi + angle) for angle in _TRIPLE_ANGLES]
+
+    e0, e1, e2 = Bdot[..., 0, 0].real, Bdot[..., 1, 1].real, Bdot[..., 2, 2].real
+    f01, f02, f12 = _hermitised(Bdot, 0, 1), _hermitised(Bdot, 0, 2), _hermitised(Bdot, 1, 2)
+    t0 = e0 + e1 + e2
+    t1 = d0 * e0 + d1 * e1 + d2 * e2 + 2 * (_re_dot(b01, f01) + _re_dot(b02, f02)
+                                            + _re_dot(b12, f12))
+    # (B - m)^2: its diagonal, and its entries (0, 1), (0, 2), (1, 2)
+    t2 = ((d0 * d0 + s01 + s02) * e0 + (d1 * d1 + s01 + s12) * e1
+          + (d2 * d2 + s02 + s12) * e2
+          + 2 * (_re_dot((d0 + d1) * b01 + b02 * b12.conj(), f01)
+                 + _re_dot((d0 + d2) * b02 + b01 * b12, f02)
+                 + _re_dot((d1 + d2) * b12 + b01.conj() * b02, f12)))
+    rates = [(t2 - (mj + mk) * t1 + mj * mk * t0) / ((mi - mj) * (mi - mk))
+             for mi, mj, mk in (mu, mu[1:] + mu[:1], mu[2:] + mu[:2])]
+
+    lo, mid, hi = (m + v for v in mu)
+    scale = np.maximum(np.abs(lo), np.abs(hi))
+    trusted = np.minimum(np.abs(lo), np.minimum(np.abs(mid), np.abs(hi))) > TRIPLE_FLOOR * scale
+    for a, b in ((lo, mid), (mid, hi)):
+        gap = (b - a) / scale
+        # a pair of opposite signs enters through its rates' difference: eps/gap^2
+        trusted &= np.where(a * b < 0, gap * gap, gap) >= TRIPLE_GAP
+    return (np.stack([lo, mid, hi], axis=-1),
+            np.where(trusted[..., None], np.stack(rates, axis=-1), np.nan))
 
 
 def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: int):
@@ -189,37 +260,38 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
     where Lambda_t's output rows are.
 
     Per block the eigenvalues and Kato rates <v_i|Xdot|v_i> are read off the
-    diagonal (1 x 1), in closed form (2 x 2, ``_pair_spectrum``) or from one
-    batched eigh per block size; only a block's own entries of Xdot enter
-    them.  A row's values are sorted ascending and reduced as eigh's path
-    reduces them, so a row of 1 x 1 blocks gives eigh's bits.  (LAPACK
+    diagonal (1 x 1), in closed form (2 x 2, ``_pair_spectrum``; 3 x 3,
+    ``_triple_spectrum``) or from one batched eigh per larger block size;
+    only a block's own entries of Xdot enter them.  A row's values are
+    sorted ascending and reduced as eigh's path reduces them, so a row of
+    1 x 1 blocks gives eigh's bits.  (LAPACK
     rescales a matrix whose largest entry lies outside about [1e-146,
     1e146] and then rounds even a diagonal; the blocks keep the exact
     diagonal there.)  A row with a kernel eigenvalue needs the cross-block
     entries of Xdot in ||P0 Xdot P0||_1, and a row with a tie has no
     well-ordered pairing of values and rates; both take one batched eigh of
-    the full X, as do the points where one block spans the space, and rows
-    with NaN or inf, which fail the comparisons or the finiteness test.
+    the full X, as do rows with NaN or inf, which fail the comparisons or
+    the finiteness test, and rows whose 3 x 3 closed form fails its trust
+    test (near-degenerate eigenvalues, or one near 0), which read NaN rates.
     """
     norm, rderiv = np.empty(X.shape[:2]), np.empty(X.shape[:2])
     slow = np.ones(X.shape[:2], dtype=bool)
     # the codes present; np.unique would do, but its first call costs 1.6 MB of RSS
     for code in np.flatnonzero(np.bincount(codes)).tolist():
-        sizes = _block_entries(code, k)
-        if sizes is None:
-            continue
         at = codes == code
         at = slice(None) if at.all() else at
         Xg, Xdotg = X[at], Xdot[at]
         lam, rates = [], []
         # non-finite entries and ties only raise flags in rows that take eigh
         with np.errstate(all="ignore"):
-            for size, rows, cols in sizes:
+            for size, rows, cols in _block_entries(code, k):
                 B, Bdot = Xg[..., rows, cols], Xdotg[..., rows, cols]
                 if size == 1:
                     values = B[..., 0, 0].real, Bdot[..., 0, 0].real
                 elif size == 2:
                     values = _pair_spectrum(B, Bdot)
+                elif size == 3:
+                    values = _triple_spectrum(B, Bdot)
                 else:
                     block_lam, _, _, block_rates = _eigh_spectrum(B, Bdot)
                     values = block_lam, block_rates
@@ -278,9 +350,10 @@ def norm_rderiv_at(fam, stack: np.ndarray, t: float, k: int = 1):
     P0 the projector onto the kernel of X, which is the eigenvalues with
     |lam| <= KERNEL_CUTOFF * max |lam| of each probe.  X is block diagonal
     where Lambda_t's output is, and the eigenvalues and rates come per
-    block (``_block_norm_rderiv``); a probe with a kernel eigenvalue takes
-    one eigh of the whole X.  ``fam`` is a ``qutrit_family.Family``, whose
-    grids ``stack``/``dot_stack`` are used.  Returns the arrays (norm,
+    block (``_block_norm_rderiv``), in closed form up to 3 x 3; a probe with
+    a kernel eigenvalue, or whose 3 x 3 closed form fails its trust test,
+    takes one eigh of the whole X.  ``fam`` is a ``qutrit_family.Family``,
+    whose grids ``stack``/``dot_stack`` are used.  Returns the arrays (norm,
     rderiv), one entry per probe: the one-point batch of
     ``norm_derivative_scan``.
     """
@@ -297,11 +370,12 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     and ``fam.dot_stack`` call, and the derivatives are exact
     (``norm_rderiv_at``).  Each point's X splits into the output blocks of
     its Lambda_t tensored with C^k: one block in stage 1, three on [t1, t3]
-    and two in stage 4.  1 x 1 blocks are read off the diagonal, 2 x 2
-    blocks in closed form and larger ones by one batched eigh per block
-    size; the stage-1 points and the rows with a kernel eigenvalue, a tie
-    or a non-finite value take one batched eigh of the whole X.  A row of
-    1 x 1 blocks gives eigh's bits, and the batching changes no bit of a
+    and two in stage 4.  1 x 1 blocks are read off the diagonal, 2 x 2 and
+    3 x 3 blocks in closed form and larger ones by one batched eigh per
+    block size; the rows with a kernel eigenvalue, a tie, a non-finite
+    value or a 3 x 3 block too near degenerate for its closed form
+    (TRIPLE_GAP, TRIPLE_FLOOR) take one batched eigh of the whole X.  A row
+    of 1 x 1 blocks gives eigh's bits, and the batching changes no bit of a
     result.  Rows are sorted by (probe, t); a row fails when its right
     derivative exceeds TOL_DERIV.
     """

@@ -21,10 +21,13 @@ class OperandError(ValueError):
 
 
 def as_hermitian(X) -> np.ndarray:
-    """Validate Hermiticity of ``X`` (within TOL_HERM) and return it as complex."""
+    """Validate that ``X`` is finite and Hermitian (within TOL_HERM), and
+    return it as complex."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] < 1:
         raise OperandError(f"expected a square matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise OperandError("matrix has a NaN or infinite entry")
     if np.max(np.abs(X - X.conj().T)) > TOL_HERM:
         raise OperandError("matrix is not Hermitian within tolerance")
     return X

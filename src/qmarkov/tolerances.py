@@ -73,6 +73,25 @@ PURITY_TOL = 1e-8
 # spurious 3.3e-7 at t = 1.96 on the default verify scan, 1e-13 reads 1.9e-15.
 KERNEL_CUTOFF = 1e-13
 
+# The scan's closed-form 3 x 3 block spectrum (the trigonometric roots of
+# the characteristic cubic) is trusted where neighbouring eigenvalues lie at
+# least TRIPLE_GAP times the block's largest |lam| apart.  Near a double root
+# arccos amplifies the rounding of q: the pair's eigenvalues err by about
+# eps/gap of that scale, and each of its rates by eps/gap^2 of Xdot.  A pair
+# of equal signs enters the derivative through the sum of its rates, which
+# errs by eps/gap only; a pair of opposite signs through their difference,
+# so there the gap must reach sqrt(TRIPLE_GAP).  On constructed blocks 5 %
+# inside either edge the derivative erred by at most 3e-14 times Xdot's
+# largest entry against a 50-digit reference.  53 of the 10,000 stage-1 rows
+# of the default verify scan fail the test and take eigh.
+TRIPLE_GAP = 1e-2
+
+# A closed-form 3 x 3 block whose smallest |lam| is at most TRIPLE_FLOOR times
+# its largest takes eigh: below it the cubic's error (about 1e-14 of the
+# largest) would no longer leave the sign and the KERNEL_CUTOFF decision of
+# that eigenvalue to eigh's accuracy.
+TRIPLE_FLOOR = 1e-6
+
 # Largest entry gap between the left and right limits of Lambda_t, and of its
 # time derivative, at a junction for which each counts as continuous.  Both
 # sides are closed forms (stages 1-3 at tau = 1, stages 2-4 at tau = 0): the

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qmarkov.contractivity import (_block_norm_rderiv, _eigh_norm_rderiv,
-                                   _norm_rderiv, _output_codes,
+                                   _norm_rderiv, _output_codes, _triple_spectrum,
                                    norm_derivative_scan)
 from qmarkov.divisibility import RESIDUAL_TOL, _intermediate_maps
 from qmarkov.operators import random_probes
 from qmarkov.qutrit_family import MapParams, family
 from qmarkov.superops import apply_to_extended
-from qmarkov.tolerances import KERNEL_CUTOFF, RANK_CUTOFF, TOL_DERIV
+from qmarkov.tolerances import (KERNEL_CUTOFF, RANK_CUTOFF, TOL_DERIV, TRIPLE_FLOOR,
+                                TRIPLE_GAP)
 
 
 def _probes_by_loop(dim, count, seed):
@@ -210,17 +211,20 @@ def _eigh_matrices(monkeypatch, scan):
 
 
 def test_eigh_takes_stage_1_kernel_rows_and_stage_4_blocks(monkeypatch):
-    """The default verify scan (200 probes x 200 points) sends 10,400 of its
-    40,000 rows to eigh, all 3 x 3: every row at the 50 points of stage 1,
-    and at t = 1.98 and t = 2.0, where stage 2's weight (about 1e-21) or
-    E2 E1 leaves every X a kernel eigenvalue; stage 4 takes the closed 2 x 2
-    form.  The k = 2 scan (500 probes x 40 points) sends 5,500 full 6 x 6
-    matrices (the 10 points of stage 1, and t = 2.0) and 4,500 4 x 4 blocks
-    span{|0>, |1>} x C^2 (the 9 points of stage 4 after t3)."""
+    """The default verify scan (200 probes x 200 points) sends 453 of its
+    40,000 rows to eigh, all 3 x 3: every row at t = 1.98 and t = 2.0, where
+    stage 2's weight (about 1e-21) or E2 E1 leaves every X a kernel
+    eigenvalue, and the 53 of stage 1's 10,000 rows that fail the closed
+    3 x 3 form's trust test (17 with neighbouring eigenvalues closer than
+    TRIPLE_GAP, 36 with a pair of opposite signs closer than
+    sqrt(TRIPLE_GAP)); stage 4 takes the closed 2 x 2 form.  The k = 2
+    scan (500 probes x 40 points) sends 5,500 6 x 6 matrices (the one block
+    of the 10 points of stage 1, and the full X at t = 2.0) and 4,500 4 x 4
+    blocks span{|0>, |1>} x C^2 (the 9 points of stage 4 after t3)."""
     grid = np.linspace(0.0, 4.0, 200, endpoint=False)
     probes = random_probes(3, 200, 20210907)
     assert _eigh_matrices(monkeypatch, lambda: norm_derivative_scan(
-        family(), probes, grid)) == {3: 10400}
+        family(), probes, grid)) == {3: 453}
     probes = random_probes(6, 500, 20210907)
     assert _eigh_matrices(monkeypatch, lambda: norm_derivative_scan(
         family(), probes, np.linspace(0.0, 4.0, 40, endpoint=False), k=2)) == {6: 5500, 4: 4500}
@@ -289,18 +293,25 @@ RATES = np.array([[0.3, 0.1 - 0.2j, 0.5j], [0.1 + 0.2j, -0.7, 0.2],
                   [-0.5j, 0.2, 0.4]])
 
 
+def _assert_second_row_takes_eigh(monkeypatch, X, Xdot, code):
+    """Of two rows X, Xdot (1, 2, 3, 3) at a point of output ``code``, only
+    the second goes to eigh, and gives its bits; the first agrees with eigh
+    to rounding."""
+    rows = {}
+    assert _eigh_matrices(monkeypatch, lambda: rows.update(
+        got=_block_norm_rderiv(X, Xdot, np.array([code]), 1))) == {3: 1}
+    expected = _eigh_norm_rderiv(X, Xdot)
+    _assert_close(rows["got"], expected)
+    _assert_same_bits([v[:, 1] for v in rows["got"]], [v[:, 1] for v in expected])
+
+
 def test_pair_closed_form_near_the_kernel_cutoff(monkeypatch):
     """A 2 x 2 block eigenvalue 5 % above KERNEL_CUTOFF times the row's
     largest |lam| stays in the closed form; 5 % below, it is kernel, and the
     row takes eigh."""
     X, Xdot = _stage4_rows([_rotated([1.0, 1.05 * KERNEL_CUTOFF]),
                             _rotated([1.0, 0.95 * KERNEL_CUTOFF])], 0.5, RATES)
-    rows = {}
-    assert _eigh_matrices(monkeypatch, lambda: rows.update(
-        got=_block_norm_rderiv(X, Xdot, np.array([1]), 1))) == {3: 1}
-    expected = _eigh_norm_rderiv(X, Xdot)
-    _assert_close(rows["got"], expected)
-    _assert_same_bits([v[:, 1] for v in rows["got"]], [v[:, 1] for v in expected])
+    _assert_second_row_takes_eigh(monkeypatch, X, Xdot, 1)
 
 
 def _outcome(fn):
@@ -310,6 +321,21 @@ def _outcome(fn):
         return fn()
     except np.linalg.LinAlgError as err:
         return type(err)
+
+
+def _assert_row_takes_eigh(monkeypatch, X, Xdot, code):
+    """The one row X, Xdot (1, 1, 3, 3) at a point of output ``code`` goes
+    to eigh, and gives its bits (or its error)."""
+    rows = {}
+    assert _eigh_matrices(monkeypatch, lambda: rows.update(
+        got=_outcome(lambda: _block_norm_rderiv(X, Xdot, np.array([code]), 1)))) == {3: 1}
+    got, expected = rows["got"], _outcome(lambda: _eigh_norm_rderiv(X, Xdot))
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize("pair,last", [
@@ -326,17 +352,7 @@ def test_pair_fallbacks_take_eigh(monkeypatch, pair, last, rates):
     """Ties, zero eigenvalues (signed zeros included) and non-finite entries
     take eigh, and give its bits (or its error); none raises a
     RuntimeWarning, which this suite turns into an error."""
-    X, Xdot = _stage4_rows([pair], last, rates)
-    rows = {}
-    assert _eigh_matrices(monkeypatch, lambda: rows.update(
-        got=_outcome(lambda: _block_norm_rderiv(X, Xdot, np.array([1]), 1)))) == {3: 1}
-    got, expected = rows["got"], _outcome(lambda: _eigh_norm_rderiv(X, Xdot))
-    if isinstance(expected, type):
-        assert got is expected
-        return
-    for a, b in zip(got, expected):
-        assert np.array_equal(a, b, equal_nan=True)
-        assert np.array_equal(np.signbit(a), np.signbit(b))
+    _assert_row_takes_eigh(monkeypatch, *_stage4_rows([pair], last, rates), 1)
 
 
 def test_non_finite_rates_take_eigh(monkeypatch):
@@ -349,3 +365,70 @@ def test_non_finite_rates_take_eigh(monkeypatch):
         got=_block_norm_rderiv(X, Xdot, np.array([1]), 1))) == {3: 1}
     for a, b in zip(rows["got"], _eigh_norm_rderiv(X, Xdot)):
         assert np.array_equal(a, b, equal_nan=True)
+
+
+def _unitary(seed):
+    """A Haar-random 3 x 3 unitary (QR of a Ginibre draw, phases fixed)."""
+    g = np.random.default_rng(seed).standard_normal((2, 3, 3))
+    q, r = np.linalg.qr(g[0] + 1j * g[1])
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _spectral(lams, seed=7):
+    """Rows (1, len(lams), 3, 3) X = U diag(lam) U^dag in complex bases U,
+    with RATES as derivative: stage-1 rows, one 3 x 3 block each."""
+    U = np.stack([_unitary(seed + i) for i in range(len(lams))])
+    X = U @ (np.asarray(lams, dtype=float)[..., None] * np.conj(np.swapaxes(U, -1, -2)))
+    return X[None], np.broadcast_to(RATES, X[None].shape).astype(complex), U
+
+
+@pytest.mark.parametrize("lam", [
+    [-2.0, 0.5, 3.0], [0.1, 0.2, 0.7], [-3.0, -1.0, -0.25], [1e-3, 1.0, 2.0],
+    [-40.0, 1.0, 60.0], [1e-120, 2e-120, 4e-120], [1e120, 3e120, 5e120]],
+    ids=["mixed", "state", "negative", "small", "wide", "tiny", "huge"])
+def test_triple_spectrum_reads_constructed_spectra(lam):
+    """For X = U diag(lam) U^dag the closed form returns lam ascending and the
+    rates <u_i|Xdot|u_i>, to rounding of the block's scale."""
+    X, Xdot, U = _spectral([lam])
+    got_lam, got_rates = _triple_spectrum(X[0], Xdot[0])
+    rates = np.einsum("...ji,jk,...ki->...i", U.conj(), RATES, U).real
+    scale = max(abs(lam[0]), abs(lam[-1]))
+    assert np.all(np.abs(got_lam - lam) <= 1e-14 * scale)
+    assert np.all(np.abs(got_rates - rates) <= 1e-13)
+
+
+@pytest.mark.parametrize("lams", [
+    lambda f: [0.5, 0.5 + f * TRIPLE_GAP, 1.0],
+    lambda f: [-f * math.sqrt(TRIPLE_GAP) / 2, f * math.sqrt(TRIPLE_GAP) / 2, 1.0],
+    lambda f: [f * TRIPLE_FLOOR, -0.5, 1.0],
+], ids=["same-sign-gap", "opposite-sign-gap", "floor"])
+def test_triple_closed_form_near_its_trust_edges(monkeypatch, lams):
+    """A 3 x 3 block 5 % inside the closed form's trust test (gap, gap of a
+    pair of opposite signs, smallest |lam|) stays in the closed form; 5 %
+    outside, its row takes eigh."""
+    X, Xdot, _ = _spectral([lams(1.05), lams(0.95)])
+    _assert_second_row_takes_eigh(monkeypatch, X, Xdot, 7)
+
+
+@pytest.mark.parametrize("block", [
+    0.7 * np.eye(3),  # a triple tie: p = 0
+    np.diag([0.4, 0.9, 0.4]),  # a double tie
+    np.zeros((3, 3)),  # the zero block
+    np.diag([-0.0, -0.0, 1.0]),  # signed zeros
+    # kernel or not by a 5 % margin, far under TRIPLE_FLOOR: eigh decides
+    _spectral([[1.05 * KERNEL_CUTOFF, -0.5, 1.0]])[0][0, 0],
+    _spectral([[0.95 * KERNEL_CUTOFF, -0.5, 1.0]])[0][0, 0],
+    np.diag([1.0, np.inf, -1.0]),
+    np.diag([np.nan, 0.5, 0.5]),
+    np.array([[1.0, np.nan, 0.0], [np.nan, 2.0, 0.0], [0.0, 0.0, 3.0]]),
+    np.array([[1e200, 1.0, 0.0], [1.0, -1e200, 0.0], [0.0, 0.0, 3.0]]),  # p overflows
+], ids=["triple-tie", "tie", "zero", "signed-zero", "above-kernel-cutoff",
+        "below-kernel-cutoff", "inf", "nan", "nan-off", "overflow"])
+@pytest.mark.parametrize("rates", [RATES, np.full((3, 3), -0.0)], ids=["rates", "zero-rates"])
+def test_triple_fallbacks_take_eigh(monkeypatch, block, rates):
+    """Ties, zero or near-kernel eigenvalues (signed zeros included),
+    non-finite entries and an overflowing spread take eigh, and give its
+    bits (or its error); none raises a RuntimeWarning, which this suite
+    turns into an error."""
+    X = block[None, None].astype(complex)
+    _assert_row_takes_eigh(monkeypatch, X, np.broadcast_to(rates, X.shape).astype(complex), 7)

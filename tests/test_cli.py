@@ -259,6 +259,7 @@ class TestUsage:
         ["sweep", "--theta-step", "-0.1"],
         ["sweep", "--theta-step", "inf"],
         ["sweep", "--theta-min", "1.7", "--theta-max", "1.0"],
+        ["sweep", "--theta-step", "1e-300"],  # numpy refuses the grid's size
         ["scan", "--theta", "-1"],
         ["verify", "--delta", "0.5"],
         ["bounds", "--theta", "2.0"],

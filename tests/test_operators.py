@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qmarkov.operators import OperandError, ProbeSet, random_probes, trace_norm
+from qmarkov.operators import (OperandError, ProbeSet, check_density, random_probes,
+                               trace_norm)
 
 from oracles import right_derivative
 
@@ -54,6 +55,13 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(OperandError):
             trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        """A NaN or inf entry is an OperandError, raised before eigvalsh
+        (which fails to converge on NaN) and without a RuntimeWarning."""
+        with pytest.raises(OperandError, match="NaN or infinite"):
+            trace_norm(np.diag([1.0, bad, -1.0]))
 
     def test_triangle_and_scaling(self):
         rng = np.random.default_rng(SEED)
@@ -143,3 +151,11 @@ class TestProbeSet:
     def test_rejects(self, probes):
         with pytest.raises(OperandError):
             ProbeSet(probes, 0, "x")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_density_rejects_non_finite(bad):
+    """Every comparison with a NaN is false, so a NaN entry passed the
+    trace and eigenvalue checks before as_hermitian tested finiteness."""
+    with pytest.raises(OperandError, match="NaN or infinite"):
+        check_density(np.diag([bad, 0.5, 0.5]))
