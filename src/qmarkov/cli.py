@@ -39,6 +39,15 @@ def _write_json(path: Path, payload: dict) -> None:
 _write_csv = contractivity.write_csv  # the one CSV writer, as the CLI's I/O site
 
 
+def _write_rows(path: Path, rows: np.ndarray) -> None:
+    """Write the record array ``rows`` as CSV, each column formatted by its
+    dtype: floats as %.15g, booleans as true/false, the rest as they are."""
+    columns = [rows[name] for name in rows.dtype.names]
+    _write_csv(path, rows.dtype.names,
+               ",".join("%.15g" if c.dtype.kind == "f" else "%s" for c in columns),
+               [np.where(c, "true", "false") if c.dtype == bool else c for c in columns])
+
+
 def check_continuity(params: MapParams, derivative: bool = False) -> dict:
     """Junction continuity of Lambda_t, or with ``derivative`` of its time
     derivative.
@@ -87,10 +96,10 @@ def check_closed_form(params: MapParams) -> dict:
     (row,) = contractivity.theta_window_sweep(
         [params.theta], np.arange(0.0, 1.0 + 1e-9, 0.01),
         np.arange(0.0, 10.0 + 1e-9, 0.1))
-    result = {"passed": not row["violation"],
-              "max_closed_form_derivative": row["max_deriv"]}
-    if row["singular_points_skipped"]:
-        result["singular_points_skipped"] = row["singular_points_skipped"]
+    result = {"passed": not row.violation,
+              "max_closed_form_derivative": float(row.max_deriv)}
+    if row.singular_points_skipped:
+        result["singular_points_skipped"] = int(row.singular_points_skipped)
     return result
 
 
@@ -156,13 +165,11 @@ def cmd_divisibility(args, out: Path) -> int:
     params = args.params
     rows = divisibility.cp_divisibility_scan(family(params),
                                              np.linspace(0.0, params.t4, args.grid))
-    header = ("s", "t", "definedness", "residual", "choi_min_eig", "verdict")
-    _write_csv(out / "divisibility.csv", header, "%.15g,%.15g,%s,%.15g,%.15g,%s",
-               [[r[name] for r in rows] for name in header])
+    _write_rows(out / "divisibility.csv", rows)
     forcing = check_forcing(params)
     summary = {"command": "divisibility", "theta": params.theta,
                "intervals": len(rows),
-               "verdicts": {v: sum(1 for r in rows if r["verdict"] == v)
+               "verdicts": {v: int(np.sum(rows.verdict == v))
                             for v in ("CP", "not-CP", "undefined-off-image")},
                "forcing_witness": forcing}
     _write_json(out / "divisibility_summary.json", summary)
@@ -173,14 +180,11 @@ def cmd_divisibility(args, out: Path) -> int:
 def cmd_sweep(args, out: Path) -> int:
     rows = contractivity.theta_window_sweep(
         args.thetas, np.linspace(0.0, 1.0, 201), np.arange(0.0, 10.0 + 1e-9, 0.1))
-    header = ("theta", "max_deriv", "arg_lambda", "arg_tau", "violation")
-    _write_csv(out / "sweep.csv", header, "%.15g,%.15g,%.15g,%.15g,%s",
-               [[r[name] for r in rows] for name in header[:-1]]
-               + [np.where([r["violation"] for r in rows], "true", "false")])
-    clean = [r["theta"] for r in rows if not r["violation"]]
+    _write_rows(out / "sweep.csv",
+                rows[["theta", "max_deriv", "arg_lambda", "arg_tau", "violation"]])
+    clean = rows.theta[~rows.violation].tolist()
     _write_json(out / "sweep_summary.json",
-                {"command": "sweep",
-                 "violations": [r["theta"] for r in rows if r["violation"]],
+                {"command": "sweep", "violations": rows.theta[rows.violation].tolist(),
                  "clean": clean})
     print(f"{len(rows) - len(clean)} of {len(rows)} thetas violate")
     low, high = CONTRACTIVE_WINDOW
@@ -194,12 +198,7 @@ def cmd_bounds(args, out: Path) -> int:
     params = args.params
     result = contractivity.bound_chain_check(
         params.theta, np.arange(0.005, 1.0 + 1e-9, 0.005))
-    rows = result["rows"]
-    flags = [name for name in rows.dtype.names if rows[name].dtype == bool]
-    _write_csv(out / "bounds.csv", rows.dtype.names,
-               ",".join("%s" if name in flags else "%.15g" for name in rows.dtype.names),
-               [np.where(rows[name], "true", "false") if name in flags else rows[name]
-                for name in rows.dtype.names])
+    _write_rows(out / "bounds.csv", result["rows"])
     ok = result["chain_ok"] and result["lambda_monotone"] and \
         result["polynomial_nonpositive"]
     _write_json(out / "bounds_summary.json",

@@ -458,29 +458,30 @@ def _closed_form_mesh(fn, lam, tau, theta):
     return vals, int(keep.size - keep.sum())
 
 
-def theta_window_sweep(theta_grid, tau_grid, lam_grid) -> list:
+def theta_window_sweep(theta_grid, tau_grid, lam_grid) -> np.recarray:
     """Locate the worst (lam, tau) of the closed-form derivative per theta.
 
-    Rows report the maximum, its location (the first maximum in lam-major
-    order) and a violation flag; singular grid points are skipped and
-    counted.
+    A record array ``theta, max_deriv, arg_lambda, arg_tau, violation,
+    singular_points_skipped``, one row per theta: the maximum, its location
+    (the first maximum in lam-major order) and a violation flag.  Singular
+    grid points are skipped and counted; where every point is singular the
+    maximum is -inf and its location NaN.
     """
     tau = np.asarray(list(tau_grid), dtype=float)
     lam = np.asarray(list(lam_grid), dtype=float)
     lam_mesh, tau_mesh = np.meshgrid(lam, tau, indexing="ij")
-    rows = []
-    for theta in theta_grid:
-        vals, skipped = _closed_form_mesh(gamma4_derivative_closed_form,
-                                          lam_mesh, tau_mesh, theta)
-        best, best_lam, best_tau = -math.inf, None, None
-        if skipped < vals.size:
+    thetas = np.asarray(list(theta_grid), dtype=float)
+    best, where = np.full(len(thetas), -math.inf), np.full((2, len(thetas)), math.nan)
+    skipped = np.zeros(len(thetas), dtype=int)
+    for n, theta in enumerate(thetas):
+        vals, skipped[n] = _closed_form_mesh(gamma4_derivative_closed_form,
+                                             lam_mesh, tau_mesh, theta)
+        if skipped[n] < vals.size:
             i, j = np.unravel_index(np.argmax(vals), vals.shape)
-            best, best_lam, best_tau = float(vals[i, j]), float(lam[i]), float(tau[j])
-        rows.append({"theta": float(theta), "max_deriv": best,
-                     "arg_lambda": best_lam, "arg_tau": best_tau,
-                     "violation": best > TOL_CLOSED_FORM,
-                     "singular_points_skipped": skipped})
-    return rows
+            best[n], where[:, n] = vals[i, j], (lam[i], tau[j])
+    return np.rec.fromarrays([thetas, best, *where, best > TOL_CLOSED_FORM, skipped],
+                             names=("theta", "max_deriv", "arg_lambda", "arg_tau",
+                                    "violation", "singular_points_skipped"))
 
 
 def bound_chain_check(theta: float, tau_grid, lam_grid=None) -> dict:

@@ -11,6 +11,7 @@ relies on the off-image completion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,17 +45,17 @@ class ForcingWitness:
     discrepancy: float
 
 
-def _intermediate_maps(Ls: np.ndarray, Lt: np.ndarray, tol: float):
+def _intermediate_maps(Ls: np.ndarray, Lt: np.ndarray):
     """V = Lt pinv(Ls) for stacks (c, n, n) of map matrices, with a
     rank-revealing pseudoinverse; one batched SVD and matmul each.
 
-    The pseudoinverse takes np.linalg.pinv(Ls, rcond=tol)'s steps, so V is
-    bit-equal to it, and the rank is read off the same singular values.
+    The pseudoinverse takes np.linalg.pinv(Ls, rcond=RANK_CUTOFF)'s steps, so
+    V is bit-equal to it, and the rank is read off the same singular values.
     Returns the arrays (V, residual, definedness), one entry per interval.
     """
     n = Ls.shape[-1]
     u, sv, vh = np.linalg.svd(Ls.conj(), full_matrices=False)
-    large = sv > tol * sv[:, :1]
+    large = sv > RANK_CUTOFF * sv[:, :1]
     inv = np.divide(1, sv, out=np.zeros_like(sv), where=large)
     V = Lt @ (np.swapaxes(vh, -1, -2) @ (inv[..., None] * np.swapaxes(u, -1, -2)))
     residual = np.abs(V @ Ls - Lt).max(axis=(-2, -1))
@@ -64,57 +65,50 @@ def _intermediate_maps(Ls: np.ndarray, Lt: np.ndarray, tol: float):
     return V, residual, definedness
 
 
-def _maps(family, ts) -> np.ndarray:
-    """Matrices of ``family`` at ``ts``, stacked: one ``family.stack(ts)`` call
-    when it has one (``qutrit_family.Family``), else one call per point."""
-    stack = getattr(family, "stack", None)
-    return stack(ts) if stack else np.stack([family(t).matrix for t in ts])
-
-
 def intermediate_map(family, s: float, t: float) -> IntermediateMap:
     """V = Lambda_t pinv(Lambda_s), with rank-revealing pseudoinverse: the
     one-interval batch of ``cp_divisibility_scan``."""
     if s >= t:
         raise OperandError("need s < t")
-    Ls, Lt = family(s), family(t)
-    V, residual, kind = _intermediate_maps(Ls.matrix[None], Lt.matrix[None], RANK_CUTOFF)
-    return IntermediateMap(s=s, t=t, map=SuperOp(dim=Ls.dim, matrix=V[0]),
+    Ls, Lt = family.stack([s, t])
+    V, residual, kind = _intermediate_maps(Ls[None], Lt[None])
+    return IntermediateMap(s=s, t=t, map=SuperOp(dim=math.isqrt(len(Ls)), matrix=V[0]),
                            residual=float(residual[0]), definedness=str(kind[0]))
 
 
-def cp_divisibility_scan(family, grid) -> list:
+def cp_divisibility_scan(family, grid) -> np.recarray:
     """Per-interval CP verdicts for consecutive grid pairs.
 
-    Each row carries the interval, definedness, residual, Choi minimum
+    A record array ``s, t, definedness, residual, choi_min_eig, verdict``,
+    one row per interval: its definedness, residual, the Choi minimum
     eigenvalue of the (minimum-norm completed) intermediate map and a
     verdict in {"CP", "not-CP", "undefined-off-image"}.  The not-CP verdict
     on rank-deficient intervals refers to the completion; the forcing
-    witness is the extension-independent certificate.  ``family`` is any
-    callable t -> SuperOp, evaluated once per grid point (through its
-    ``stack`` when it has one), and the intervals go in batches of GRID_CHUNK
-    through one SVD, pinv and Choi eigvalsh each; the batching does not
-    change any result.
+    witness is the extension-independent certificate.  ``family`` is read
+    only through ``family.stack(ts)``, once per grid point, and the
+    intervals go in batches of GRID_CHUNK through one SVD, pinv and Choi
+    eigvalsh each; the batching does not change any result.
     """
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise OperandError("grid must be ascending")
-    rows, maps = [], None
-    for i in range(0, len(grid) - 1, GRID_CHUNK):
-        stop = min(i + GRID_CHUNK, len(grid) - 1)
-        fresh = _maps(family, grid[i + (maps is not None):stop + 1])
+    n = max(len(grid) - 1, 0)
+    residual, lowest, definedness = np.empty(n), np.empty(n), np.empty(n, dtype="U16")
+    maps = None
+    for i in range(0, n, GRID_CHUNK):
+        stop = min(i + GRID_CHUNK, n)
+        fresh = family.stack(grid[i + (maps is not None):stop + 1])
         # the previous batch's last map heads the next one
         maps = fresh if maps is None else np.concatenate([maps[-1:], fresh])
-        V, residual, definedness = _intermediate_maps(maps[:-1], maps[1:], RANK_CUTOFF)
-        lowest = choi_min_eigenvalue(V)
-        for s, t, res, kind, lo in zip(grid[i:stop], grid[i + 1:stop + 1],
-                                       residual, definedness, lowest):
-            row = {"s": s, "t": t, "definedness": str(kind), "residual": float(res)}
-            if kind == "inconsistent":
-                row.update(choi_min_eig=float("nan"), verdict="undefined-off-image")
-            else:
-                row.update(choi_min_eig=float(lo), verdict="CP" if lo >= -TOL_PSD else "not-CP")
-            rows.append(row)
-    return rows
+        V, residual[i:stop], definedness[i:stop] = _intermediate_maps(maps[:-1], maps[1:])
+        lowest[i:stop] = choi_min_eigenvalue(V)
+    inconsistent = definedness == "inconsistent"
+    return np.rec.fromarrays(
+        [np.array(grid[:-1], dtype=float), np.array(grid[1:], dtype=float), definedness,
+         residual, np.where(inconsistent, np.nan, lowest),
+         np.where(inconsistent, "undefined-off-image",
+                  np.where(lowest >= -TOL_PSD, "CP", "not-CP"))],
+        names=("s", "t", "definedness", "residual", "choi_min_eig", "verdict"))
 
 
 def _support_projector(rho: np.ndarray) -> np.ndarray:

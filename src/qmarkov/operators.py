@@ -21,14 +21,14 @@ class OperandError(ValueError):
 
 
 def as_hermitian(X) -> np.ndarray:
-    """Validate that ``X`` is finite and Hermitian (within TOL_HERM), and
-    return it as complex."""
+    """Validate that the matrix, or stack (..., n, n) of matrices, ``X`` is
+    finite and Hermitian (within TOL_HERM), and return it as complex."""
     X = np.asarray(X, dtype=complex)
-    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] < 1:
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2] or 0 in X.shape:
         raise OperandError(f"expected a square matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise OperandError("matrix has a NaN or infinite entry")
-    if np.max(np.abs(X - X.conj().T)) > TOL_HERM:
+    if np.max(np.abs(X - np.conj(np.swapaxes(X, -1, -2)))) > TOL_HERM:
         raise OperandError("matrix is not Hermitian within tolerance")
     return X
 
@@ -36,6 +36,8 @@ def as_hermitian(X) -> np.ndarray:
 def check_density(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, PSD up to TOL_PSD."""
     rho = as_hermitian(rho)
+    if rho.ndim != 2:
+        raise OperandError(f"expected one density matrix, got shape {rho.shape}")
     if abs(np.trace(rho).real - 1.0) > TOL_HERM or abs(np.trace(rho).imag) > TOL_HERM:
         raise OperandError("density matrix trace differs from 1")
     if np.linalg.eigvalsh(rho).min() < -TOL_PSD:
@@ -43,10 +45,11 @@ def check_density(rho) -> np.ndarray:
     return rho
 
 
-def trace_norm(X) -> float:
-    """Sum of absolute eigenvalues of Hermitian ``X``."""
-    X = as_hermitian(X)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(X))))
+def trace_norm(X):
+    """Sum of absolute eigenvalues of Hermitian ``X``: a float, or for a
+    stack (..., n, n) an array of one sum per matrix."""
+    norms = np.abs(np.linalg.eigvalsh(as_hermitian(X))).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,7 @@ class ProbeSet:
         X = np.asarray(self.probes, dtype=complex)
         if X.ndim != 3 or X.shape[1] != X.shape[2] or 0 in X.shape:
             raise OperandError(f"expected a non-empty (count, d, d) stack, got {X.shape}")
-        if not np.isfinite(X).all() or \
-                np.max(np.abs(X - np.conj(np.swapaxes(X, -1, -2)))) > TOL_HERM:
-            raise OperandError("probes must be finite and Hermitian within tolerance")
-        object.__setattr__(self, "probes", X)
+        object.__setattr__(self, "probes", as_hermitian(X))
 
     @property
     def dim(self) -> int:

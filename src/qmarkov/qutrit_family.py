@@ -109,8 +109,8 @@ class MapParams:
 
 
 def load_params(path) -> MapParams:
-    """Read MapParams from a plain-text key = value file."""
-    kwargs = {}
+    """Read MapParams from a plain-text key = value file; a key may appear once."""
+    kwargs, seen = {}, set()
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -119,6 +119,9 @@ def load_params(path) -> MapParams:
             if "=" not in line:
                 raise OperandError(f"bad config line: {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in seen:
+                raise OperandError(f"config key {key!r} is repeated")
+            seen.add(key)
             if key == "rate":
                 if value != "default-pole":
                     raise OperandError(f"unknown rate {value!r} in config")

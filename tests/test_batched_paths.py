@@ -75,7 +75,7 @@ def _stacks():
 @pytest.mark.parametrize("name", ["full-rank", "stages-3-4", "zero", "rank-jump"])
 def test_intermediate_maps_match_pinv(name):
     Ls, Lt = _stacks()[name]
-    V, residual, definedness = _intermediate_maps(Ls, Lt, RANK_CUTOFF)
+    V, residual, definedness = _intermediate_maps(Ls, Lt)
     V_ref, definedness_ref = _old_definedness(Ls, Lt, RANK_CUTOFF)
     assert V.tobytes() == V_ref.tobytes()
     assert definedness.tolist() == definedness_ref.tolist()
@@ -85,7 +85,7 @@ def test_intermediate_maps_match_pinv(name):
 def test_stacks_cover_every_definedness():
     seen = set()
     for Ls, Lt in _stacks().values():
-        seen.update(_intermediate_maps(Ls, Lt, RANK_CUTOFF)[2].tolist())
+        seen.update(_intermediate_maps(Ls, Lt)[2].tolist())
     assert seen == {"exact", "image-restricted", "inconsistent"}
 
 

@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import json
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -71,6 +73,17 @@ class TestVerify:
         summary = json.loads(
             (tmp_path / "out" / "verify_summary.json").read_text())
         assert summary["theta"] == 1.45
+
+    @pytest.mark.parametrize("text", ["theta = 1.5\ntheta = 1.2\n",
+                                      "rate = default-pole\nrate = default-pole\n"],
+                             ids=["theta", "rate"])
+    def test_config_key_repeated(self, text, tmp_path, capsys):
+        """A repeated key is a usage error, not a silent override."""
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(text)
+        assert run(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "repeated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--theta", "--delta"])
     def test_config_conflicts_with_explicit_parameter(self, tmp_path, capsys,
@@ -389,17 +402,29 @@ def _public_functions():
             if fn.__module__.startswith("qmarkov.") and not fn.__name__.startswith("_")}
 
 
+def _module_functions():
+    """Every function defined at the top of a ``qmarkov`` module, the
+    module-private ones included."""
+    return {obj for info in pkgutil.iter_modules(qmarkov.__path__)
+            for obj in vars(importlib.import_module(f"qmarkov.{info.name}")).values()
+            if inspect.isfunction(obj) and obj.__module__.startswith("qmarkov.")}
+
+
+def _knobs(functions):
+    return {f"{fn.__module__}.{fn.__qualname__}({name})"
+            for fn in functions for name in inspect.signature(fn).parameters
+            if re.fullmatch(r"tol|cutoff|slack|tol_.*", name)}
+
+
 class TestNoThresholdKnob:
     """Verdict thresholds live in ``tolerances`` and are read by name: no
     function parameter or flag can set one."""
 
     def test_no_tolerance_parameter(self):
-        knobs = {f"{fn.__module__}.{fn.__qualname__}({name})"
-                 for fn in _public_functions()
-                 for name in inspect.signature(fn).parameters
-                 if re.fullmatch(r"tol|cutoff|slack|tol_.*", name)}
+        knobs = _knobs(_public_functions())
         # kept: the acceptance test sets it
         assert knobs == {"qmarkov.contractivity.lambda_reflection_check(tol)"}
+        assert _knobs(_module_functions()) == knobs
         assert not [flag for flag in cli.FLAGS if re.search(r"tol|cutoff|slack", flag)]
 
     @pytest.mark.parametrize("argv", [["verify", "--slack", "1e-6"],

@@ -80,33 +80,46 @@ class TestScanWriter:
 def test_divisibility_writer(tmp_path, monkeypatch):
     kinds = ["exact", "image-restricted", "inconsistent"]
     verdicts = ["CP", "not-CP", "undefined-off-image"]
-    rows = [{"s": SPECIAL[i], "t": SPECIAL[-1 - i], "definedness": kinds[i % 3],
-             "residual": SPECIAL[(i + 4) % len(SPECIAL)],
-             "choi_min_eig": SPECIAL[(i + 7) % len(SPECIAL)],
-             "verdict": verdicts[i % 3]} for i in range(len(SPECIAL))]
+    n = len(SPECIAL)
+    header = ["s", "t", "definedness", "residual", "choi_min_eig", "verdict"]
+    rows = np.rec.fromarrays(
+        [SPECIAL, SPECIAL[::-1], np.resize(kinds, n), np.roll(SPECIAL, -4),
+         np.roll(SPECIAL, -7), np.resize(verdicts, n)], names=header)
     monkeypatch.setattr(divisibility, "cp_divisibility_scan", lambda fam, grid: rows)
     cli.main(["divisibility", "--grid", "5", "--out", str(tmp_path)])
-    header = ["s", "t", "definedness", "residual", "choi_min_eig", "verdict"]
-    expected = _reference(header, [[_g15(r["s"]), _g15(r["t"]), r["definedness"],
-                                    _g15(r["residual"]), _g15(r["choi_min_eig"]),
-                                    r["verdict"]] for r in rows])
+    expected = _reference(header, [[_g15(r.s), _g15(r.t), r.definedness,
+                                    _g15(r.residual), _g15(r.choi_min_eig),
+                                    r.verdict] for r in rows])
     assert (tmp_path / "divisibility.csv").read_bytes() == expected
 
 
 def test_sweep_writer(tmp_path, monkeypatch):
     # theta stays finite: the summary lists the thetas in strict JSON
     thetas = [v for v in SPECIAL if math.isfinite(v)]
-    rows = [{"theta": theta, "max_deriv": SPECIAL[(i + 2) % len(SPECIAL)],
-             "arg_lambda": SPECIAL[(i + 5) % len(SPECIAL)],
-             "arg_tau": SPECIAL[(i + 9) % len(SPECIAL)], "violation": i % 2 == 0,
-             "singular_points_skipped": 0} for i, theta in enumerate(thetas)]
+    n = len(thetas)
+    rows = np.rec.fromarrays(
+        [thetas, np.roll(SPECIAL, -2)[:n], np.roll(SPECIAL, -5)[:n],
+         np.roll(SPECIAL, -9)[:n], np.arange(n) % 2 == 0, np.zeros(n, dtype=int)],
+        names=("theta", "max_deriv", "arg_lambda", "arg_tau", "violation",
+               "singular_points_skipped"))
     monkeypatch.setattr(contractivity, "theta_window_sweep", lambda *grids: rows)
     cli.main(["sweep", "--out", str(tmp_path)])
     header = ["theta", "max_deriv", "arg_lambda", "arg_tau", "violation"]
-    expected = _reference(header, [[_g15(r["theta"]), _g15(r["max_deriv"]),
-                                    _g15(r["arg_lambda"]), _g15(r["arg_tau"]),
-                                    _flag(r["violation"])] for r in rows])
+    expected = _reference(header, [[_g15(r.theta), _g15(r.max_deriv),
+                                    _g15(r.arg_lambda), _g15(r.arg_tau),
+                                    _flag(r.violation)] for r in rows])
     assert (tmp_path / "sweep.csv").read_bytes() == expected
+
+
+def test_all_singular_sweep_row(tmp_path):
+    """A theta whose every grid point is singular has no worst location:
+    NaN in the record array, ``nan`` in the CSV."""
+    rows = contractivity.theta_window_sweep([math.pi / 2], [1.0], [1.0])
+    assert math.isnan(rows.arg_lambda[0]) and math.isnan(rows.arg_tau[0])
+    assert rows.singular_points_skipped[0] == 1
+    cli._write_rows(tmp_path / "sweep.csv", rows)
+    assert (tmp_path / "sweep.csv").read_bytes() == _reference(
+        rows.dtype.names, [[_g15(math.pi / 2), "-inf", "nan", "nan", "false", "1"]])
 
 
 def test_bounds_writer(tmp_path, monkeypatch):

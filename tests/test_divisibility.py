@@ -15,20 +15,30 @@ from qmarkov.tolerances import RANK_CUTOFF, RESIDUAL_TOL, TOL_PSD
 SEED = 3
 
 
-def identity_family(t):
-    return SuperOp(3, np.eye(9, dtype=complex))
+class FakeFamily:
+    """A qutrit family given by its map matrix at t, read as the package
+    reads a ``Family``: one point through ``__call__`` (the forcing witness)
+    and a grid through ``stack``, whose points it records in ``stacked``."""
+
+    def __init__(self, matrix):
+        self.matrix, self.stacked = matrix, []
+
+    def __call__(self, t):
+        return SuperOp(3, self.matrix(t))
+
+    def stack(self, ts):
+        self.stacked.append(list(ts))
+        return np.stack([self.matrix(t) for t in ts])
 
 
-def rank_jump_family(t):
-    """Rank-deficient before t = 2 and the identity from there: no map V
-    with V Lambda_s = Lambda_t exists across the jump."""
-    return family()(3.5) if t < 2.0 else SuperOp(3, np.eye(9, dtype=complex))
-
-
-def fading_family(t):
-    """10^(-8t) times the identity: full rank throughout, at scales from 1
-    to 1e-32, so each interval's rank must be read relative to its own map."""
-    return SuperOp(3, 10.0 ** (-8.0 * t) * np.eye(9, dtype=complex))
+identity_family = FakeFamily(lambda t: np.eye(9, dtype=complex))
+# Rank-deficient before t = 2 and the identity from there: no map V with
+# V Lambda_s = Lambda_t exists across the jump.
+rank_jump_family = FakeFamily(
+    lambda t: family()(3.5).matrix if t < 2.0 else np.eye(9, dtype=complex))
+# 10^(-8t) times the identity: full rank throughout, at scales from 1 to
+# 1e-32, so each interval's rank must be read relative to its own map.
+fading_family = FakeFamily(lambda t: 10.0 ** (-8.0 * t) * np.eye(9, dtype=complex))
 
 
 class TestIntermediateMap:
@@ -139,15 +149,16 @@ class TestCpDivisibilityScan:
 
     @pytest.mark.parametrize("points", [2, 65, 150])
     def test_one_family_call_per_grid_point(self, points):
-        calls = []
-
-        def counting(t):
-            calls.append(t)
-            return family()(t)
-
+        fam = FakeFamily(lambda t: family()(t).matrix)
         grid = list(np.linspace(0.0, 4.0, points))
-        cp_divisibility_scan(counting, grid)
-        assert calls == grid
+        cp_divisibility_scan(fam, grid)
+        assert [t for ts in fam.stacked for t in ts] == grid
+
+    def test_single_point_grid_is_an_empty_table(self):
+        rows = cp_divisibility_scan(family(), [1.0])
+        assert len(rows) == 0
+        assert rows.dtype.names == ("s", "t", "definedness", "residual",
+                                    "choi_min_eig", "verdict")
 
     def test_grid_must_ascend(self):
         with pytest.raises(OperandError):

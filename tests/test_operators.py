@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qmarkov.operators import (OperandError, ProbeSet, check_density, random_probes,
-                               trace_norm)
+from qmarkov.operators import (OperandError, ProbeSet, as_hermitian, check_density,
+                               random_probes, trace_norm)
 
 from oracles import right_derivative
 
@@ -151,6 +151,22 @@ class TestProbeSet:
     def test_rejects(self, probes):
         with pytest.raises(OperandError):
             ProbeSet(probes, 0, "x")
+
+
+def test_stacks():
+    """as_hermitian checks every matrix of a stack, trace_norm returns one
+    norm per matrix, and check_density takes one matrix only."""
+    rng = np.random.default_rng(SEED)
+    stack = np.stack([[rand_herm(rng, 3) for _ in range(4)] for _ in range(2)])
+    assert as_hermitian(stack).shape == (2, 4, 3, 3)
+    norms = trace_norm(stack)
+    assert norms.shape == (2, 4)
+    assert norms.tolist() == [[trace_norm(X) for X in row] for row in stack]
+    with pytest.raises(OperandError, match="one density matrix"):
+        check_density(np.stack([np.eye(3) / 3] * 2))
+    stack[1, 2, 0, 1] += 1e-3
+    with pytest.raises(OperandError, match="not Hermitian"):
+        as_hermitian(stack)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
