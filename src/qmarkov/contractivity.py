@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,22 +60,45 @@ def write_csv(path, header, fmt: str, columns) -> None:
 @dataclass(frozen=True)
 class ScanReport:
     """``rows``: record array ``t, probe_id, k, norm, rderiv, verdict`` in
-    probe-major order; ``verdict`` is "fail" where ``rderiv`` > ``slack`` = TOL_DERIV."""
+    probe-major order, ``verdict`` "ok" only where ``rderiv`` <= TOL_DERIV (a
+    NaN reads "fail"); ``seed``: the probes' seed.  The rest is read off the
+    rows: the worst row is the first maximum of ``rderiv`` (a NaN is one)."""
 
     rows: np.recarray
-    max_rderiv: float
-    argmax_t: float
-    argmax_probe: int
-    passed: bool
-    slack: float
     seed: int
-    k: int
-    grid_spec: dict = field(default_factory=dict)
+
+    @property
+    def _points(self) -> int:
+        return len(self.rows) // (int(self.rows.probe_id[-1]) + 1)
+
+    @property
+    def _worst(self):
+        return self.rows[np.argmax(self.rows.rderiv)]
+
+    @property
+    def max_rderiv(self) -> float:
+        return float(self._worst.rderiv)
+
+    @property
+    def argmax_t(self) -> float:
+        return float(self._worst.t)
+
+    @property
+    def argmax_probe(self) -> int:
+        return int(self._worst.probe_id)
+
+    @property
+    def passed(self) -> bool:
+        return not np.any(self.rows.verdict == "fail")
+
+    @property
+    def k(self) -> int:
+        return int(self.rows.k[0])
 
     def to_csv(self, path) -> None:
         """Write the rows with ``write_csv``; the lead ``t,probe_id,k,`` of a
         row is formatted once per grid point and once per probe."""
-        rows, points = self.rows, self.grid_spec["points"]
+        rows, points = self.rows, self._points
         ts = [f"{t:.12g}," for t in rows.t[:points].tolist()]
         ids = [f"{p},{k}," for p, k in zip(rows.probe_id[::points].tolist(),
                                            rows.k[::points].tolist())]
@@ -89,10 +112,11 @@ class ScanReport:
             "argmax_t": self.argmax_t,
             "argmax_probe": self.argmax_probe,
             "passed": self.passed,
-            "slack": self.slack,
+            "slack": TOL_DERIV,
             "seed": self.seed,
             "k": self.k,
-            "grid": self.grid_spec,
+            "grid": {"points": self._points, "t_min": float(self.rows.t[0]),
+                     "t_max": float(self.rows.t[self._points - 1])},
         }
 
 
@@ -154,7 +178,7 @@ def _eigh_spectrum(X: np.ndarray, Xdot: np.ndarray):
 
 
 def _eigh_norm_rderiv(X: np.ndarray, Xdot: np.ndarray):
-    """Trace norms and exact right derivatives (see ``norm_rderiv_at``) of a
+    """Trace norms and exact right derivatives (see ``_norm_rderiv``) of a
     stack (..., n, n) of operators X with derivatives Xdot, from one batched
     eigh: the full-space path of ``_block_norm_rderiv``."""
     lam, V, XdotV, rates = _eigh_spectrum(X, Xdot)
@@ -321,9 +345,17 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
 
 
 def _norm_rderiv(fam, stack: np.ndarray, ts, k: int):
-    """Trace norms and exact right derivatives at the grid points ``ts``:
-    two arrays (len(ts), probes), from one apply per map kind and the block
-    kernel ``_block_norm_rderiv``.
+    """Trace norms ||X||_1 of X = (Lambda_t tensor Id_k)(probe) at the points
+    ``ts`` for a stack of probes, and their exact right derivatives: two arrays
+    (len(ts), probes), from one apply per map kind and ``_block_norm_rderiv``.
+
+    With X = sum_i lam_i |v_i><v_i| and Xdot = (dLambda_t/dt tensor Id_k)(probe),
+    the right derivative is (Kato, Perturbation Theory, ch. II)
+
+        sum_{lam_i != 0} sign(lam_i) <v_i|Xdot|v_i> + ||P0 Xdot P0||_1,
+
+    P0 the projector onto the kernel of X, which is the eigenvalues with
+    |lam| <= KERNEL_CUTOFF * max |lam| of each probe.
 
     The output blocks of each point are read off the rows of its Lambda_t
     alone (its derivative can link blocks that Lambda_t keeps apart, as at
@@ -338,29 +370,6 @@ def _norm_rderiv(fam, stack: np.ndarray, ts, k: int):
     return _block_norm_rderiv(X, Xdot, _output_codes(maps), k)
 
 
-def norm_rderiv_at(fam, stack: np.ndarray, t: float, k: int = 1):
-    """Trace norms ||X||_1 of X = (Lambda_t tensor Id_k)(probe) for a stack of
-    probes, and their exact right time-derivatives.
-
-    With X = sum_i lam_i |v_i><v_i| and Xdot = (dLambda_t/dt tensor Id_k)(probe),
-    the right derivative is (Kato, Perturbation Theory, ch. II)
-
-        sum_{lam_i != 0} sign(lam_i) <v_i|Xdot|v_i> + ||P0 Xdot P0||_1,
-
-    P0 the projector onto the kernel of X, which is the eigenvalues with
-    |lam| <= KERNEL_CUTOFF * max |lam| of each probe.  X is block diagonal
-    where Lambda_t's output is, and the eigenvalues and rates come per
-    block (``_block_norm_rderiv``), in closed form up to 3 x 3; a probe with
-    a kernel eigenvalue, or whose 3 x 3 closed form fails its trust test,
-    takes one eigh of the whole X.  ``fam`` is a ``qutrit_family.Family``,
-    whose grids ``stack``/``dot_stack`` are used.  Returns the arrays (norm,
-    rderiv), one entry per probe: the one-point batch of
-    ``norm_derivative_scan``.
-    """
-    norm, rderiv = _norm_rderiv(fam, stack, [t], k)
-    return norm[0], rderiv[0]
-
-
 def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     """Right-derivative scan of ||(Lambda_t tensor Id_k)(X)||_1.
 
@@ -368,7 +377,7 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     probes must live on the product space.  The grid goes in consecutive
     batches of grid points (see SCAN_CHUNK_ENTRIES), each one ``fam.stack``
     and ``fam.dot_stack`` call, and the derivatives are exact
-    (``norm_rderiv_at``).  Each point's X splits into the output blocks of
+    (``_norm_rderiv``).  Each point's X splits into the output blocks of
     its Lambda_t tensored with C^k: one block in stage 1, three on [t1, t3]
     and two in stage 4.  1 x 1 blocks are read off the diagonal, 2 x 2 and
     3 x 3 blocks in closed form and larger ones by one batched eigh per
@@ -376,8 +385,8 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     value or a 3 x 3 block too near degenerate for its closed form
     (TRIPLE_GAP, TRIPLE_FLOOR) take one batched eigh of the whole X.  A row
     of 1 x 1 blocks gives eigh's bits, and the batching changes no bit of a
-    result.  Rows are sorted by (probe, t); a row fails when its right
-    derivative exceeds TOL_DERIV.
+    result.  Rows are sorted by (probe, t); a row reads "ok" only where its
+    right derivative is at most TOL_DERIV, so a NaN row fails.
     """
     grid = list(grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -394,20 +403,13 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
         part = slice(i, i + chunk)
         norm_rows[part], deriv_rows[part] = _norm_rderiv(fam, stack, grid[part], k)
 
-    flat = deriv_rows.T  # (probe, grid)
-    rderiv = flat.ravel()
+    rderiv = deriv_rows.T.ravel()
     rows = np.rec.fromarrays(
         [np.tile(np.asarray(grid, dtype=float), n), np.repeat(np.arange(n), len(grid)),
          np.full(rderiv.size, k), norm_rows.T.ravel(), rderiv,
-         np.where(rderiv > TOL_DERIV, "fail", "ok")],
+         np.where(rderiv <= TOL_DERIV, "ok", "fail")],
         names=("t", "probe_id", "k", "norm", "rderiv", "verdict"))
-    pmax, gmax = np.unravel_index(np.argmax(flat), flat.shape)
-    max_rd = float(flat[pmax, gmax])
-    return ScanReport(rows=rows, max_rderiv=max_rd,
-                      argmax_t=float(grid[gmax]), argmax_probe=int(pmax),
-                      passed=max_rd <= TOL_DERIV, slack=TOL_DERIV, seed=probes.seed, k=k,
-                      grid_spec={"points": len(grid), "t_min": float(grid[0]),
-                                 "t_max": float(grid[-1])})
+    return ScanReport(rows=rows, seed=probes.seed)
 
 
 def _root(lam, tau, theta):
@@ -484,11 +486,11 @@ def theta_window_sweep(theta_grid, tau_grid, lam_grid) -> np.recarray:
                                     "violation", "singular_points_skipped"))
 
 
-def bound_chain_check(theta: float, tau_grid, lam_grid=None) -> dict:
+def bound_chain_check(theta: float, tau_grid) -> dict:
     """Pointwise ledger for the analytic bound chain at a given theta.
 
     Per tau (for lam >= 1):
-      link1: sup over the lam grid of the closed-form derivative <= bound_a,
+      link1: sup over lam = 1..10 of the closed-form derivative <= bound_a,
              where bound_a = tau*sqrt(2 + 2cos(2 theta tau))
                              - (1 + tau^2) (theta/2) sin(2 theta tau);
       link2: bound_a == cos(theta tau) * [2 tau - (1 + tau^2) theta sin(theta tau)]
@@ -504,11 +506,8 @@ def bound_chain_check(theta: float, tau_grid, lam_grid=None) -> dict:
     if not 0.0 <= theta <= math.pi / 2:
         raise OperandError("bound chain is stated for theta in [0, pi/2]")
     tau = np.asarray(list(tau_grid), dtype=float)
-    lam = np.asarray(list(lam_grid) if lam_grid is not None else np.arange(1.0, 11.0))
-    if np.any(lam < 1.0):
-        raise OperandError("bound chain covers lam >= 1")
     vals, skipped = _closed_form_mesh(gamma4_derivative_closed_form,
-                                      lam[:, None], tau, theta)
+                                      np.arange(1.0, 11.0)[:, None], tau, theta)
     sup = vals.max(axis=0)
     bound_a = (tau * np.sqrt(np.maximum(2 + 2 * np.cos(2 * theta * tau), 0.0))
                - (1 + tau * tau) * (theta / 2) * np.sin(2 * theta * tau))

@@ -14,9 +14,10 @@ TOL_HERM = 1e-12
 TOL_PSD = 1e-10
 
 # Slack for "<= 0" assertions on the scan's exact right derivatives, recorded
-# as the scan's "slack": a row fails when its derivative exceeds it.  Rounding
-# and the kernel over-read (see KERNEL_CUTOFF) stay below 1e-11 on the
-# default grids, while the k = 2 scan's backflow reads 6e-2.
+# as the scan's "slack": a row is "ok" only where its derivative is at most
+# it, so a NaN row fails.  Rounding and the kernel over-read (see
+# KERNEL_CUTOFF) stay below 1e-11 on the default grids, while the k = 2
+# scan's backflow reads 6e-2.
 TOL_DERIV = 1e-6
 
 # Slack for "<= 0" assertions on closed-form evaluations.

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import json
@@ -402,30 +403,51 @@ def _public_functions():
             if fn.__module__.startswith("qmarkov.") and not fn.__name__.startswith("_")}
 
 
-def _module_functions():
-    """Every function defined at the top of a ``qmarkov`` module, the
-    module-private ones included."""
+def _module_members(kind):
+    """Every object passing ``kind`` (inspect.isfunction, inspect.isclass)
+    that is defined at the top of a ``qmarkov`` module, the module-private
+    ones included."""
     return {obj for info in pkgutil.iter_modules(qmarkov.__path__)
             for obj in vars(importlib.import_module(f"qmarkov.{info.name}")).values()
-            if inspect.isfunction(obj) and obj.__module__.startswith("qmarkov.")}
+            if kind(obj) and obj.__module__.startswith("qmarkov.")}
+
+
+def _constructor_names(cls):
+    """The parameters of ``cls.__init__`` and, for a dataclass, its fields."""
+    names = set(inspect.signature(cls.__init__).parameters)
+    if dataclasses.is_dataclass(cls):
+        names |= {f.name for f in dataclasses.fields(cls)}
+    return names
+
+
+KNOB = r"tol|cutoff|slack|tol_.*"
 
 
 def _knobs(functions):
     return {f"{fn.__module__}.{fn.__qualname__}({name})"
             for fn in functions for name in inspect.signature(fn).parameters
-            if re.fullmatch(r"tol|cutoff|slack|tol_.*", name)}
+            if re.fullmatch(KNOB, name)}
 
 
 class TestNoThresholdKnob:
     """Verdict thresholds live in ``tolerances`` and are read by name: no
-    function parameter or flag can set one."""
+    function parameter, constructor field or flag can set one."""
 
     def test_no_tolerance_parameter(self):
         knobs = _knobs(_public_functions())
         # kept: the acceptance test sets it
         assert knobs == {"qmarkov.contractivity.lambda_reflection_check(tol)"}
-        assert _knobs(_module_functions()) == knobs
+        assert _knobs(_module_members(inspect.isfunction)) == knobs
         assert not [flag for flag in cli.FLAGS if re.search(r"tol|cutoff|slack", flag)]
+
+    def test_no_tolerance_field(self):
+        """No class of the package takes a threshold in its constructor or
+        keeps one as a dataclass field."""
+        classes = _module_members(inspect.isclass)
+        assert {cls.__name__ for cls in classes} >= {"ScanReport", "MapParams", "ProbeSet"}
+        fields = {f"{cls.__module__}.{cls.__qualname__}({name})" for cls in classes
+                  for name in _constructor_names(cls) if re.fullmatch(KNOB, name)}
+        assert fields == set()
 
     @pytest.mark.parametrize("argv", [["verify", "--slack", "1e-6"],
                                       ["scan", "--slack", "1"]], ids=" ".join)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qmarkov import contractivity
 from qmarkov.contractivity import (SingularPointError, bound_chain_check,
                                    gamma4_derivative_closed_form,
                                    gamma4_norm_closed_form, lambda_probe,
@@ -156,8 +157,6 @@ class TestBoundChain:
     def test_domain(self):
         with pytest.raises(OperandError):
             bound_chain_check(2.0, [0.5])
-        with pytest.raises(OperandError):
-            bound_chain_check(1.5, [0.5], lam_grid=[0.5])
 
 
 class TestScan:
@@ -197,6 +196,26 @@ class TestScan:
         assert not report.passed
         assert report.max_rderiv > 1e-3
         assert 3.0 <= report.argmax_t <= 3.5
+
+    def test_nan_row_fails(self, monkeypatch):
+        """A NaN right derivative reads "fail", fails the scan and is the
+        worst row, wherever it sits among finite ones."""
+        real = contractivity._norm_rderiv
+
+        def one_nan(fam, stack, ts, k):
+            norm, rderiv = real(fam, stack, ts, k)
+            rderiv[list(ts).index(2.5), 1] = math.nan
+            return norm, rderiv
+
+        monkeypatch.setattr(contractivity, "_norm_rderiv", one_nan)
+        grid = np.linspace(0.0, 4.0, 8, endpoint=False)
+        report = norm_derivative_scan(family(), random_probes(3, 3, SEED), grid)
+        row = 1 * len(grid) + 5  # probe 1, t = 2.5, in probe-major order
+        assert np.flatnonzero(report.rows.verdict == "fail").tolist() == [row]
+        assert math.isnan(report.rows.rderiv[row])
+        assert not report.passed
+        assert math.isnan(report.max_rderiv)
+        assert (report.argmax_t, report.argmax_probe) == (2.5, 1)
 
     def test_failure_near_end_for_large_theta_lam_one(self):
         # theta = 1.6 > pi/2: the lam = 1 probe norm turns upward before tau = 1

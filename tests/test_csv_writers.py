@@ -52,9 +52,7 @@ def _synthetic_report(points: int, probes: int, k: int = 1) -> ScanReport:
         [t, np.repeat(np.arange(probes), points), np.full(n, k), cycle[:n],
          cycle[3:], np.where(cycle[3:] > 0, "fail", "ok")],
         names=("t", "probe_id", "k", "norm", "rderiv", "verdict"))
-    return ScanReport(rows=rows, max_rderiv=0.0, argmax_t=0.0, argmax_probe=0,
-                      passed=True, slack=0.0, seed=0, k=k,
-                      grid_spec={"points": points})
+    return ScanReport(rows=rows, seed=0)
 
 
 class TestScanWriter:

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qmarkov
-from qmarkov.contractivity import (bound_chain_check,
+from qmarkov.contractivity import (_norm_rderiv, bound_chain_check,
                                    gamma4_derivative_closed_form,
-                                   norm_derivative_scan, norm_rderiv_at,
-                                   theta_window_sweep)
+                                   norm_derivative_scan, theta_window_sweep)
 from qmarkov.operators import OperandError, random_probes
 from qmarkov.qutrit_family import (D1, D2, D3, E1, E2, E2_E1, E3, E3_E2_E1, K2,
                                    MapParams, family, gamma_family, lambda_t,
@@ -219,13 +218,13 @@ def _scan_csv_by_rows(fam, probes, grid, k):
     csv.writer, on the scan's own per-grid-point numbers; returns (row
     count, CSV text)."""
     stack = probes.probes
-    per_t = [norm_rderiv_at(fam, stack, t, k) for t in grid]
+    per_t = [_norm_rderiv(fam, stack, [t], k) for t in grid]
     rows = []
     for pid in range(len(stack)):
         for t, (norm, rderiv) in zip(grid, per_t):
-            rd = float(rderiv[pid])
-            rows.append((float(t), pid, k, float(norm[pid]), rd,
-                         "fail" if rd > TOL_DERIV else "ok"))
+            rd = float(rderiv[0, pid])
+            rows.append((float(t), pid, k, float(norm[0, pid]), rd,
+                         "fail" if not rd <= TOL_DERIV else "ok"))
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["t", "probe_id", "k", "norm", "rderiv", "verdict"])
@@ -249,6 +248,35 @@ def test_scan_csv_matches_row_writer(tmp_path_factory, n_probes, k, seed, grid):
     assert path.read_bytes() == text.encode()
 
 
+@settings(max_examples=25, deadline=None)
+@given(n_probes=st.integers(1, 6), k=st.sampled_from([1, 2]),
+       theta=st.sampled_from([1.3, 1.5, 1.6]), seed=st.integers(0, 2 ** 32 - 1),
+       grid=st.lists(st.floats(0.0, 3.99), min_size=1, max_size=8,
+                     unique=True).map(sorted))
+def test_scan_report_reads_its_rows(n_probes, k, theta, seed, grid):
+    """Every fact of a ScanReport and of its summary, recomputed from its
+    rows and from the grid the scan was given: the worst row is the first
+    NaN, else the first maximum, in probe-major order."""
+    probes = random_probes(3 * k, n_probes, seed)
+    report = norm_derivative_scan(family(MapParams(theta=theta)), probes, grid, k=k)
+    rds = report.rows.rderiv.tolist()
+    nans = [i for i, rd in enumerate(rds) if math.isnan(rd)]
+    worst = nans[0] if nans else rds.index(max(rds))
+    passed = all(rd <= TOL_DERIV for rd in rds)
+    assert report.rows.verdict.tolist() == ["ok" if rd <= TOL_DERIV else "fail"
+                                            for rd in rds]
+    assert report.seed == seed and report.k == k and report.passed is passed
+    rest = {"argmax_t": grid[worst % len(grid)], "argmax_probe": worst // len(grid),
+            "passed": passed, "slack": TOL_DERIV, "seed": seed, "k": k,
+            "grid": {"points": len(grid), "t_min": grid[0], "t_max": grid[-1]}}
+    assert (report.argmax_t, report.argmax_probe) == (rest["argmax_t"], rest["argmax_probe"])
+    summary = report.summary()
+    assert list(summary) == ["max_rderiv", *rest]
+    assert {key: summary[key] for key in rest} == rest
+    assert np.array_equal([report.max_rderiv, summary["max_rderiv"]], [rds[worst]] * 2,
+                          equal_nan=True)
+
+
 # (k, probes): each k on both sides of the scan's batch budget
 # (SCAN_CHUNK_ENTRIES), so some draws batch up to 64 grid points and others
 # take one grid point per batch.
@@ -263,19 +291,19 @@ BUDGET_SIDES = [(1, 1), (1, 2), (1, 7), (1, 1024), (1, 1025), (2, 1), (2, 3),
 @example(shape=(1, 2), seed=0, extra=list(np.linspace(0.0, 4.0, 140, endpoint=False)))
 @example(shape=(2, 3), seed=1, extra=list(np.linspace(0.0, 4.0, 129, endpoint=False)))
 def test_scan_rows_match_point_at_a_time(shape, seed, extra):
-    """The batched scan's rows are bit-equal to ``norm_rderiv_at`` one grid
-    point at a time, on grids of more than one batch of 64 points (mostly
-    not a multiple of it) that contain the junctions t1 to t3, with
-    t = 2.0's kernel rows."""
+    """The batched scan's rows are bit-equal to its one-point chunk
+    ``_norm_rderiv(fam, stack, [t], k)`` one grid point at a time, on grids
+    of more than one batch of 64 points (mostly not a multiple of it) that
+    contain the junctions t1 to t3, with t = 2.0's kernel rows."""
     k, n_probes = shape
     grid = sorted(set(extra) | {1.0, 2.0, 3.0})
     assert len(grid) > 64
     probes = random_probes(3 * k, n_probes, seed)
     report = norm_derivative_scan(family(), probes, grid, k=k)
     stack = probes.probes
-    per_t = [norm_rderiv_at(family(), stack, t, k) for t in grid]
-    norm = np.array([n for n, _ in per_t]).T.ravel()
-    rderiv = np.array([d for _, d in per_t]).T.ravel()
+    per_t = [_norm_rderiv(family(), stack, [t], k) for t in grid]
+    norm = np.array([n[0] for n, _ in per_t]).T.ravel()
+    rderiv = np.array([d[0] for _, d in per_t]).T.ravel()
     assert np.array_equal(report.rows.norm, norm)
     assert np.array_equal(report.rows.rderiv, rderiv)
 
@@ -382,16 +410,14 @@ def _bound_chain_scalar(theta, tau, lam):
 
 @PROPERTY_SETTINGS
 @given(theta=st.one_of(st.floats(math.sqrt(2.0), math.pi / 2), st.just(1.3)),
-       tau=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
-       lam=st.lists(st.floats(1.0, 12.0), min_size=1, max_size=12))
-@example(theta=1.3, tau=list(np.arange(0.005, 1.0 + 1e-9, 0.005)),
-         lam=list(np.arange(1.0, 11.0)))
-@example(theta=math.pi / 2, tau=list(np.arange(0.005, 1.0 + 1e-9, 0.005)),
-         lam=list(np.arange(1.0, 11.0)))
-def test_bound_chain_matches_scalar_ledger(theta, tau, lam):
-    tau, lam = np.asarray(tau), np.asarray(lam)
-    expected = _bound_chain_scalar(theta, tau, lam)
-    out = bound_chain_check(theta, tau, lam)
+       tau=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+@example(theta=1.3, tau=list(np.arange(0.005, 1.0 + 1e-9, 0.005)))
+@example(theta=math.pi / 2, tau=list(np.arange(0.005, 1.0 + 1e-9, 0.005)))
+def test_bound_chain_matches_scalar_ledger(theta, tau):
+    """Against the scalar ledger on the chain's lambda grid 1, 2, ..., 10."""
+    tau = np.asarray(tau)
+    expected = _bound_chain_scalar(theta, tau, [float(lv) for lv in range(1, 11)])
+    out = bound_chain_check(theta, tau)
     for name in out["rows"].dtype.names:
         assert out["rows"][name].tolist() == [r[name] for r in expected["rows"]]
     for key in ("chain_ok", "polynomial_nonpositive", "lambda_monotone",
