@@ -447,6 +447,10 @@ def gamma4_derivative_closed_form(lam, tau, theta):
     return float(out) if out.ndim == 0 else out
 
 
+# The sweep's lam grid; it holds lam != 1, so no theta is singular everywhere.
+_SWEEP_LAMBDAS = np.arange(0.0, 10.0 + 1e-9, 0.1)
+
+
 def _closed_form_mesh(fn, lam, tau, theta):
     """``fn(lam, tau, theta)`` on the broadcast (lam, tau) mesh, with -inf at
     the closed forms' singular points (lam = 1, 2*theta*tau = pi, where
@@ -460,27 +464,25 @@ def _closed_form_mesh(fn, lam, tau, theta):
     return vals, int(keep.size - keep.sum())
 
 
-def theta_window_sweep(theta_grid, tau_grid, lam_grid) -> np.recarray:
-    """Locate the worst (lam, tau) of the closed-form derivative per theta.
+def theta_window_sweep(theta_grid, tau_grid) -> np.recarray:
+    """Locate the worst (lam, tau) of the closed-form derivative per theta,
+    over lam = 0, 0.1, ..., 10 and ``tau_grid``.
 
     A record array ``theta, max_deriv, arg_lambda, arg_tau, violation,
     singular_points_skipped``, one row per theta: the maximum, its location
     (the first maximum in lam-major order) and a violation flag.  Singular
-    grid points are skipped and counted; where every point is singular the
-    maximum is -inf and its location NaN.
+    grid points are skipped and counted.
     """
     tau = np.asarray(list(tau_grid), dtype=float)
-    lam = np.asarray(list(lam_grid), dtype=float)
-    lam_mesh, tau_mesh = np.meshgrid(lam, tau, indexing="ij")
+    lam_mesh, tau_mesh = np.meshgrid(_SWEEP_LAMBDAS, tau, indexing="ij")
     thetas = np.asarray(list(theta_grid), dtype=float)
-    best, where = np.full(len(thetas), -math.inf), np.full((2, len(thetas)), math.nan)
+    best, where = np.empty(len(thetas)), np.empty((2, len(thetas)))
     skipped = np.zeros(len(thetas), dtype=int)
     for n, theta in enumerate(thetas):
         vals, skipped[n] = _closed_form_mesh(gamma4_derivative_closed_form,
                                              lam_mesh, tau_mesh, theta)
-        if skipped[n] < vals.size:
-            i, j = np.unravel_index(np.argmax(vals), vals.shape)
-            best[n], where[:, n] = vals[i, j], (lam[i], tau[j])
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        best[n], where[:, n] = vals[i, j], (_SWEEP_LAMBDAS[i], tau[j])
     return np.rec.fromarrays([thetas, best, *where, best > TOL_CLOSED_FORM, skipped],
                              names=("theta", "max_deriv", "arg_lambda", "arg_tau",
                                     "violation", "singular_points_skipped"))

@@ -11,6 +11,7 @@ relies on the off-image completion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .operators import OperandError, trace_norm
 from .superops import GRID_CHUNK, SuperOp, choi_min_eigenvalue
-from .tolerances import PURITY_TOL, RANK_CUTOFF, RESIDUAL_TOL, TOL_PSD
+from .tolerances import RANK_CUTOFF, RESIDUAL_TOL, TOL_PSD
 
 
 @dataclass(frozen=True)
@@ -111,69 +112,45 @@ def cp_divisibility_scan(family, grid) -> np.recarray:
         names=("s", "t", "definedness", "residual", "choi_min_eig", "verdict"))
 
 
-def _support_projector(rho: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    keep = vals > RANK_CUTOFF
-    return vecs[:, keep] @ vecs[:, keep].conj().T
-
-
-def _support_intersection(P1: np.ndarray, P2: np.ndarray) -> np.ndarray | None:
-    """Unit vector in Ran(P1) intersect Ran(P2), via the kernel of P1perp + P2perp."""
-    d = P1.shape[0]
-    gap = (np.eye(d) - P1) + (np.eye(d) - P2)
-    vals, vecs = np.linalg.eigh(gap)
-    if vals[0] < RANK_CUTOFF:
-        return vecs[:, 0]
-    return None
-
-
 def positive_forcing_witness(family, s: float, t: float) -> ForcingWitness | None:
-    """Search for a pure-state forcing configuration on (s, t).
+    """Pure-state forcing configuration on (s, t), from the basis inputs.
 
-    Candidate inputs (computational-basis projectors plus a few seeded
-    random pure states) are kept when Lambda_s sends them to a mixed state
-    sigma while Lambda_t sends them to a pure target pi.  For each pair of
-    candidates whose sigma supports intersect, the shared vector's projector
-    is forced onto both targets; the best (largest trace-norm discrepancy)
-    configuration is returned, or None when no configuration exists.
+    Lambda_s and Lambda_t come from one ``family.stack([s, t])`` call, and the
+    inputs are the basis projectors |i><i|, whose images are columns i(d + 1)
+    of the two map matrices.  Input i is a candidate when Lambda_t sends it to
+    a rank-1 target pi while Lambda_s sends it to a sigma of higher rank, with
+    ranks counted above RANK_CUTOFF; an input whose sigma has trace at most
+    RANK_CUTOFF is dropped.  For each pair of candidates whose sigma supports
+    intersect, the shared vector's projector is forced onto both targets; the
+    best (largest trace-norm discrepancy) configuration is returned, or None
+    when no configuration exists.
     """
     if s >= t:
         raise OperandError("need s < t")
-    Ls, Lt = family(s), family(t)
-    d = Ls.dim
-    inputs = [np.outer(np.eye(d)[:, i], np.eye(d)[:, i]) for i in range(d)]
-    rng = np.random.default_rng(7)
-    for _ in range(2 * d):
-        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        psi /= np.linalg.norm(psi)
-        inputs.append(np.outer(psi, psi.conj()))
-
-    candidates = []
-    for state in inputs:
-        sigma = Ls.apply(state)
-        target = Lt.apply(state)
-        tr = np.trace(sigma).real
-        if tr <= PURITY_TOL:
-            continue
-        sigma = sigma / tr
-        target = target / tr
-        purity_target = float(np.trace(target @ target).real)
-        purity_sigma = float(np.trace(sigma @ sigma).real)
-        if purity_target > 1.0 - PURITY_TOL and purity_sigma < 1.0 - PURITY_TOL:
-            candidates.append((sigma, target))
+    maps = family.stack([s, t])
+    d = math.isqrt(maps.shape[-1])
+    # column i(d + 1) is vec(Lambda(|i><i|)); its entry col*d + row splits
+    # into (col, row), so [map, i] below is Lambda(|i><i|)
+    images = maps[:, :, ::d + 1].reshape(2, d, d, d).transpose(0, 3, 2, 1)
+    tr = np.trace(images[0], axis1=-2, axis2=-1).real
+    images = images[:, tr > RANK_CUTOFF] / tr[tr > RANK_CUTOFF, None, None]
+    vals, vecs = np.linalg.eigh((images + np.swapaxes(images, -1, -2).conj()) / 2)
+    rank = (vals > RANK_CUTOFF).sum(axis=-1)
+    candidates = np.flatnonzero((rank[1] == 1) & (rank[0] > 1))
+    # I minus the support projector of each candidate's sigma
+    off_support = {}
+    for i in candidates:
+        support = vecs[0, i][:, vals[0, i] > RANK_CUTOFF]
+        off_support[i] = np.eye(d) - support @ support.conj().T
 
     best = None
-    for a in range(len(candidates)):
-        for b in range(a + 1, len(candidates)):
-            sig1, pi1 = candidates[a]
-            sig2, pi2 = candidates[b]
-            shared = _support_intersection(_support_projector(sig1),
-                                           _support_projector(sig2))
-            if shared is None:
-                continue
-            disc = trace_norm(pi1 - pi2)
-            if best is None or disc > best.discrepancy:
-                best = ForcingWitness(shared_vector=shared,
-                                      forced_targets=(pi1, pi2),
-                                      discrepancy=disc)
+    for a, b in itertools.combinations(candidates, 2):
+        gap, shared = np.linalg.eigh(off_support[a] + off_support[b])
+        if gap[0] >= RANK_CUTOFF:
+            continue
+        disc = trace_norm(images[1, a] - images[1, b])
+        if best is None or disc > best.discrepancy:
+            best = ForcingWitness(shared_vector=shared[:, 0],
+                                  forced_targets=(images[1, a], images[1, b]),
+                                  discrepancy=disc)
     return best

@@ -299,10 +299,10 @@ def lambda_t_dot(t: float, params: MapParams | None = None) -> SuperOp:
 class Family:
     """Callable t -> Lambda_t with parameters bound.
 
-    The scans and the CP/TP check take their grid chunks from ``stack`` and
-    ``dot_stack``.  ``__call__`` looks up its one-point case ``lambda_t`` at
-    call time, so a wrapper installed on that module function sees
-    single-point calls only, not the grids.
+    The scans, the CP/TP check and the forcing witness take their maps from
+    ``stack`` and ``dot_stack``.  ``__call__`` looks up its one-point case
+    ``lambda_t`` at call time, so a wrapper installed on that module function
+    sees single-point calls only, not the grids.
     """
 
     params: MapParams

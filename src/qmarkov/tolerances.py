@@ -41,8 +41,10 @@ TOL_BOUND_CHAIN = 1e-10
 TOL_REFLECTION = 1e-10
 
 # Relative singular-value cutoff for rank decisions (image bases,
-# pseudoinverses).  Far above float noise, far below the spectral gaps of
-# the maps handled here.
+# pseudoinverses, and the forcing witness's unit-trace images, whose ranks
+# count eigenvalues above it; an input whose image has trace at most it is
+# dropped).  Far above float noise, far below the spectral gaps of the maps
+# handled here.
 RANK_CUTOFF = 1e-8
 
 # Largest max-abs residual |V Lambda_s - Lambda_t| for which the minimum-norm
@@ -54,14 +56,6 @@ RANK_CUTOFF = 1e-8
 # stage 2).  Other residuals are rounding, below 1e-13; a kernel of Lambda_s
 # outside Lambda_t's leaves O(1).  100 times the cutoff clears the bound 100x.
 RESIDUAL_TOL = 100 * RANK_CUTOFF
-
-# The forcing witness's floor on the trace of Lambda_s(state), below which an
-# input is dropped, and on the purity defect 1 - Tr rho^2, below which a
-# state counts as pure.  On (t3, t4) at theta in {1.2, 1.5, 1.55} and delta
-# in {1, 1.05}, every trace is 1, the pure targets read a defect of at most
-# 1.2e-16, the other targets 3.9e-5 or more (theta = 1.55) and every sigma
-# 0.5 or more.
-PURITY_TOL = 1e-8
 
 # Eigenvalues of an evolved probe with |lam| <= KERNEL_CUTOFF * max |lam| of
 # that probe count as its kernel in the exact right derivative of the trace
@@ -103,7 +97,7 @@ JUNCTION_GAP = 1e-12
 
 # The forcing witness's discrepancy is 2 |cos theta| (0.14 at theta = 1.5,
 # 0.042 at 1.55); at or below this it reads "inconclusive", as at theta =
-# pi/2, where both forced targets coincide up to rounding (1.5e-16).
+# pi/2, where both forced targets coincide up to rounding (1.2e-16).
 WITNESS_MIN_DISCREPANCY = 1e-6
 
 # Fixed published seed so default runs are reproducible.

@@ -136,6 +136,34 @@ class TestScan:
         capsys.readouterr()
         assert (a / "scan.csv").read_bytes() == (b / "scan.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    def test_nan_row_written_as_null(self, tmp_path, capsys, monkeypatch, command):
+        """A NaN right derivative fails the run with exit 1, and the summary
+        is strict JSON: max_rderiv is null and its location is the NaN row."""
+        real = contractivity._norm_rderiv
+
+        def one_nan(fam, stack, ts, k):
+            norm, rderiv = real(fam, stack, ts, k)
+            if 2.0 in ts:
+                rderiv[list(ts).index(2.0), 1] = math.nan
+            return norm, rderiv
+
+        def refuse(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        monkeypatch.setattr(contractivity, "_norm_rderiv", one_nan)
+        code = run([command, "--out", str(tmp_path), "--grid", "4", "--probes", "2"])
+        capsys.readouterr()
+        assert code == 1
+        summary = json.loads((tmp_path / f"{command}_summary.json").read_text(),
+                             parse_constant=refuse)
+        if command == "scan":
+            assert (summary["max_rderiv"], summary["argmax_t"],
+                    summary["argmax_probe"]) == (None, 2.0, 1)
+        else:
+            check = summary["checks"]["contractivity"]
+            assert (check["max_rderiv"], check["argmax_t"]) == (None, 2.0)
+
     def test_ancilla_scan_labelled_exploratory(self, tmp_path, capsys):
         run(["scan", "--k", "2", "--out", str(tmp_path), "--grid", "20",
              "--probes", "5"])

@@ -114,28 +114,27 @@ class TestReflection:
 
 class TestThetaWindow:
     TAUS = np.linspace(0.0, 1.0, 201)
-    LAMS = np.arange(0.0, 10.1, 0.5)
 
     def test_inside_window_clean(self):
-        rows = theta_window_sweep([1.45, 1.5, 1.55], self.TAUS, self.LAMS)
+        rows = theta_window_sweep([1.45, 1.5, 1.55], self.TAUS)
         assert all(not r["violation"] for r in rows)
 
     def test_below_window_violates(self):
-        rows = theta_window_sweep([1.2, 1.3], self.TAUS, self.LAMS)
+        rows = theta_window_sweep([1.2, 1.3], self.TAUS)
         assert all(r["violation"] for r in rows)
         assert rows[0]["max_deriv"] > 0.01
 
     def test_boundary(self):
-        rows = theta_window_sweep([math.sqrt(2)], self.TAUS, self.LAMS)
+        rows = theta_window_sweep([math.sqrt(2)], self.TAUS)
         assert not rows[0]["violation"]
         # and just below the boundary the sweep flips
-        rows = theta_window_sweep([math.sqrt(2) - 0.01], self.TAUS, self.LAMS)
+        rows = theta_window_sweep([math.sqrt(2) - 0.01], self.TAUS)
         assert rows[0]["violation"]
 
     def test_singular_points_counted(self):
         # lam = 1 with 2 theta tau = pi falls on this grid at theta = pi/2
         taus = np.linspace(0.0, 1.0, 11)
-        rows = theta_window_sweep([math.pi / 2], taus, [1.0])
+        rows = theta_window_sweep([math.pi / 2], taus)
         assert rows[0]["singular_points_skipped"] == 1
 
 

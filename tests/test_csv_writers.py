@@ -109,17 +109,6 @@ def test_sweep_writer(tmp_path, monkeypatch):
     assert (tmp_path / "sweep.csv").read_bytes() == expected
 
 
-def test_all_singular_sweep_row(tmp_path):
-    """A theta whose every grid point is singular has no worst location:
-    NaN in the record array, ``nan`` in the CSV."""
-    rows = contractivity.theta_window_sweep([math.pi / 2], [1.0], [1.0])
-    assert math.isnan(rows.arg_lambda[0]) and math.isnan(rows.arg_tau[0])
-    assert rows.singular_points_skipped[0] == 1
-    cli._write_rows(tmp_path / "sweep.csv", rows)
-    assert (tmp_path / "sweep.csv").read_bytes() == _reference(
-        rows.dtype.names, [[_g15(math.pi / 2), "-inf", "nan", "nan", "false", "1"]])
-
-
 def test_bounds_writer(tmp_path, monkeypatch):
     real = contractivity.bound_chain_check(1.5, [0.5])
     names = real["rows"].dtype.names

@@ -9,7 +9,7 @@ from qmarkov.divisibility import (cp_divisibility_scan, intermediate_map,
 from qmarkov.operators import OperandError, random_probes, trace_norm
 from qmarkov.qutrit_family import (G, RHO_A, RHO_B, MapParams, family,
                                    rotated_ket)
-from qmarkov.superops import SuperOp, choi_min_eigenvalue, compose, from_kraus
+from qmarkov.superops import choi_min_eigenvalue, compose, from_kraus
 from qmarkov.tolerances import RANK_CUTOFF, RESIDUAL_TOL, TOL_PSD
 
 SEED = 3
@@ -17,14 +17,11 @@ SEED = 3
 
 class FakeFamily:
     """A qutrit family given by its map matrix at t, read as the package
-    reads a ``Family``: one point through ``__call__`` (the forcing witness)
-    and a grid through ``stack``, whose points it records in ``stacked``."""
+    reads a ``Family``: through ``stack``, whose points it records in
+    ``stacked``."""
 
     def __init__(self, matrix):
         self.matrix, self.stacked = matrix, []
-
-    def __call__(self, t):
-        return SuperOp(3, self.matrix(t))
 
     def stack(self, ts):
         self.stacked.append(list(ts))
@@ -189,6 +186,22 @@ class TestForcingWitness:
         w = positive_forcing_witness(family(MapParams(theta=theta)), 3.0, 4.0)
         assert w.discrepancy == pytest.approx(2e-3, rel=0.1)
 
+    def test_one_stack_call(self):
+        fam = FakeFamily(lambda t: family()(t).matrix)
+        positive_forcing_witness(fam, 3.0, 4.0)
+        assert fam.stacked == [[3.0, 4.0]]
+
+    @pytest.mark.parametrize("s", [3.0, 3.5, 3.98])
+    @pytest.mark.parametrize("delta", [1.0, 1.05])
+    @pytest.mark.parametrize("theta", [1.2, math.sqrt(2), 1.5, 1.55,
+                                       math.pi / 2 - 1e-3, math.pi / 2])
+    def test_basis_witness(self, theta, delta, s):
+        """The forced targets are |1><1| and the rotated ket's projector,
+        2|cos theta| apart, and the shared vector is |3>, also at pi/2."""
+        w = positive_forcing_witness(family(MapParams(theta=theta, delta=delta)), s, 4.0)
+        assert abs(w.discrepancy - 2 * abs(math.cos(theta))) <= 1e-15
+        assert abs(abs(w.shared_vector[2]) - 1.0) <= 1e-12
+
     def test_identity_family_has_none(self):
         assert positive_forcing_witness(identity_family, 3.0, 4.0) is None
 
@@ -199,9 +212,7 @@ class TestForcingWitness:
         U = expm(1j * (h + h.conj().T))
         conj = from_kraus([U])
 
-        def rotated(t):
-            return compose(conj, base(t))
-
+        rotated = FakeFamily(lambda t: compose(conj, base(t)).matrix)
         w0 = positive_forcing_witness(base, 3.0, 4.0)
         w1 = positive_forcing_witness(rotated, 3.0, 4.0)
         assert w1.discrepancy == pytest.approx(w0.discrepancy, abs=1e-9)
