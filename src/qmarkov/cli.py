@@ -41,12 +41,9 @@ _write_csv = contractivity.write_csv  # the one CSV writer, as the CLI's I/O sit
 
 
 def _write_rows(path: Path, rows: np.ndarray) -> None:
-    """Write the record array ``rows`` as CSV, each column formatted by its
+    """Write the record array ``rows`` as CSV, each column encoded by its
     dtype: floats as %.15g, booleans as true/false, the rest as they are."""
-    columns = [rows[name] for name in rows.dtype.names]
-    _write_csv(path, rows.dtype.names,
-               ",".join("%.15g" if c.dtype.kind == "f" else "%s" for c in columns),
-               [np.where(c, "true", "false") if c.dtype == bool else c for c in columns])
+    _write_csv(path, rows.dtype.names, [rows[name] for name in rows.dtype.names])
 
 
 def check_continuity(params: MapParams, derivative: bool = False) -> dict:

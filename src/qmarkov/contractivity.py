@@ -18,9 +18,9 @@ import numpy as np
 from .operators import OperandError, ProbeSet
 from .qutrit_family import RHO_A, RHO_B
 from .superops import GRID_CHUNK, apply_to_extended
-from .tolerances import (KERNEL_CUTOFF, SINGULAR_ROOT, TOL_BOUND_CHAIN,
-                         TOL_CLOSED_FORM, TOL_DERIV, TOL_REFLECTION, TRIPLE_FLOOR,
-                         TRIPLE_GAP)
+from .tolerances import (CSV_TIE_BAND, KERNEL_CUTOFF, SINGULAR_ROOT,
+                         TOL_BOUND_CHAIN, TOL_CLOSED_FORM, TOL_DERIV, TOL_REFLECTION,
+                         TRIPLE_FLOOR, TRIPLE_GAP)
 
 
 class SingularPointError(ValueError):
@@ -32,29 +32,175 @@ def lambda_probe(lam: float) -> np.ndarray:
     return RHO_A - lam * RHO_B
 
 
-# Rows per batch of CSV lines, each formatted by one % operation.  Speed is
-# flat from 2048 to 16384 rows, while the heap a batch's temporaries take
-# (about 250 bytes a row) grows with it: 16384-row batches raised the peak
-# RSS of a run of 100k-row scans by 1.5 MB.
+# Rows per batch of CSV lines, each batch one byte matrix.  A row of the
+# default scan takes 129 bytes of that matrix (two 40-byte %.15g fields and
+# the 34-byte %.12g t among them), and the encoder's temporaries peak at
+# about 640 bytes a row (tracemalloc: 2.6 MB for a 4096-row batch, 20 MB
+# for the 40,000-row scan in one batch).
 CSV_ROWS = 1 << 12
 
+# The float encoder's exact range is 1e-30 <= |x| < 10**(P - 1): there the
+# scale 10**s taking |x| to P integer digits, s = P - 1 - floor(log10 |x|),
+# lies in [0, 44], a product of two exact doubles 10**(s - b) and 10**b with
+# b = min(s, 22) (5**22 < 2**53).  Python's formatter writes the rest: zero
+# excepted, smaller magnitudes, larger ones (%g switches to e+ notation at
+# 10**P), non-finite values and near-ties (CSV_TIE_BAND).
+_EXACT_MIN, _EXACT_EXP = 1e-30, -30
+_POW10 = np.array([float(10 ** i) for i in range(23)])
 
-def write_csv(path, header, fmt: str, columns) -> None:
-    """Write equal-length ``columns`` (lists or arrays) as CSV with CRLF line
-    ends, one row per index; ``fmt`` is the %-format of one row without its
-    line end.  Each batch of up to CSV_ROWS rows is one ``(fmt * n) % values``
-    on the batch's values interleaved row by row."""
-    width, total = len(columns), len(columns[0])
-    row = fmt + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for i in range(0, total, CSV_ROWS):
-            n = min(CSV_ROWS, total - i)
-            values = [None] * (n * width)
-            for j, column in enumerate(columns):
-                part = column[i:i + n]
-                values[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
-            fh.write((row * n) % tuple(values))
+
+def _split(a):
+    """Dekker's split a = hi + lo of doubles into halves of at most 26 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _two_product(a, i):
+    """(p, err) with p + err = a * 10**i exactly (Dekker's two-product)."""
+    p = a * _POW10[i]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[i], _POW10_LO[i]
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _scaled(a, s):
+    """(hi, lo): a * 10**s = hi + lo to within 1e-16 absolute where that is
+    below 1e15, with hi the rounded product, for integers s in [0, 44]."""
+    if not (s > 22).any():
+        return _two_product(a, s)
+    b = np.minimum(s, 22)
+    h1, l1 = _two_product(a, s - b)
+    h2, l2 = _two_product(h1, b)
+    return h2, l2 + l1 * _POW10[b]
+
+
+def _g_bytes(x, precision: int) -> np.ndarray:
+    """The bytes of f"{v:.{precision}g}" for each v of the float array x, as
+    a NUL-padded matrix (len(x), 2 precision + 10), precision <= 15.
+
+    In the exact range the P = precision digits are M = round(|x| 10**s),
+    rounded half to even from the double-double |x| 10**s = hi + lo: M0 =
+    rint(hi), and the remainder r = (hi - M0) + lo, which errs by under
+    1e-16, moves M0 by one past +-1/2.  An M of 10**P carries into the
+    exponent.  M < 2**53, so its digit prefixes floor(M / 10**k) are exact.
+    The text is laid out in fixed slots: sign, "0." and three zeros (for
+    exponents -4 to -1), each digit followed by a "." slot, and "e-dd"."""
+    x = np.asarray(x, dtype=float)
+    P, n = precision, len(x)
+    ax = np.abs(x)
+    exact = (ax >= _EXACT_MIN) & (ax < _POW10[P - 1])
+    zero = ax == 0
+    # zeros and the values Python's formatter writes are laid out as 1 and
+    # rewritten at the end
+    a = np.where(exact, ax, 1.0)
+    # log10 can be one off near a power of ten; the clamp keeps s <= 44
+    e = np.maximum(np.floor(np.log10(a)), _EXACT_EXP)
+    hi, lo = _scaled(a, (P - 1 - e).astype(np.intp))
+    off = (hi >= _POW10[P]) * 1.0 - (hi < _POW10[P - 1])
+    if off.any():
+        e += off
+        hi, lo = _scaled(a, (P - 1 - e).astype(np.intp))
+    m = np.rint(hi)
+    r = (hi - m) + lo
+    exact &= ((hi >= _POW10[P - 1]) & (hi < _POW10[P])
+              & (np.abs(np.abs(r) - 0.5) > CSV_TIE_BAND))
+    m += (r > 0.5) * 1.0 - (r < -0.5)
+    carry = m == _POW10[P]
+    m[carry] = _POW10[P - 1]
+    e += carry
+
+    digits = np.floor(m / _POW10[P - 1::-1, None])  # (P, n): leading j + 1 digits
+    digits[1:] -= 10 * digits[:-1]
+    digits = digits.astype(np.uint8)
+    j = np.arange(P, dtype=np.int8)[:, None]
+    # the point follows digit `point` if a nonzero digit follows it, and the
+    # digits up to it and up to the last nonzero one are shown
+    sci = e < -4
+    point = np.where(sci, 0, e).astype(np.int8)
+    last = ((digits != 0) * j).max(axis=0)
+    text = np.zeros((2 * P + 10, n), dtype=np.uint8)
+    text[0] = np.signbit(x) * ord("-")
+    small = (e < 0) & ~sci
+    text[1], text[2] = small * ord("0"), small * ord(".")
+    for k in range(3):
+        text[3 + k] = (small & (e < -1 - k)) * ord("0")
+    digits += ord("0")
+    np.multiply(digits, j <= np.maximum(point, last), out=text[6:2 * P + 6:2])
+    dotted = np.flatnonzero((point >= 0) & (point < last))
+    text[7 + 2 * point[dotted], dotted] = ord(".")
+    tens = np.floor(e * -0.1)
+    text[2 * P + 6], text[2 * P + 7] = sci * ord("e"), sci * ord("-")
+    text[2 * P + 8] = sci * (ord("0") + tens)
+    text[2 * P + 9] = sci * (ord("0") - e - 10 * tens)
+    text[6, zero] = ord("0")
+    for i in np.flatnonzero(~exact & ~zero).tolist():
+        value = format(float(x[i]), f".{P}g").encode()
+        text[:, i] = 0
+        text[:len(value), i] = np.frombuffer(value, dtype=np.uint8)
+    return text.T
+
+
+def _text_bytes(text: np.ndarray) -> np.ndarray:
+    """The NUL-padded bytes (len(text), width) of an ASCII str array, read
+    through its UCS-4 code points."""
+    codes = np.ascontiguousarray(text).view(np.uint32).reshape(len(text), -1)
+    if codes.max(initial=0) > 127:
+        raise ValueError("CSV text must be ASCII")
+    return codes.astype(np.uint8)
+
+
+def _field_bytes(column: np.ndarray) -> np.ndarray:
+    """The NUL-padded CSV bytes of a column, by its dtype: floats as %.15g,
+    booleans as true/false, integers and ASCII text as they are."""
+    kind = column.dtype.kind
+    if kind == "f":
+        return _g_bytes(column, 15)
+    if kind == "b":
+        column = np.where(column, "true", "false")
+    elif kind in "iu":
+        column = column.astype(str)
+    elif kind != "U":
+        raise TypeError(f"no CSV encoding for dtype {column.dtype}")
+    return _text_bytes(column)
+
+
+_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
+
+
+def _write_fields(path, header, total: int, fields) -> None:
+    """Write ``total`` rows as CSV with CRLF line ends; each of ``fields``
+    maps a slice of rows to their NUL-padded bytes.  A batch of up to
+    CSV_ROWS rows is one row-major byte matrix of its fields, commas and
+    line ends, compacted in one pass that deletes its NULs: CSV text holds
+    none."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, total, CSV_ROWS):
+            part = slice(start, min(start + CSV_ROWS, total))
+            blocks = [field(part) for field in fields]
+            out = np.empty((part.stop - start, sum(b.shape[1] + 1 for b in blocks) + 1),
+                           dtype=np.uint8)
+            end = 0
+            for block in blocks:
+                out[:, end:end + block.shape[1]] = block
+                end += block.shape[1] + 1
+                out[:, end - 1] = ord(",")
+            out[:, end - 1:] = _CRLF
+            fh.write(out.tobytes().translate(None, b"\0"))
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length ``columns`` (array-likes) as CSV with CRLF line
+    ends, one row per index, each column encoded by its dtype (see
+    ``_field_bytes``): the bytes ``csv.writer`` gives for f"{v:.15g}" floats,
+    true/false booleans and plain integers, with text written unquoted."""
+    columns = [np.asarray(column) for column in columns]
+    _write_fields(path, header, len(columns[0]),
+                  [lambda part, c=c: _field_bytes(c[part]) for c in columns])
 
 
 @dataclass(frozen=True)
@@ -96,15 +242,18 @@ class ScanReport:
         return int(self.rows.k[0])
 
     def to_csv(self, path) -> None:
-        """Write the rows with ``write_csv``; the lead ``t,probe_id,k,`` of a
-        row is formatted once per grid point and once per probe."""
+        """Write the rows as ``write_csv`` does, t as %.12g; the bytes of t
+        are encoded once per grid point and those of ``probe_id,k`` once per
+        probe."""
         rows, points = self.rows, self._points
-        ts = [f"{t:.12g}," for t in rows.t[:points].tolist()]
-        ids = [f"{p},{k}," for p, k in zip(rows.probe_id[::points].tolist(),
-                                           rows.k[::points].tolist())]
-        write_csv(path, rows.dtype.names, "%s%s%.15g,%.15g,%s",
-                  [ts * len(ids), [p for p in ids for _ in ts],
-                   rows.norm, rows.rderiv, rows.verdict])
+        t = np.ascontiguousarray(_g_bytes(rows.t[:points], 12))
+        ids = _text_bytes(np.array([f"{p},{k}" for p, k in zip(
+            rows.probe_id[::points].tolist(), rows.k[::points].tolist())]))
+        _write_fields(path, rows.dtype.names, len(rows), [
+            lambda part: t[np.arange(part.start, part.stop) % points],
+            lambda part: ids[np.arange(part.start, part.stop) // points],
+            *(lambda part, c=rows[name]: _field_bytes(c[part])
+              for name in ("norm", "rderiv", "verdict"))])
 
     def summary(self) -> dict:
         return {

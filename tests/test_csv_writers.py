@@ -1,7 +1,8 @@
 """Every CSV qmarkov writes, byte for byte against a ``csv.writer`` reference
 with ``f"{v:.15g}"`` float fields (``.12g`` for the scan's t), on values that
 stress the formatting: signed zeros, infinities, NaN, subnormals and +-1e300,
-and on row counts on both sides of a CSV_ROWS batch."""
+on row counts on both sides of a CSV_ROWS batch, and on any float64 bit
+pattern.  No encoder step may raise a numpy RuntimeWarning."""
 
 import csv
 import io
@@ -9,11 +10,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarkov import cli, contractivity, divisibility
 from qmarkov.contractivity import CSV_ROWS, ScanReport, norm_derivative_scan
 from qmarkov.operators import random_probes
 from qmarkov.qutrit_family import family
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
            2.2250738585072014e-308 / 3, 1e300, -1e300, 1 / 3, -2.5e-7,
@@ -129,8 +134,91 @@ def test_write_csv_batches(tmp_path, total):
     """Lists and arrays mixed, across batch edges."""
     values = np.resize(np.array(SPECIAL), total)
     labels = [f"r{i}" for i in range(total)]
-    contractivity.write_csv(tmp_path / "x.csv", ("a", "b", "c"), "%.15g,%s,%d",
+    contractivity.write_csv(tmp_path / "x.csv", ("a", "b", "c"),
                             [values, labels, np.arange(total)])
     expected = _reference(["a", "b", "c"], [[_g15(v), s, i] for i, (v, s)
                                             in enumerate(zip(values.tolist(), labels))])
     assert (tmp_path / "x.csv").read_bytes() == expected
+
+
+def _encoded(tmp_path, values) -> tuple:
+    """The %.15g fields ``write_csv`` writes for ``values`` and the %.12g t
+    fields ``ScanReport.to_csv`` writes for them, one probe with ``values``
+    as its grid."""
+    n = len(values)
+    contractivity.write_csv(tmp_path / "x.csv", ("x",), [values])
+    rows = np.rec.fromarrays(
+        [values, np.zeros(n, dtype=int), np.ones(n, dtype=int), np.zeros(n),
+         np.zeros(n), np.full(n, "ok")],
+        names=("t", "probe_id", "k", "norm", "rderiv", "verdict"))
+    ScanReport(rows=rows, seed=0).to_csv(tmp_path / "scan.csv")
+    lines = [(tmp_path / name).read_bytes().decode().split("\r\n")[1:-1]
+             for name in ("x.csv", "scan.csv")]
+    return lines[0], [line.split(",")[0] for line in lines[1]]
+
+
+_BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(_BIT_PATTERNS, st.floats(-1e15, 1e15)),
+                       min_size=1, max_size=64))
+def test_float_fields_match_python(tmp_path_factory, values):
+    """Any bit pattern (both signs, subnormals, NaN payloads and +-inf), and
+    values in the encoder's exact range, which few bit patterns reach."""
+    values = np.array(values, dtype=np.float64)
+    g15, g12 = _encoded(tmp_path_factory.mktemp("bits"), values)
+    assert g15 == [format(v, ".15g") for v in values.tolist()]
+    assert g12 == [format(v, ".12g") for v in values.tolist()]
+
+
+def test_log_uniform_fields_match_python(tmp_path):
+    """20,000 magnitudes log-uniform over 1e-31 .. 1e15, across the exact
+    range's edges: at 15 digits about 1 % of them round differently when the
+    second scale factor's product error is dropped."""
+    rng = np.random.default_rng(20210907)
+    values = 10.0 ** rng.uniform(-31, 15, 20000) * rng.choice([-1.0, 1.0], 20000)
+    g15, g12 = _encoded(tmp_path, values)
+    assert g15 == [format(v, ".15g") for v in values.tolist()]
+    assert g12 == [format(v, ".12g") for v in values.tolist()]
+
+
+# (value, its %.15g text, whether Python's formatter writes it)
+PINNED = [(12345678901234.25, "12345678901234.2", True),  # exact ties, half to even
+          (12345678901234.75, "12345678901234.8", True),
+          (9.9999999999999995e-5, "0.0001", False),  # carries across the switch
+          (99999999999999.95, "100000000000000", False),
+          (999999999999999.5, "1e+15", True),
+          (5e-324, "4.94065645841247e-324", True),
+          (1e-30, "1e-30", False),
+          (-0.0, "-0", False)]
+
+
+@pytest.mark.parametrize("value,text,python", PINNED, ids=[p[1] for p in PINNED])
+def test_pinned_float_fields(tmp_path, monkeypatch, value, text, python):
+    formatted = []
+
+    def spy(v, spec):
+        formatted.append((v, spec))
+        return format(v, spec)
+
+    monkeypatch.setattr(contractivity, "format", spy, raising=False)
+    g15, g12 = _encoded(tmp_path, np.array([value]))
+    assert g15 == [text] == [format(value, ".15g")]
+    assert g12 == [format(value, ".12g")]
+    assert ((value, ".15g") in formatted) == python
+
+
+def test_empty_table_writes_the_header(tmp_path):
+    rows = np.rec.fromarrays([np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype="<U4")],
+                             names=("a", "b", "c"))
+    cli._write_rows(tmp_path / "x.csv", rows)
+    assert (tmp_path / "x.csv").read_bytes() == b"a,b,c\r\n"
+
+
+@pytest.mark.parametrize("column,error", [(["caf\u00e9"], ValueError),
+                                          ([1j], TypeError)])
+def test_unencodable_columns_are_refused(tmp_path, column, error):
+    with pytest.raises(error):
+        contractivity.write_csv(tmp_path / "x.csv", ("x",), [column])
