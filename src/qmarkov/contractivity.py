@@ -207,10 +207,15 @@ class ScanReport:
     """``rows``: record array ``t, probe_id, k, norm, rderiv, verdict`` in
     probe-major order, ``verdict`` "ok" only where ``rderiv`` <= TOL_DERIV (a
     NaN reads "fail"); ``seed``: the probes' seed.  The rest is read off the
-    rows: the worst row is the first maximum of ``rderiv`` (a NaN is one)."""
+    rows: the worst row is the first maximum of ``rderiv`` (a NaN is one),
+    so a report without rows, which has no worst row, is refused."""
 
     rows: np.recarray
     seed: int
+
+    def __post_init__(self):
+        if len(self.rows) == 0:
+            raise OperandError("a scan report needs at least one row")
 
     @property
     def _points(self) -> int:
@@ -425,6 +430,30 @@ def _triple_spectrum(B: np.ndarray, Bdot: np.ndarray):
             np.where(trusted[..., None], np.stack(rates, axis=-1), np.nan))
 
 
+def _merge_runs(lam: list, rates: list, first: int) -> None:
+    """Sort the columns ``lam`` ascending row by row, ``rates`` along, where
+    lam[:first] and each later block's run ascend: each later column is
+    inserted by compare-exchange steps, up to the first step where no row
+    swaps (every row is sorted below it).  Ties and non-finite values need
+    not order as a sort would: their rows take eigh."""
+    for i in range(first, len(lam)):
+        for j in range(i, 0, -1):
+            swap = lam[j] < lam[j - 1]
+            if not swap.any():
+                break
+            for c in lam, rates:
+                c[j - 1], c[j] = np.where(swap, c[j], c[j - 1]), np.where(swap, c[j - 1], c[j])
+
+
+def _row_sum(columns: list) -> np.ndarray:
+    """The bits of ``.sum(axis=-1)`` over the columns stacked as (..., n):
+    numpy adds fewer than 8 values in sequence from +0.0, so a zero term's
+    sign never shows, and 8 or more pairwise (its ``pairwise_sum``)."""
+    if len(columns) < 8:
+        return functools.reduce(np.add, columns, 0.0)
+    return np.stack(columns, axis=-1).sum(axis=-1)
+
+
 def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: int):
     """``_eigh_norm_rderiv`` of stacks X, Xdot (points, probes, 3k, 3k)
     where X = (Lambda_t tensor Id_k)(probe) and ``codes`` holds each point's
@@ -434,9 +463,10 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
     Per block the eigenvalues and Kato rates <v_i|Xdot|v_i> are read off the
     diagonal (1 x 1), in closed form (2 x 2, ``_pair_spectrum``; 3 x 3,
     ``_triple_spectrum``) or from one batched eigh per larger block size;
-    only a block's own entries of Xdot enter them.  A row's values are
-    sorted ascending and reduced as eigh's path reduces them, so a row of
-    1 x 1 blocks gives eigh's bits.  (LAPACK
+    only a block's own entries of Xdot enter them.  Each block's values
+    ascend, so a row's values, one column each, are merged rather than
+    sorted (``_merge_runs``) and reduced in the order of eigh's path
+    (``_row_sum``): a row of 1 x 1 blocks gives eigh's bits.  (LAPACK
     rescales a matrix whose largest entry lies outside about [1e-146,
     1e146] and then rounds even a diagonal; the blocks keep the exact
     diagonal there.)  A row with a kernel eigenvalue needs the cross-block
@@ -453,10 +483,11 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
         at = codes == code
         at = slice(None) if at.all() else at
         Xg, Xdotg = X[at], Xdot[at]
-        lam, rates = [], []
+        blocks, lam, rates = _block_entries(code, k), [], []
         # non-finite entries and ties only raise flags in rows that take eigh
         with np.errstate(all="ignore"):
-            for size, rows, cols in _block_entries(code, k):
+            # the largest blocks first: the first block's run needs no merge
+            for size, rows, cols in reversed(blocks):
                 B, Bdot = Xg[..., rows, cols], Xdotg[..., rows, cols]
                 if size == 1:
                     values = B[..., 0, 0].real, Bdot[..., 0, 0].real
@@ -467,23 +498,16 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
                 else:
                     block_lam, _, _, block_rates = _eigh_spectrum(B, Bdot)
                     values = block_lam, block_rates
-                lam.append(values[0].reshape(Xg.shape[:2] + (-1,)))
-                rates.append(values[1].reshape(Xg.shape[:2] + (-1,)))
-            lam, rates = np.concatenate(lam, axis=-1), np.concatenate(rates, axis=-1)
-            order = np.argsort(lam, axis=-1)
-            lam = np.take_along_axis(lam, order, axis=-1)
-            # eigh's path sums each rate from +0.0, so a zero rate is +0.0 there
-            # too; the sign sum below then matches whatever a reduction starts from
-            rates = np.take_along_axis(rates, order, axis=-1) + 0.0
-            mag = np.abs(lam)
-            norm[at] = mag.sum(axis=-1)
-            rderiv[at] = (np.sign(lam) * rates).sum(axis=-1)
-            # reduced column by column: numpy reduces short rows one at a time
-            smallest = functools.reduce(np.minimum, np.moveaxis(mag, -1, 0))
-            rising = functools.reduce(np.logical_and,
-                                      np.moveaxis(lam[..., 1:] > lam[..., :-1], -1, 0))
-            # the values are sorted, so the largest |lam| sits at one end
-            slow[at] = ~((smallest > KERNEL_CUTOFF * np.maximum(mag[..., 0], mag[..., -1]))
+                lam.extend(np.moveaxis(values[0].reshape(Xg.shape[:2] + (-1,)), -1, 0))
+                rates.extend(np.moveaxis(values[1].reshape(Xg.shape[:2] + (-1,)), -1, 0))
+            _merge_runs(lam, rates, blocks[-1][0])
+            mag = [np.abs(c) for c in lam]
+            norm[at] = _row_sum(mag)
+            rderiv[at] = _row_sum([np.sign(c) * r for c, r in zip(lam, rates)])
+            smallest = functools.reduce(np.minimum, mag)
+            rising = functools.reduce(np.logical_and, [b > a for a, b in zip(lam, lam[1:])])
+            # the values ascend, so the largest |lam| sits at one end
+            slow[at] = ~((smallest > KERNEL_CUTOFF * np.maximum(mag[0], mag[-1]))
                          & rising & np.isfinite(rderiv[at]))
     if slow.all():
         return _eigh_norm_rderiv(X, Xdot)
@@ -529,12 +553,13 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     its Lambda_t tensored with C^k: one block in stage 1, three on [t1, t3]
     and two in stage 4.  1 x 1 blocks are read off the diagonal, 2 x 2 and
     3 x 3 blocks in closed form and larger ones by one batched eigh per
-    block size; the rows with a kernel eigenvalue, a tie, a non-finite
-    value or a 3 x 3 block too near degenerate for its closed form
-    (TRIPLE_GAP, TRIPLE_FLOOR) take one batched eigh of the whole X.  A row
-    of 1 x 1 blocks gives eigh's bits, and the batching changes no bit of a
-    result.  Rows are sorted by (probe, t); a row reads "ok" only where its
-    right derivative is at most TOL_DERIV, so a NaN row fails.
+    block size; each block's values ascend, so a row's are merged, not
+    sorted.  The rows with a kernel eigenvalue, a tie, a non-finite value or
+    a 3 x 3 block too near degenerate for its closed form (TRIPLE_GAP,
+    TRIPLE_FLOOR) take one batched eigh of the whole X.  A row of 1 x 1
+    blocks gives eigh's bits, and the batching changes no bit of a result.
+    Rows are sorted by (probe, t); a row reads "ok" only where its right
+    derivative is at most TOL_DERIV, so a NaN row fails.
     """
     grid = list(grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -599,17 +624,24 @@ def gamma4_derivative_closed_form(lam, tau, theta):
 _SWEEP_LAMBDAS = np.arange(0.0, 10.0 + 1e-9, 0.1)
 
 
-def _closed_form_mesh(fn, lam, tau, theta):
-    """``fn(lam, tau, theta)`` on the broadcast (lam, tau) mesh, with -inf at
-    the closed forms' singular points (lam = 1, 2*theta*tau = pi, where
-    ``_root`` vanishes); returns (values, number of singular points)."""
-    lam, tau = np.broadcast_arrays(np.asarray(lam, dtype=float),
-                                   np.asarray(tau, dtype=float))
+def _regular_mesh(lam, tau, theta):
+    """The (lam, tau) mesh as a lam column against the tau row, on which the
+    closed forms broadcast and take cos and sin once per tau: the column,
+    with lam read as 0 at the singular points (lam = 1, 2*theta*tau = pi,
+    where ``_root`` vanishes), and the mask of the other points."""
+    lam = np.asarray(lam, dtype=float)[:, None]
     keep = _root(lam, tau, theta) > SINGULAR_ROOT
-    vals = np.full(keep.shape, -math.inf)
-    if keep.any():
-        vals[keep] = fn(lam[keep], tau[keep], theta)
-    return vals, int(keep.size - keep.sum())
+    # a mesh-shaped lam costs the default sweep 11-14 ms against 7-9 ms
+    return (lam if keep.all() else np.where(keep, lam, 0.0)), keep
+
+
+def _closed_form_mesh(lam, tau, theta):
+    """``gamma4_derivative_closed_form`` on the (lam, tau) mesh of
+    ``_regular_mesh``, with -inf at the singular points; returns (values,
+    number of singular points)."""
+    lam, keep = _regular_mesh(lam, tau, theta)
+    return (np.where(keep, gamma4_derivative_closed_form(lam, tau, theta), -math.inf),
+            int(keep.size - keep.sum()))
 
 
 def theta_window_sweep(theta_grid, tau_grid) -> np.recarray:
@@ -618,17 +650,17 @@ def theta_window_sweep(theta_grid, tau_grid) -> np.recarray:
 
     A record array ``theta, max_deriv, arg_lambda, arg_tau, violation,
     singular_points_skipped``, one row per theta: the maximum, its location
-    (the first maximum in lam-major order) and a violation flag.  Singular
-    grid points are skipped and counted.
+    (the first maximum in lam-major order) and a violation flag.  Each
+    theta's mesh is one call of the closed form on a lam column against the
+    tau row, so cos(2 theta tau) and sin(2 theta tau) are taken once per
+    tau; singular grid points are skipped and counted (``_closed_form_mesh``).
     """
     tau = np.asarray(list(tau_grid), dtype=float)
-    lam_mesh, tau_mesh = np.meshgrid(_SWEEP_LAMBDAS, tau, indexing="ij")
     thetas = np.asarray(list(theta_grid), dtype=float)
     best, where = np.empty(len(thetas)), np.empty((2, len(thetas)))
     skipped = np.zeros(len(thetas), dtype=int)
     for n, theta in enumerate(thetas):
-        vals, skipped[n] = _closed_form_mesh(gamma4_derivative_closed_form,
-                                             lam_mesh, tau_mesh, theta)
+        vals, skipped[n] = _closed_form_mesh(_SWEEP_LAMBDAS, tau, theta)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         best[n], where[:, n] = vals[i, j], (_SWEEP_LAMBDAS[i], tau[j])
     return np.rec.fromarrays([thetas, best, *where, best > TOL_CLOSED_FORM, skipped],
@@ -656,8 +688,7 @@ def bound_chain_check(theta: float, tau_grid) -> dict:
     if not 0.0 <= theta <= math.pi / 2:
         raise OperandError("bound chain is stated for theta in [0, pi/2]")
     tau = np.asarray(list(tau_grid), dtype=float)
-    vals, skipped = _closed_form_mesh(gamma4_derivative_closed_form,
-                                      np.arange(1.0, 11.0)[:, None], tau, theta)
+    vals, skipped = _closed_form_mesh(np.arange(1.0, 11.0), tau, theta)
     sup = vals.max(axis=0)
     bound_a = (tau * np.sqrt(np.maximum(2 + 2 * np.cos(2 * theta * tau), 0.0))
                - (1 + tau * tau) * (theta / 2) * np.sin(2 * theta * tau))
@@ -674,10 +705,10 @@ def bound_chain_check(theta: float, tau_grid) -> dict:
                "polynomial", "link1", "link2", "link3", "link4"))
     # lam-monotonicity of the bracketed term: its lam-derivative is
     # -1 + (lam + cos(2 theta tau)) / sqrt(1 + lam^2 + 2 lam cos(2 theta tau)) <= 0.
-    mono, mono_skipped = _closed_form_mesh(
-        lambda lam, tau, theta: -1 + (lam + np.cos(2 * theta * tau)) / _root(lam, tau, theta),
-        np.linspace(1.0, 10.0, 37)[:, None], tau, theta)
-    skipped += mono_skipped
+    lam, keep = _regular_mesh(np.linspace(1.0, 10.0, 37), tau, theta)
+    mono = np.where(keep, -1 + (lam + np.cos(2 * theta * tau)) / _root(lam, tau, theta),
+                    -math.inf)
+    skipped += int(keep.size - keep.sum())
     return {"theta": theta, "rows": rows, "singular_points_skipped": skipped,
             "chain_ok": bool(np.all(rows.link1 & rows.link2 & rows.link3)),
             "polynomial_nonpositive": bool(np.all(rows.link4)),

@@ -1,16 +1,21 @@
-"""Test-only oracles: a Richardson finite-difference right derivative and a
-full matrix evaluation of the closed-form norm.
+"""Test-only oracles: a Richardson finite-difference right derivative, a
+full matrix evaluation of the closed-form norm, and the scan's block kernel
+as it was written, with a sort.
 
 The package computes these quantities exactly (Kato's formula in the scan,
 the closed forms in ``contractivity``); the tests check it against these
-independent routes.
+independent routes, and the kernel against its sort-based form bit for bit.
 """
+
+import functools
 
 import numpy as np
 
-from qmarkov.contractivity import lambda_probe
+from qmarkov.contractivity import (_block_entries, _eigh_norm_rderiv, _eigh_spectrum,
+                                   _pair_spectrum, _triple_spectrum, lambda_probe)
 from qmarkov.operators import OperandError, trace_norm
 from qmarkov.qutrit_family import MapParams, gamma_family
+from qmarkov.tolerances import KERNEL_CUTOFF
 
 # Default initial step of the finite-difference right-derivative estimator
 # (right_derivative), the oracle the exact scan is tested against; two
@@ -54,3 +59,47 @@ def gamma4_norm_numeric(lam: float, tau: float, theta: float) -> float:
     """Full matrix-evaluation oracle for the closed-form norm."""
     params = MapParams(theta=theta)
     return trace_norm(gamma_family(4, tau, params).apply(lambda_probe(lam)))
+
+
+def block_norm_rderiv_sorted(X, Xdot, codes, k):
+    """``contractivity._block_norm_rderiv`` as it was written: each row's block
+    values concatenated, argsorted and gathered, then reduced along the
+    short last axis by numpy's own ``sum``."""
+    norm, rderiv = np.empty(X.shape[:2]), np.empty(X.shape[:2])
+    slow = np.ones(X.shape[:2], dtype=bool)
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
+        at = codes == code
+        at = slice(None) if at.all() else at
+        Xg, Xdotg = X[at], Xdot[at]
+        lam, rates = [], []
+        with np.errstate(all="ignore"):
+            for size, rows, cols in _block_entries(code, k):
+                B, Bdot = Xg[..., rows, cols], Xdotg[..., rows, cols]
+                if size == 1:
+                    values = B[..., 0, 0].real, Bdot[..., 0, 0].real
+                elif size == 2:
+                    values = _pair_spectrum(B, Bdot)
+                elif size == 3:
+                    values = _triple_spectrum(B, Bdot)
+                else:
+                    block_lam, _, _, block_rates = _eigh_spectrum(B, Bdot)
+                    values = block_lam, block_rates
+                lam.append(values[0].reshape(Xg.shape[:2] + (-1,)))
+                rates.append(values[1].reshape(Xg.shape[:2] + (-1,)))
+            lam, rates = np.concatenate(lam, axis=-1), np.concatenate(rates, axis=-1)
+            order = np.argsort(lam, axis=-1)
+            lam = np.take_along_axis(lam, order, axis=-1)
+            rates = np.take_along_axis(rates, order, axis=-1) + 0.0
+            mag = np.abs(lam)
+            norm[at] = mag.sum(axis=-1)
+            rderiv[at] = (np.sign(lam) * rates).sum(axis=-1)
+            smallest = functools.reduce(np.minimum, np.moveaxis(mag, -1, 0))
+            rising = functools.reduce(np.logical_and,
+                                      np.moveaxis(lam[..., 1:] > lam[..., :-1], -1, 0))
+            slow[at] = ~((smallest > KERNEL_CUTOFF * np.maximum(mag[..., 0], mag[..., -1]))
+                         & rising & np.isfinite(rderiv[at]))
+    if slow.all():
+        return _eigh_norm_rderiv(X, Xdot)
+    if slow.any():
+        norm[slow], rderiv[slow] = _eigh_norm_rderiv(X[slow], Xdot[slow])
+    return norm, rderiv

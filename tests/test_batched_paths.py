@@ -1,7 +1,8 @@
 """The one-call paths against the loops and library calls they replaced: the
 probe ensemble drawn in one call, the intermediate maps from one SVD per
-batch, the scan's block kernel against its full eigh path, and the bound on
-what the scan's kernel cutoff can over-read."""
+batch, the scan's block kernel against its full eigh path and, bit for bit,
+against its sort-based form, and the bound on what the scan's kernel cutoff
+can over-read."""
 
 import collections
 import math
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmarkov.contractivity import (_block_norm_rderiv, _eigh_norm_rderiv,
+from qmarkov.contractivity import (_block_entries, _block_norm_rderiv, _eigh_norm_rderiv,
                                    _norm_rderiv, _output_codes, _triple_spectrum,
                                    norm_derivative_scan)
 from qmarkov.divisibility import RESIDUAL_TOL, _intermediate_maps
@@ -21,6 +22,8 @@ from qmarkov.qutrit_family import MapParams, family
 from qmarkov.superops import apply_to_extended
 from qmarkov.tolerances import (KERNEL_CUTOFF, RANK_CUTOFF, TOL_DERIV, TRIPLE_FLOOR,
                                 TRIPLE_GAP)
+
+from oracles import block_norm_rderiv_sorted
 
 
 def _probes_by_loop(dim, count, seed):
@@ -230,6 +233,19 @@ def test_eigh_takes_stage_1_kernel_rows_and_stage_4_blocks(monkeypatch):
         family(), probes, np.linspace(0.0, 4.0, 40, endpoint=False), k=2)) == {6: 5500, 4: 4500}
 
 
+def test_scan_sorts_nothing(monkeypatch):
+    """Each block's values come out ascending and the kernel merges them: a
+    scan at k = 1, 2, 3 calls no sort and no gather along a sort order."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan sorted")
+
+    for name in ("argsort", "sort", "take_along_axis"):
+        monkeypatch.setattr(np, name, refuse)
+    grid = np.linspace(0.0, 4.0, 40, endpoint=False)
+    for k in (1, 2, 3):
+        norm_derivative_scan(family(), random_probes(3 * k, 5, 1), grid, k=k)
+
+
 @st.composite
 def _block_scans(draw):
     """(params, grid, k, probes): the junctions t1..t4, one point inside
@@ -272,6 +288,73 @@ def test_block_kernel_matches_eigh(scan):
     X = apply_to_extended(fam.stack(grid), stack, k)
     Xdot = apply_to_extended(fam.dot_stack(grid), stack, k)
     _assert_close(_norm_rderiv(fam, stack, grid, k), _eigh_norm_rderiv(X, Xdot))
+
+
+def _outcomes(X, Xdot, codes, k):
+    """The bytes of the block kernel's (norm, rderiv) and of the sort-based
+    kernel's, or the type of the error each raised."""
+    def run(kernel):
+        try:
+            return [a.tobytes() for a in kernel(X, Xdot, codes, k)]
+        except np.linalg.LinAlgError as err:
+            return type(err)
+    return run(_block_norm_rderiv), run(block_norm_rderiv_sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_scans())
+def test_block_kernel_keeps_the_sorted_kernels_bits(scan):
+    """In every stage and at every junction, for k = 1, 2, 3 and with the
+    zero probe, merging the block values and summing them column by column
+    give the bits of the kernel that sorted them and summed along the short
+    axis: a changed order of summation would move digits of the scan CSV."""
+    params, grid, k, stack = scan
+    fam = family(params)
+    maps = fam.stack(grid)
+    X = apply_to_extended(maps, stack, k)
+    Xdot = apply_to_extended(fam.dot_stack(grid), stack, k)
+    got, expected = _outcomes(X, Xdot, _output_codes(maps), k)
+    assert got == expected
+
+
+def _constructed_rows(code, k):
+    """Rows (1, 7, 3k, 3k) of X block diagonal for the output ``code``, with
+    a full Hermitian Xdot: a random row, two negative definite rows with
+    rates of +0.0 and of -0.0 (each term sign(lam) * rate is then a zero, so
+    only where a sum starts decides the sign of the result), a tie, a -0.0
+    eigenvalue, a NaN rate and a row of distinct eigenvalues."""
+    rng = np.random.default_rng(31 * code + k)
+    n = 3 * k
+    inside = np.zeros((n, n), dtype=bool)
+    for _, rows, cols in _block_entries(code, k):
+        inside[rows, cols] = True
+    g = rng.standard_normal((2, 7, n, n)) + 1j * rng.standard_normal((2, 7, n, n))
+    g = g + np.conj(np.swapaxes(g, -1, -2))
+    X, Xdot = np.where(inside, g[0], 0.0), g[1]
+    for row, zero in ((1, 0.0), (2, -0.0)):
+        X[row] = -(X[row] @ X[row].conj().T + np.eye(n))
+        Xdot[row] = zero
+    levels = np.arange(1.0, n + 1.0)
+    X[3] = np.diag(np.where(levels == n, 1.0, levels))
+    X[4] = np.diag(np.where(levels == 1, -0.0, levels))
+    Xdot[5, 0, 0] = np.nan
+    X[6] = np.diag(-levels[::-1])
+    return X[None], Xdot[None]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("code", [0, 1, 7], ids=["diagonal", "stage-4", "full"])
+def test_block_kernel_bits_on_constructed_rows(code, k):
+    """On random, negative definite zero-rate, tied, signed-zero and NaN
+    rows the merge kernel gives the sort-based kernel's bits, and on a NaN
+    entry of X its error or its bits."""
+    X, Xdot = _constructed_rows(code, k)
+    codes = np.array([code])
+    got, expected = _outcomes(X, Xdot, codes, k)
+    assert got == expected
+    X[0, 0, 0, 0] = np.nan
+    got, expected = _outcomes(X[:, :1], Xdot[:, :1], codes, k)
+    assert got == expected
 
 
 def _stage4_rows(pairs, last, rates):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qmarkov import cli, contractivity, divisibility
 from qmarkov.contractivity import CSV_ROWS, ScanReport, norm_derivative_scan
-from qmarkov.operators import random_probes
+from qmarkov.operators import OperandError, random_probes
 from qmarkov.qutrit_family import family
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -78,6 +78,12 @@ class TestScanWriter:
         report = norm_derivative_scan(family(), random_probes(3, probes, 20210907), grid)
         report.to_csv(tmp_path / "scan.csv")
         assert (tmp_path / "scan.csv").read_bytes() == _scan_reference(report)
+
+
+def test_scan_report_refuses_zero_rows():
+    """A report without rows has no worst row, header grid or summary."""
+    with pytest.raises(OperandError, match="at least one row"):
+        ScanReport(rows=_synthetic_report(1, 1).rows[:0], seed=0)
 
 
 def test_divisibility_writer(tmp_path, monkeypatch):
