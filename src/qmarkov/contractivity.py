@@ -17,7 +17,7 @@ import numpy as np
 
 from .operators import OperandError, ProbeSet
 from .qutrit_family import RHO_A, RHO_B
-from .superops import GRID_CHUNK, apply_to_extended
+from .superops import apply_to_extended
 from .tolerances import (CSV_TIE_BAND, KERNEL_CUTOFF, SINGULAR_ROOT,
                          TOL_BOUND_CHAIN, TOL_CLOSED_FORM, TOL_DERIV, TOL_REFLECTION,
                          TRIPLE_FLOOR, TRIPLE_GAP)
@@ -33,10 +33,10 @@ def lambda_probe(lam: float) -> np.ndarray:
 
 
 # Rows per batch of CSV lines, each batch one byte matrix.  A row of the
-# default scan takes 129 bytes of that matrix (two 40-byte %.15g fields and
-# the 34-byte %.12g t among them), and the encoder's temporaries peak at
-# about 640 bytes a row (tracemalloc: 2.6 MB for a 4096-row batch, 20 MB
-# for the 40,000-row scan in one batch).
+# default scan takes 102 bytes of that matrix (two 40-byte %.15g fields and
+# the 7 slots of its %.12g t that are not all NUL among them), and the
+# encoder's temporaries peak at about 640 bytes a row (tracemalloc: 2.6 MB
+# for a 4096-row batch, 20 MB for the 40,000-row scan in one batch).
 CSV_ROWS = 1 << 12
 
 # The float encoder's exact range is 1e-30 <= |x| < 10**(P - 1): there the
@@ -250,7 +250,8 @@ class ScanReport:
         are encoded once per grid point and those of ``probe_id,k`` once per
         probe."""
         rows, points = self.rows, self._points
-        t = np.ascontiguousarray(_g_bytes(rows.t[:points], 12))
+        t = _g_bytes(rows.t[:points], 12)
+        t = t[:, t.any(axis=0)]  # the all-NUL slots would be copied per row
         ids = _text_bytes(np.array([f"{p},{k}" for p, k in zip(
             rows.probe_id[::points].tolist(), rows.k[::points].tolist())]))
         _write_fields(path, rows.dtype.names, len(rows), [
@@ -273,13 +274,21 @@ class ScanReport:
         }
 
 
-# A scan batch holds the probes at up to GRID_CHUNK grid points, so one
-# apply per map kind and at most one eigh serve the whole batch.  It also
-# holds at most SCAN_CHUNK_ENTRIES complex entries of evolved probes (about
-# 2048 qutrit probes), and at least one grid point: a probe stack that fills
-# the budget alone (2000 probes, or 500 at k = 2) keeps one point per batch,
-# where batching saves no per-call overhead worth the memory.
+# A scan batch holds the probes at as many grid points as fit in
+# SCAN_CHUNK_ENTRIES complex probe entries, and at least one, so one family
+# call, one apply per map kind and one kernel call serve the whole batch.
+# A stack holds at least 9 entries, so a batch has at most 2048 points and
+# each of its (points, 9, 9) map stacks at most about 2.7 MB.  Small batches
+# cost the block kernel dearly: on a 2-vCPU Xeon, 12,000 stage-1 rows took
+# 54 ms in 128-row batches, 32 ms in 200-row ones and 8 ms in 2000-row ones.
+# A probe stack that fills the budget alone (2000 probes, or 500 at k = 2)
+# keeps one point per batch, where batching saves no per-call overhead worth
+# the memory.
 SCAN_CHUNK_ENTRIES = 2048 * 9
+
+# The fields of ``ScanReport.rows``, packed in this order.
+_SCAN_ROW = np.dtype([("t", float), ("probe_id", int), ("k", int), ("norm", float),
+                      ("rderiv", float), ("verdict", "U4")])
 
 
 # Vectorized rows (j*3 + i and i*3 + j) of the output entries |i><j| and
@@ -491,7 +500,10 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
         # non-finite entries and ties only raise flags in rows that take eigh
         with np.errstate(all="ignore"):
             for size, rows, cols in _block_entries(code, k):
-                B, Bdot = Xg[..., rows, cols], Xdotg[..., rows, cols]
+                if size == 3 * k:  # one block spans the matrix: a view, not a gather
+                    B, Bdot = Xg[..., None, :, :], Xdotg[..., None, :, :]
+                else:
+                    B, Bdot = Xg[..., rows, cols], Xdotg[..., rows, cols]
                 if size == 1:
                     values = B[..., 0, 0].real, Bdot[..., 0, 0].real
                 elif size == 2:
@@ -540,9 +552,10 @@ def _norm_rderiv(fam, stack: np.ndarray, ts, k: int):
     points or probes of its batch, so the chunking moves no result.
     """
     maps = fam.stack(ts)
-    X = apply_to_extended(maps, stack, k)
+    X, codes = apply_to_extended(maps, stack, k), _output_codes(maps)
+    del maps  # one map stack at a time
     Xdot = apply_to_extended(fam.dot_stack(ts), stack, k)
-    return _block_norm_rderiv(X, Xdot, _output_codes(maps), k)
+    return _block_norm_rderiv(X, Xdot, codes, k)
 
 
 def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
@@ -550,14 +563,15 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
 
     ``fam`` is a ``qutrit_family.Family`` on the system factor; for k > 1 the
     probes must live on the product space.  The grid goes in consecutive
-    batches of grid points (see SCAN_CHUNK_ENTRIES), each one ``fam.stack``
-    and ``fam.dot_stack`` call, and the derivatives are exact
-    (``_norm_rderiv``).  Each point's X splits into the output blocks of
-    its Lambda_t tensored with C^k: one block in stage 1, three on [t1, t3]
-    and two in stage 4.  1 x 1 blocks are read off the diagonal, 2 x 2 and
-    3 x 3 blocks in closed form and larger ones by one batched eigh per
-    block size; each block's values ascend, so a row's are merged, not
-    sorted.  The rows with a kernel eigenvalue, a tie, a non-finite value or
+    batches of as many grid points as SCAN_CHUNK_ENTRIES of probe entries
+    allow, and at least one (2 qutrit probes: 1024 points), each one
+    ``fam.stack`` and ``fam.dot_stack`` call and one kernel call, and the
+    derivatives are exact (``_norm_rderiv``).  Each point's X splits into
+    the output blocks of its Lambda_t tensored with C^k: one block in stage
+    1, three on [t1, t3] and two in stage 4.  1 x 1 blocks are read off the
+    diagonal, 2 x 2 and 3 x 3 blocks in closed form and larger ones by one
+    batched eigh per block size; each block's values ascend, so a row's are
+    merged, not sorted.  The rows with a kernel eigenvalue, a tie, a non-finite value or
     a 3 x 3 block too near degenerate for its closed form (TRIPLE_GAP,
     TRIPLE_FLOOR) take one batched eigh of the whole X.  A row of 1 x 1
     blocks gives eigh's bits, and the batching changes no bit of a result.
@@ -570,21 +584,21 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     if k < 1:
         raise OperandError("k must be >= 1")
     stack = probes.probes
-    n = stack.shape[0]
-    chunk = max(1, min(GRID_CHUNK, SCAN_CHUNK_ENTRIES // stack.size))
+    n, points = stack.shape[0], len(grid)
+    chunk = max(1, SCAN_CHUNK_ENTRIES // stack.size)
 
-    norm_rows = np.empty((len(grid), n))
-    deriv_rows = np.empty((len(grid), n))
-    for i in range(0, len(grid), chunk):
+    # filled column by column; each (probes, points) view is a field's rows
+    rows = np.recarray(n * points, dtype=_SCAN_ROW)
+    t, probe_id, norm, rderiv = (rows[name].reshape(n, points)
+                                 for name in ("t", "probe_id", "norm", "rderiv"))
+    t[:] = grid
+    probe_id[:] = np.arange(n)[:, None]
+    rows["k"] = k
+    for i in range(0, points, chunk):
         part = slice(i, i + chunk)
-        norm_rows[part], deriv_rows[part] = _norm_rderiv(fam, stack, grid[part], k)
-
-    rderiv = deriv_rows.T.ravel()
-    rows = np.rec.fromarrays(
-        [np.tile(np.asarray(grid, dtype=float), n), np.repeat(np.arange(n), len(grid)),
-         np.full(rderiv.size, k), norm_rows.T.ravel(), rderiv,
-         np.where(rderiv <= TOL_DERIV, "ok", "fail")],
-        names=("t", "probe_id", "k", "norm", "rderiv", "verdict"))
+        batch_norm, batch_rderiv = _norm_rderiv(fam, stack, grid[part], k)
+        norm[:, part], rderiv[:, part] = batch_norm.T, batch_rderiv.T
+    rows["verdict"] = np.where(rows["rderiv"] <= TOL_DERIV, "ok", "fail")
     return ScanReport(rows=rows, seed=probes.seed)
 
 

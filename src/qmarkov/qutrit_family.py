@@ -263,7 +263,8 @@ def _lambda_stack(ts, params: MapParams, dot: bool, left: bool = False) -> np.nd
     (len(ts), 9, 9) complex array.  The stages are [0, t1), [t1, t2), [t2, t3)
     and [t3, t4], or with ``left`` [0, t1], (t1, t2], (t2, t3] and (t3, t4];
     each takes one stacked Gamma^(i) (its derivative over the segment
-    length) and one batched matmul by its constant prefix."""
+    length) and one batched matmul by its constant prefix, written straight
+    into the output where the stage's points are consecutive."""
     starts = (0.0, params.t1, params.t2, params.t3, params.t4)
     ts = np.asarray(ts, dtype=float).reshape(-1).tolist()
     stages = {}  # stage i - 1: [(position, tau), ...]
@@ -278,8 +279,13 @@ def _lambda_stack(ts, params: MapParams, dot: bool, left: bool = False) -> np.nd
         at, taus = map(list, zip(*points))
         m = _gammas(s + 1, taus, params, dot)
         if dot:
-            m = m / (starts[s + 1] - starts[s])
-        out[at] = m if _PREFIXES[s] is None else m @ _PREFIXES[s].matrix
+            m /= starts[s + 1] - starts[s]
+        if _PREFIXES[s] is None:
+            out[at] = m
+        elif at[-1] - at[0] == len(at) - 1:  # consecutive (positions ascend)
+            np.matmul(m, _PREFIXES[s].matrix, out=out[at[0]:at[-1] + 1])
+        else:
+            out[at] = m @ _PREFIXES[s].matrix
     return out
 
 

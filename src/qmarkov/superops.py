@@ -19,8 +19,12 @@ from .tolerances import RANK_CUTOFF, TOL_PSD
 
 
 # Maps per batched linear-algebra call when the maps of a time grid are
-# stacked (the contractivity and divisibility scans, the CP/TP check): enough
-# to make per-call overhead small, few enough to keep peak memory flat.
+# stacked (the divisibility scan, the CP/TP check): enough to make per-call
+# overhead small, few enough to keep peak memory flat.  On a 2-vCPU Xeon,
+# 1024 made the divisibility scan of 1000 points no faster (21-33 ms against
+# 23-30 ms per call) and raised the peak RSS of a process running it and a
+# 2-probe scan from 41.7 to 46.5 MB.  The contractivity scan sizes its
+# batches by its probe stack instead (contractivity.SCAN_CHUNK_ENTRIES).
 GRID_CHUNK = 64
 
 

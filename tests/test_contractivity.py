@@ -12,6 +12,7 @@ from qmarkov.contractivity import (SingularPointError, bound_chain_check,
 from qmarkov.operators import OperandError, ProbeSet, random_probes, trace_norm
 from qmarkov.qutrit_family import RHO_A, RHO_B, MapParams, family
 from qmarkov.superops import apply_to_extended
+from qmarkov.tolerances import TOL_DERIV
 
 from oracles import DEFAULT_H0, gamma4_norm_numeric, right_derivative
 
@@ -215,6 +216,32 @@ class TestScan:
         assert not report.passed
         assert math.isnan(report.max_rderiv)
         assert (report.argmax_t, report.argmax_probe) == (2.5, 1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rows_match_fromarrays_form(self, monkeypatch, k):
+        """The rows, filled in place, have the dtype and the bytes of
+        ``np.rec.fromarrays`` over the tiled grid, repeated probe ids and the
+        columns, with a NaN row reading "fail"."""
+        real = contractivity._norm_rderiv
+
+        def one_nan(fam, stack, ts, k):
+            norm, rderiv = real(fam, stack, ts, k)
+            rderiv[0, 1] = math.nan
+            return norm, rderiv
+
+        monkeypatch.setattr(contractivity, "_norm_rderiv", one_nan)
+        grid = np.linspace(0.0, 4.0, 8, endpoint=False)
+        probes = random_probes(3 * k, 3, SEED)
+        report = norm_derivative_scan(family(), probes, grid, k=k)
+        norm, rderiv = (a.T.ravel() for a in one_nan(family(), probes.probes, grid, k))
+        expected = np.rec.fromarrays(
+            [np.tile(grid, 3), np.repeat(np.arange(3), 8), np.full(24, k), norm, rderiv,
+             np.where(rderiv <= TOL_DERIV, "ok", "fail")],
+            names=("t", "probe_id", "k", "norm", "rderiv", "verdict"))
+        assert type(report.rows) is np.recarray
+        assert report.rows.dtype == expected.dtype
+        assert report.rows.tobytes() == expected.tobytes()
+        assert report.rows.verdict.tolist().count("fail") == 1
 
     def test_failure_near_end_for_large_theta_lam_one(self):
         # theta = 1.6 > pi/2: the lam = 1 probe norm turns upward before tau = 1

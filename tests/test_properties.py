@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qmarkov
+from qmarkov import contractivity
 from qmarkov.contractivity import (_norm_rderiv, bound_chain_check,
                                    gamma4_derivative_closed_form,
                                    norm_derivative_scan, theta_window_sweep)
@@ -277,11 +279,13 @@ def test_scan_report_reads_its_rows(n_probes, k, theta, seed, grid):
                           equal_nan=True)
 
 
-# (k, probes): each k on both sides of the scan's batch budget
-# (SCAN_CHUNK_ENTRIES), so some draws batch up to 64 grid points and others
-# take one grid point per batch.
-BUDGET_SIDES = [(1, 1), (1, 2), (1, 7), (1, 1024), (1, 1025), (2, 1), (2, 3),
-                (2, 256), (2, 257)]
+# A scan batch budget (SCAN_CHUNK_ENTRIES) of 64 qutrit probe entries, small
+# enough that every stack below splits the grids of the test into several
+# batches, and (k, probes) for each k on both sides of its two-point mark:
+# some draws batch up to 64 grid points, 2 at the mark, and 1 beyond it.
+SMALL_BUDGET = 64 * 9
+BUDGET_SIDES = [(1, 1), (1, 2), (1, 7), (1, 32), (1, 33), (2, 1), (2, 3),
+                (2, 8), (2, 9)]
 
 
 @settings(max_examples=10, deadline=None)
@@ -293,13 +297,15 @@ BUDGET_SIDES = [(1, 1), (1, 2), (1, 7), (1, 1024), (1, 1025), (2, 1), (2, 3),
 def test_scan_rows_match_point_at_a_time(shape, seed, extra):
     """The batched scan's rows are bit-equal to its one-point chunk
     ``_norm_rderiv(fam, stack, [t], k)`` one grid point at a time, on grids
-    of more than one batch of 64 points (mostly not a multiple of it) that
-    contain the junctions t1 to t3, with t = 2.0's kernel rows."""
+    that contain the junctions t1 to t3, with t = 2.0's kernel rows, and
+    that SMALL_BUDGET splits into several batches: more than the 64 points
+    of its largest batch (mostly not a multiple of a batch)."""
     k, n_probes = shape
     grid = sorted(set(extra) | {1.0, 2.0, 3.0})
     assert len(grid) > 64
     probes = random_probes(3 * k, n_probes, seed)
-    report = norm_derivative_scan(family(), probes, grid, k=k)
+    with mock.patch.object(contractivity, "SCAN_CHUNK_ENTRIES", SMALL_BUDGET):
+        report = norm_derivative_scan(family(), probes, grid, k=k)
     stack = probes.probes
     per_t = [_norm_rderiv(family(), stack, [t], k) for t in grid]
     norm = np.array([n[0] for n, _ in per_t]).T.ravel()

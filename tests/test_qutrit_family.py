@@ -14,7 +14,6 @@ from qmarkov.qutrit_family import (D1, D2, D3, G, RHO_A, RHO_B, Family, MapParam
                                    family, gamma_family, gamma_family_dot, lambda_t,
                                    load_params, make_E, rate_f, rate_g,
                                    rotated_ket)
-from qmarkov.superops import GRID_CHUNK
 
 SEED = 5
 
@@ -301,7 +300,9 @@ class TestStackCallers:
         monkeypatch.setattr(qutrit_family, "lambda_t_dot", per_point)
         return calls
 
-    @pytest.mark.parametrize("n_probes,chunk", [(2, GRID_CHUNK), (2000, 1)])
+    # points per batch: SCAN_CHUNK_ENTRIES // (9 probes), at least 1, so 2
+    # probes take the 150 points in one call and 2000 probes one at a time
+    @pytest.mark.parametrize("n_probes,chunk", [(2, 1024), (2000, 1)])
     def test_scan(self, calls, n_probes, chunk):
         grid = list(np.linspace(0.0, 4.0, 150, endpoint=False))
         norm_derivative_scan(family(), random_probes(3, n_probes, SEED), grid)
