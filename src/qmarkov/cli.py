@@ -40,12 +40,6 @@ def _write_json(path: Path, payload: dict) -> None:
 _write_csv = contractivity.write_csv  # the one CSV writer, as the CLI's I/O site
 
 
-def _write_rows(path: Path, rows: np.ndarray) -> None:
-    """Write the record array ``rows`` as CSV, each column encoded by its
-    dtype: floats as %.15g, booleans as true/false, the rest as they are."""
-    _write_csv(path, rows.dtype.names, [rows[name] for name in rows.dtype.names])
-
-
 def check_continuity(params: MapParams, derivative: bool = False) -> dict:
     """Junction continuity of Lambda_t, or with ``derivative`` of its time
     derivative.
@@ -162,7 +156,7 @@ def cmd_divisibility(args, out: Path) -> int:
     params = args.params
     rows = divisibility.cp_divisibility_scan(family(params),
                                              np.linspace(0.0, params.t4, args.grid))
-    _write_rows(out / "divisibility.csv", rows)
+    _write_csv(out / "divisibility.csv", rows)
     forcing = check_forcing(params)
     summary = {"command": "divisibility", "theta": params.theta,
                "intervals": len(rows),
@@ -176,8 +170,8 @@ def cmd_divisibility(args, out: Path) -> int:
 
 def cmd_sweep(args, out: Path) -> int:
     rows = contractivity.theta_window_sweep(args.thetas, np.linspace(0.0, 1.0, 201))
-    _write_rows(out / "sweep.csv",
-                rows[["theta", "max_deriv", "arg_lambda", "arg_tau", "violation"]])
+    _write_csv(out / "sweep.csv",
+               rows[["theta", "max_deriv", "arg_lambda", "arg_tau", "violation"]])
     clean = rows.theta[~rows.violation].tolist()
     _write_json(out / "sweep_summary.json",
                 {"command": "sweep", "violations": rows.theta[rows.violation].tolist(),
@@ -194,7 +188,7 @@ def cmd_bounds(args, out: Path) -> int:
     params = args.params
     result = contractivity.bound_chain_check(
         params.theta, np.arange(0.005, 1.0 + 1e-9, 0.005))
-    _write_rows(out / "bounds.csv", result["rows"])
+    _write_csv(out / "bounds.csv", result["rows"])
     ok = result["chain_ok"] and result["lambda_monotone"] and \
         result["polynomial_nonpositive"]
     _write_json(out / "bounds_summary.json",

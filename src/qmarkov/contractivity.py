@@ -192,14 +192,14 @@ def _write_fields(path, header, total: int, fields) -> None:
             fh.write(out.tobytes().translate(None, b"\0"))
 
 
-def write_csv(path, header, columns) -> None:
-    """Write equal-length ``columns`` (array-likes) as CSV with CRLF line
-    ends, one row per index, each column encoded by its dtype (see
+def write_csv(path, rows: np.ndarray) -> None:
+    """Write the record array ``rows`` as CSV with CRLF line ends, a header of
+    its field names and each column encoded by its dtype (see
     ``_field_bytes``): the bytes ``csv.writer`` gives for f"{v:.15g}" floats,
     true/false booleans and plain integers, with text written unquoted."""
-    columns = [np.asarray(column) for column in columns]
-    _write_fields(path, header, len(columns[0]),
-                  [lambda part, c=c: _field_bytes(c[part]) for c in columns])
+    _write_fields(path, rows.dtype.names, len(rows),
+                  [lambda part, c=rows[name]: _field_bytes(c[part])
+                   for name in rows.dtype.names])
 
 
 @dataclass(frozen=True)
@@ -294,15 +294,16 @@ _SCAN_ROW = np.dtype([("t", float), ("probe_id", int), ("k", int), ("norm", floa
 # Vectorized rows (j*3 + i and i*3 + j) of the output entries |i><j| and
 # |j><i| that link qutrit output pairs (0, 1), (0, 2) and (1, 2), the bits 1,
 # 2 and 4 of a point's output code.
-_PAIR_ROWS = [[1, 3], [2, 6], [5, 7]]
+_PAIR_ROWS = np.array([[1, 3], [2, 6], [5, 7]])
 
 
 def _output_codes(maps: np.ndarray) -> np.ndarray:
     """Per map of a stack (points, 9, 9), the bits of the output pairs whose
     rows are not all exactly 0: 0 for diagonal output (after the complete
     dephasing E1, on [t1, t3]), 1 for span{|0>, |1>} plus |2> (stage 4), 7
-    for a full qutrit (stage 1)."""
-    return maps[:, _PAIR_ROWS].any(axis=(-2, -1)) @ np.array([1, 2, 4])
+    for a full qutrit (stage 1).  Each row is tested in place and only the
+    (points, 9) table of nonzero rows is gathered, not a complex entry."""
+    return np.any(maps, axis=-1)[:, _PAIR_ROWS].any(axis=-1) @ np.array([1, 2, 4])
 
 
 @functools.lru_cache(maxsize=None)

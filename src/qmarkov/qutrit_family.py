@@ -3,8 +3,10 @@
 Four elementary CP maps E1..E4, interpolating families Gamma1..Gamma4 on
 tau in [0, 1] with their closed-form tau-derivatives, a dephasing
 generator with an s-dependent rate, and the piecewise-composed family
-Lambda_t on [0, t4] with its right time-derivative.  E1..E3 and the stage
-prefixes E2 E1 and E3 E2 E1 are read-only constants built once at import.
+Lambda_t on [0, t4] with its right time-derivative.  E1..E3 and the chain
+Id, E1, E2 E1, E3 E2 E1 are read-only constants built once at import.
+Gamma1..Gamma3 relax Id toward E_i, so stage i <= 3 of Lambda_t is one
+weighted blend of consecutive chain maps; stage 4 is Gamma4 after E3 E2 E1.
 Parameters (rotation angle theta, junction times, smoothing exponent delta)
 live in an immutable MapParams and are loadable from a plain key=value
 config file, e.g.::
@@ -20,7 +22,6 @@ config file, e.g.::
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -143,6 +144,12 @@ E3 = _constant(superop_from_action(lambda X: X[0, 0] * RHO_A + X[1, 1] * RHO_B, 
 E2_E1 = _constant(compose(E2, E1))
 E3_E2_E1 = _constant(compose(E3, E2_E1))
 
+# The chain P0 = Id, P1 = E1, P2 = E2 E1, P3 = E3 E2 E1: stage i <= 3 of
+# Lambda_t runs from P_{i-1} at tau = 0 to P_i at tau = 1, and stage 4 acts
+# after P3.  Each column holds at most one nonzero entry, 1 or 1/2.
+_CHAIN = (_constant(SuperOp(dim=3, matrix=np.eye(9, dtype=complex))).matrix,
+          E1.matrix, E2_E1.matrix, E3_E2_E1.matrix)
+
 
 def make_E(i: int, params: MapParams | None = None) -> SuperOp:
     """The four elementary CP maps (E4 needs theta from ``params``)."""
@@ -153,26 +160,38 @@ def make_E(i: int, params: MapParams | None = None) -> SuperOp:
     raise OperandError(f"map index must be 1..4, got {i}")
 
 
-def _dephasing(off_diagonal: list, diagonal: float) -> np.ndarray:
-    """Stack of diagonal coefficient maps: ``diagonal`` on the diagonal matrix
-    units and one ``off_diagonal`` coefficient per point on the others.
-
-    exp(g * L0) with L0(X) = sum_i D_i X D_i - 3X is of this form: in the
-    matrix-unit basis L0 is diagonal, with coefficient 0 on diagonal units
-    and -4 on off-diagonal ones, so the exponential multiplies off-diagonal
-    entries by exp(-4g) and leaves the diagonal alone.  Using the closed
-    form keeps the tau -> 1 limit exact (coefficient exactly 0).
-    """
-    m = np.zeros((len(off_diagonal), 81), dtype=complex)
-    m[:, ::10] = np.array(off_diagonal)[:, None]  # the matrix diagonal
-    m[:, ::40] = diagonal  # |i><i| sits at index 4i
-    return m.reshape(-1, 9, 9)
-
-
 def dephasing_generator() -> SuperOp:
     """L0(X) = D1 X D1 + D2 X D2 + D3 X D3 - 3X (unit rate)."""
     m = sum(np.kron(D.conj(), D) for D in (D1, D2, D3)) - 3.0 * np.eye(9)
     return SuperOp(dim=3, matrix=m.astype(complex))
+
+
+def _weights(i: int, taus: list, dot: bool) -> np.ndarray:
+    """The weight w of Gamma^(i)_tau = w Id + (1 - w) E_i for i <= 3, or
+    dw/dtau with ``dot``, at each tau of ``taus``: a (len(taus), 1, 1) column
+    of scalar libm values, each 0 at tau = 1, where Gamma^(i) is E_i exactly.
+    Stage 1 has this form because L0 = 4 (E1 - Id), so exp(g L0) =
+    exp(-4g) Id + (1 - exp(-4g)) E1, with exp(-4 g(tau)) = (1 - tau)^4.
+    Stages 2 and 3 weigh Id by exp(-f); f' exp(-f) -> 0 as f diverges."""
+    if i == 1:
+        w = ([-4.0 * (1.0 - tau) ** 3 for tau in taus] if dot else
+             [0.0 if math.isinf(g) else math.exp(-4.0 * g) for g in map(rate_g, taus)])
+    elif dot:
+        w = [0.0 if math.isinf(f) else -(tau * (2.0 - tau) / (1.0 - tau) ** 2) * math.exp(-f)
+             for tau, f in zip(taus, map(rate_f, taus))]
+    else:
+        w = [0.0 if math.isinf(f) else math.exp(-f) for f in map(rate_f, taus)]
+    return np.array(w)[:, None, None]
+
+
+def _blend(w: np.ndarray, start: np.ndarray, end: np.ndarray, dot: bool) -> np.ndarray:
+    """w start + (1 - w) end per weight of the column ``w``, or with ``dot``
+    (w holding dw/dtau) its derivative w (start - end).  In this order each
+    entry of two chain maps is rounded once, and + 0.0 writes every exact
+    zero of the derivative as +0.0 whatever the sign of w."""
+    if dot:
+        return w * (start - end) + 0.0
+    return w * start + (1.0 - w) * end
 
 
 def _gamma4(c00: np.ndarray, vec_c11: np.ndarray, c_trace: np.ndarray) -> np.ndarray:
@@ -195,25 +214,8 @@ def _gammas(i: int, taus: list, params: MapParams, dot: bool) -> np.ndarray:
     """Gamma^(i)_tau, or d Gamma^(i)/d tau (one-sided at 0 and 1) with ``dot``,
     at each tau of ``taus``: a fresh (len(taus), 9, 9) complex array, from
     scalar libm coefficients per point broadcast against constant matrices."""
-    if i == 1:
-        if dot:  # off-diagonal coefficient exp(-4 g(tau)) = (1 - tau)^4
-            return _dephasing([-4.0 * (1.0 - tau) ** 3 for tau in taus], 0.0)
-        return _dephasing([0.0 if math.isinf(g) else math.exp(-4.0 * g)
-                           for g in map(rate_g, taus)], 1.0)
-    if i in (2, 3):
-        target = (E2 if i == 2 else E3).matrix
-        fs = [rate_f(tau) for tau in taus]
-        if not dot:
-            w = np.array([0.0 if math.isinf(f) else math.exp(-f)
-                          for f in fs])[:, None, None]
-            return w * np.eye(9) + (1.0 - w) * target
-        # d/dtau [w I + (1 - w) E] = -f'(tau) w (I - E) with w = exp(-f);
-        # f' w -> 0 as tau -> 1, where f diverges.
-        rate = [0.0 if math.isinf(f) else -(tau * (2.0 - tau) / (1.0 - tau) ** 2)
-                * math.exp(-f) for tau, f in zip(taus, fs)]
-        m = np.array(rate)[:, None, None] * (np.eye(9) - target)
-        m[np.isinf(fs)] = 0.0
-        return m
+    if i in (1, 2, 3):
+        return _blend(_weights(i, taus, dot), _CHAIN[0], (E1, E2, E3)[i - 1].matrix, dot)
     if i == 4:
         # delta-smoothing reparameterizes the whole family as tau -> tau^delta.
         # Substituting only inside the rotation argument would make the norm of
@@ -243,49 +245,45 @@ def _gammas(i: int, taus: list, params: MapParams, dot: bool) -> np.ndarray:
 
 
 def gamma_family(i: int, tau: float, params: MapParams | None = None) -> SuperOp:
-    """Gamma^(i)_tau for i in 1..4 and tau in [0, 1]: the one-point ``_gammas``."""
+    """Gamma^(i)_tau for i in 1..4 and tau in [0, 1]: the one-point ``_gammas``.
+    For i <= 3 it is w Id + (1 - w) E_i with w from ``_weights``."""
     _check_tau(tau)
     return SuperOp(dim=3, matrix=_gammas(i, [tau], params or MapParams(), False)[0])
 
 
 def gamma_family_dot(i: int, tau: float, params: MapParams | None = None) -> SuperOp:
-    """d Gamma^(i)_tau / d tau, one-sided at the ends of [0, 1]."""
+    """d Gamma^(i)_tau / d tau, one-sided at the ends of [0, 1]; for i <= 3
+    it is (dw/dtau) (Id - E_i), with every zero entry +0.0."""
     _check_tau(tau)
     return SuperOp(dim=3, matrix=_gammas(i, [tau], params or MapParams(), True)[0])
-
-
-# Constant map that stage i's Gamma^(i) acts after, at index i - 1.
-_PREFIXES = (None, E1, E2_E1, E3_E2_E1)
 
 
 def _lambda_stack(ts, params: MapParams, dot: bool, left: bool = False) -> np.ndarray:
     """Lambda_t, or d Lambda_t / dt with ``dot``, at each t of ``ts``: a fresh
     (len(ts), 9, 9) complex array.  The stages are [0, t1), [t1, t2), [t2, t3)
-    and [t3, t4], or with ``left`` [0, t1], (t1, t2], (t2, t3] and (t3, t4];
-    each takes one stacked Gamma^(i) (its derivative over the segment
-    length) and one batched matmul by its constant prefix, written straight
-    into the output where the stage's points are consecutive."""
+    and [t3, t4], or with ``left`` [0, t1], (t1, t2], (t2, t3] and (t3, t4],
+    assigned in one ``searchsorted`` pass.  Stage i <= 3 is the blend
+    w P_{i-1} + (1 - w) P_i of consecutive chain maps, so both sides of t1
+    and t2 read the same chain entry; stage 4 is one stacked Gamma^(4) times
+    P3.  A derivative is divided by its stage's length."""
     starts = (0.0, params.t1, params.t2, params.t3, params.t4)
-    ts = np.asarray(ts, dtype=float).reshape(-1).tolist()
-    stages = {}  # stage i - 1: [(position, tau), ...]
-    find = bisect.bisect_left if left else bisect.bisect_right
-    for j, t in enumerate(ts):
-        if not 0.0 <= t <= params.t4:  # NaN too
-            raise OperandError(f"t = {t} outside [0, {params.t4}]")
-        s = find(starts, t, 1, 4) - 1
-        stages.setdefault(s, []).append((j, (t - starts[s]) / (starts[s + 1] - starts[s])))
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    inside = (ts >= 0.0) & (ts <= params.t4)  # NaN is outside
+    if not inside.all():
+        raise OperandError(f"t = {ts[~inside][0].item()} outside [0, {params.t4}]")
+    stages = np.searchsorted(starts[1:4], ts, "left" if left else "right")
     out = np.empty((len(ts), 9, 9), dtype=complex)
-    for s, points in stages.items():
-        at, taus = map(list, zip(*points))
-        m = _gammas(s + 1, taus, params, dot)
-        if dot:
-            m /= starts[s + 1] - starts[s]
-        if _PREFIXES[s] is None:
-            out[at] = m
-        elif at[-1] - at[0] == len(at) - 1:  # consecutive (positions ascend)
-            np.matmul(m, _PREFIXES[s].matrix, out=out[at[0]:at[-1] + 1])
+    for s in set(stages.tolist()):
+        at = stages == s
+        length = starts[s + 1] - starts[s]
+        taus = ((ts[at] - starts[s]) / length).tolist()
+        if s < 3:
+            m = _blend(_weights(s + 1, taus, dot), _CHAIN[s], _CHAIN[s + 1], dot)
         else:
-            out[at] = m @ _PREFIXES[s].matrix
+            m = _gammas(4, taus, params, dot)
+        if dot:  # before P3: at delta = 110 the product's subnormals round otherwise
+            m /= length
+        out[at] = m if s < 3 else m @ _CHAIN[3]
     return out
 
 
@@ -306,9 +304,11 @@ class Family:
     """Callable t -> Lambda_t with parameters bound.
 
     The scans, the CP/TP check and the forcing witness take their maps from
-    ``stack`` and ``dot_stack``.  ``__call__`` looks up its one-point case
-    ``lambda_t`` at call time, so a wrapper installed on that module function
-    sees single-point calls only, not the grids.
+    ``stack`` and ``dot_stack``, which build stages 1-3 as blends of the
+    chain Id, E1, E2 E1, E3 E2 E1 and take one matmul only on stage 4.
+    ``__call__`` looks up its one-point case ``lambda_t`` at call time, so a
+    wrapper installed on that module function sees single-point calls only,
+    not the grids.
     """
 
     params: MapParams

@@ -1,20 +1,26 @@
 """Test-only oracles: a Richardson finite-difference right derivative, a
-full matrix evaluation of the closed-form norm, and the scan's block kernel
-as it was written, with a sort.
+full matrix evaluation of the closed-form norm, the scan's block kernel as
+it was written, with a sort, and Lambda_t as it was written, each stage's
+Gamma^(i) followed by a matmul by its prefix map.
 
 The package computes these quantities exactly (Kato's formula in the scan,
 the closed forms in ``contractivity``); the tests check it against these
-independent routes, and the kernel against its sort-based form bit for bit.
+independent routes, and the kernel and the family against their earlier
+forms bit for bit.
 """
 
+import bisect
 import functools
+import math
 
 import numpy as np
 
+from qmarkov import qutrit_family
 from qmarkov.contractivity import (_block_entries, _eigh_norm_rderiv, _eigh_spectrum,
                                    _pair_spectrum, _triple_spectrum, lambda_probe)
 from qmarkov.operators import OperandError, trace_norm
-from qmarkov.qutrit_family import MapParams, gamma_family
+from qmarkov.qutrit_family import (E1, E2_E1, E3_E2_E1, MapParams, gamma_family,
+                                   make_E, rate_f, rate_g)
 from qmarkov.tolerances import KERNEL_CUTOFF
 
 # Default initial step of the finite-difference right-derivative estimator
@@ -103,3 +109,50 @@ def block_norm_rderiv_sorted(X, Xdot, codes, k):
     if slow.any():
         norm[slow], rderiv[slow] = _eigh_norm_rderiv(X[slow], Xdot[slow])
     return norm, rderiv
+
+
+def _gamma_stack(i, taus, params, dot):
+    """Gamma^(i) (its tau-derivative with ``dot``) at each tau of ``taus`` as
+    it was written: stage 1 by index writes of its dephasing coefficient,
+    stages 2 and 3 as w I + (1 - w) E_i, and the package's own Gamma^(4)."""
+    if i == 1:
+        coefficients = ([-4.0 * (1.0 - tau) ** 3 for tau in taus] if dot else
+                        [0.0 if math.isinf(g) else math.exp(-4.0 * g) for g in map(rate_g, taus)])
+        m = np.zeros((len(taus), 81), dtype=complex)
+        m[:, ::10] = np.array(coefficients)[:, None]  # the matrix diagonal
+        m[:, ::40] = 0.0 if dot else 1.0  # |i><i| sits at index 4i
+        return m.reshape(-1, 9, 9)
+    if i == 4:
+        return qutrit_family._gammas(4, taus, params, dot)
+    target, fs = make_E(i).matrix, [rate_f(tau) for tau in taus]
+    if not dot:
+        w = np.array([0.0 if math.isinf(f) else math.exp(-f) for f in fs])[:, None, None]
+        return w * np.eye(9) + (1.0 - w) * target
+    rate = [0.0 if math.isinf(f) else -(tau * (2.0 - tau) / (1.0 - tau) ** 2) * math.exp(-f)
+            for tau, f in zip(taus, fs)]
+    m = np.array(rate)[:, None, None] * (np.eye(9) - target)
+    m[np.isinf(fs)] = 0.0
+    return m
+
+
+def lambda_stack_prefixed(ts, params: MapParams, dot: bool, left: bool = False):
+    """``Family.stack`` (``dot_stack`` with ``dot``) as it was written: stages
+    assigned point by point with ``bisect``, each stage's Gamma^(i) over the
+    stage length for a derivative, then one batched matmul by the prefix map
+    of stage i, E_{i-1} ... E1 (none for stage 1)."""
+    starts = (0.0, params.t1, params.t2, params.t3, params.t4)
+    prefixes = (None, E1, E2_E1, E3_E2_E1)
+    find = bisect.bisect_left if left else bisect.bisect_right
+    stages = {}  # stage i - 1: [(position, tau), ...]
+    ts = np.asarray(ts, dtype=float).reshape(-1).tolist()
+    for j, t in enumerate(ts):
+        s = find(starts, t, 1, 4) - 1
+        stages.setdefault(s, []).append((j, (t - starts[s]) / (starts[s + 1] - starts[s])))
+    out = np.empty((len(ts), 9, 9), dtype=complex)
+    for s, points in stages.items():
+        at, taus = map(list, zip(*points))
+        m = _gamma_stack(s + 1, taus, params, dot)
+        if dot:
+            m /= starts[s + 1] - starts[s]
+        out[at] = m if prefixes[s] is None else m @ prefixes[s].matrix
+    return out

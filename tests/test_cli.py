@@ -13,7 +13,7 @@ import qmarkov
 from qmarkov import cli, contractivity, qutrit_family
 from qmarkov.cli import main
 from qmarkov.qutrit_family import MapParams, family
-from qmarkov.superops import SuperOp, choi_min_eigenvalue, tp_error
+from qmarkov.superops import choi_min_eigenvalue, tp_error
 from qmarkov.tolerances import JUNCTION_GAP
 
 
@@ -373,16 +373,20 @@ class TestMapContinuity:
         assert [e["gap"] for e in result["report"].values()] == [0.0] * 3
         assert [e["t"] for e in result["report"].values()] == [params.t1, params.t2, params.t3]
 
-    def test_jump_in_a_stage_prefix_fails(self, monkeypatch):
-        # 1e-9 off the stage-3 prefix E2 E1: the epsilon ladder of
-        # continuity_report still shrinks and ends below 1e-3
-        prefixes = list(qutrit_family._PREFIXES)
-        prefixes[2] = SuperOp(dim=3, matrix=prefixes[2].matrix + 1e-9)
-        monkeypatch.setattr(qutrit_family, "_PREFIXES", tuple(prefixes))
+    def test_jump_in_a_stage_weight_fails(self, monkeypatch):
+        # stage 3's weight w times (1 - 1e-9): at tau = 0 it starts 5e-10 off
+        # E2 E1, where stage 2 ends, and at tau = 1 it still reaches E3 E2 E1;
+        # the epsilon ladder of continuity_report still shrinks below 1e-3
+        weights = qutrit_family._weights
+        monkeypatch.setattr(qutrit_family, "_weights", lambda i, taus, dot: (
+            weights(i, taus, dot) * (1.0 - 1e-9 if i == 3 else 1.0)))
         result = cli.check_continuity(MapParams())
         assert result["passed"] is False
         assert result["report"]["t1"]["gap"] == 0.0
         assert result["report"]["t2"]["gap"] > JUNCTION_GAP
+        assert result["report"]["t3"]["gap"] == 0.0
+        ladder = qutrit_family.continuity_report()["t2"]["gap"]
+        assert ladder == tuple(sorted(ladder, reverse=True)) and ladder[-1] < 1e-3
 
     def test_verify_passes_at_large_delta(self, tmp_path, capsys):
         # the epsilon ladder's t3 rungs underflow to 0.0 here

@@ -137,11 +137,11 @@ def test_bounds_writer(tmp_path, monkeypatch):
 @pytest.mark.parametrize("total", [0, 1, CSV_ROWS - 1, CSV_ROWS, CSV_ROWS + 1,
                                    2 * CSV_ROWS + 5])
 def test_write_csv_batches(tmp_path, total):
-    """Lists and arrays mixed, across batch edges."""
+    """Float, text and integer columns, across batch edges."""
     values = np.resize(np.array(SPECIAL), total)
     labels = [f"r{i}" for i in range(total)]
-    contractivity.write_csv(tmp_path / "x.csv", ("a", "b", "c"),
-                            [values, labels, np.arange(total)])
+    contractivity.write_csv(tmp_path / "x.csv", np.rec.fromarrays(
+        [values, np.array(labels, dtype=str), np.arange(total)], names=("a", "b", "c")))
     expected = _reference(["a", "b", "c"], [[_g15(v), s, i] for i, (v, s)
                                             in enumerate(zip(values.tolist(), labels))])
     assert (tmp_path / "x.csv").read_bytes() == expected
@@ -152,7 +152,7 @@ def _encoded(tmp_path, values) -> tuple:
     fields ``ScanReport.to_csv`` writes for them, one probe with ``values``
     as its grid."""
     n = len(values)
-    contractivity.write_csv(tmp_path / "x.csv", ("x",), [values])
+    contractivity.write_csv(tmp_path / "x.csv", np.rec.fromarrays([values], names="x"))
     rows = np.rec.fromarrays(
         [values, np.zeros(n, dtype=int), np.ones(n, dtype=int), np.zeros(n),
          np.zeros(n), np.full(n, "ok")],
@@ -219,7 +219,7 @@ def test_pinned_float_fields(tmp_path, monkeypatch, value, text, python):
 def test_empty_table_writes_the_header(tmp_path):
     rows = np.rec.fromarrays([np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype="<U4")],
                              names=("a", "b", "c"))
-    cli._write_rows(tmp_path / "x.csv", rows)
+    cli._write_csv(tmp_path / "x.csv", rows)
     assert (tmp_path / "x.csv").read_bytes() == b"a,b,c\r\n"
 
 
@@ -227,4 +227,5 @@ def test_empty_table_writes_the_header(tmp_path):
                                           ([1j], TypeError)])
 def test_unencodable_columns_are_refused(tmp_path, column, error):
     with pytest.raises(error):
-        contractivity.write_csv(tmp_path / "x.csv", ("x",), [column])
+        contractivity.write_csv(tmp_path / "x.csv",
+                                np.rec.fromarrays([np.array(column)], names="x"))

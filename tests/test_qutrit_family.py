@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from qmarkov.cli import check_cp_tp
 from qmarkov.contractivity import norm_derivative_scan
 from qmarkov.divisibility import cp_divisibility_scan
 from qmarkov.operators import OperandError, check_density, random_probes, trace_norm
-from qmarkov.qutrit_family import (D1, D2, D3, G, RHO_A, RHO_B, Family, MapParams,
+from qmarkov.qutrit_family import (_CHAIN, D1, D2, D3, G, RHO_A, RHO_B, Family, MapParams,
                                    continuity_report, dephasing_generator,
                                    family, gamma_family, gamma_family_dot, lambda_t,
                                    load_params, make_E, rate_f, rate_g,
                                    rotated_ket)
+
+from oracles import lambda_stack_prefixed
 
 SEED = 5
 
@@ -228,6 +231,61 @@ class TestLambdaFamily:
                 expected = abs(x11) + abs(x22 + (1 - w) * x33) + w * abs(x33)
                 assert trace_norm(lambda_t(t, params).apply(X)) == pytest.approx(
                     expected, abs=1e-10)
+
+
+class TestChain:
+    """Stages 1-3 blend consecutive maps of the chain Id, E1, E2 E1, E3 E2 E1;
+    the blend reproduces Gamma^(i) followed by its prefix map bit for bit."""
+
+    def test_each_map_is_the_last_one_followed_by_E_i(self):
+        assert np.array_equal(_CHAIN[0], np.eye(9))
+        for i in (1, 2, 3):
+            assert np.array_equal(make_E(i).matrix @ _CHAIN[i - 1], _CHAIN[i])
+
+    def test_dephasing_generator_is_E1_minus_identity(self):
+        # so exp(g L0) = exp(-4g) Id + (1 - exp(-4g)) E1, the stage-1 blend
+        assert np.array_equal(dephasing_generator().matrix, 4.0 * (_CHAIN[1] - _CHAIN[0]))
+
+    def test_chain_is_read_only(self):
+        for m in _CHAIN:
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
+
+    @pytest.mark.parametrize("theta", [1.3, math.pi / 2], ids=["theta=1.3", "theta=pi/2"])
+    @pytest.mark.parametrize("delta", [1.0, 1.05, 110.0])
+    @pytest.mark.parametrize("junctions", [(1.0, 2.0, 3.0, 4.0), (0.7, 1.9, 2.3, 5.1)],
+                             ids=["t=1/2/3/4", "t=0.7/1.9/2.3/5.1"])
+    def test_stacks_are_bit_equal_to_the_prefix_oracle(self, theta, delta, junctions):
+        # zero signs included: the bits, not the values, are compared
+        params = MapParams(theta, *junctions, delta=delta)
+        t4 = params.t4
+        grids = [np.linspace(0.0, t4, 7), np.linspace(0.0, t4, 200), np.linspace(0.0, t4, 1000),
+                 np.linspace(0.0, t4, 200, endpoint=False),
+                 np.random.default_rng(SEED).uniform(0.0, t4, 300),
+                 np.array([0.0, *junctions]),
+                 np.array([np.nextafter(0.0, 1.0), np.nextafter(t4, 0.0)]
+                          + [np.nextafter(t, t + side) for t in junctions[:3]
+                             for side in (-1.0, 1.0)])]
+        fam = family(params)
+        for dot, stack in ((False, fam.stack), (True, fam.dot_stack)):
+            for left in (False, True):
+                for ts in grids:
+                    expected = lambda_stack_prefixed(ts, params, dot, left)
+                    assert np.array_equal(stack(ts, left=left).view(np.uint64),
+                                          expected.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [4.5, math.nan, -1e-300, 5.0])
+    def test_first_point_outside_the_domain_is_named(self, bad):
+        with pytest.raises(OperandError, match=re.escape(f"t = {bad} outside [0, 4.0]")):
+            family().dot_stack([1.0, bad, 2.0, 4.5])
+
+    def test_gamma_derivative_zeros_are_positive(self):
+        for i in (1, 2, 3):
+            for tau in (0.0, 0.3, 1.0):
+                m = gamma_family_dot(i, tau).matrix
+                assert not np.signbit(m.real[m.real == 0.0]).any()
+                assert not np.signbit(m.imag).any()
 
 
 class TestContinuity:
