@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import OperandError, ProbeSet
-from .qutrit_family import RHO_A, RHO_B
+from .qutrit_family import _CHAIN, RHO_A, RHO_B, _gamma4_coefficients, _stages, _weights
 from .superops import apply_to_extended
 from .tolerances import (CSV_TIE_BAND, KERNEL_CUTOFF, SINGULAR_ROOT,
                          TOL_BOUND_CHAIN, TOL_CLOSED_FORM, TOL_DERIV, TOL_REFLECTION,
@@ -274,16 +274,16 @@ class ScanReport:
         }
 
 
-# A scan batch holds the probes at as many grid points as fit in
-# SCAN_CHUNK_ENTRIES complex probe entries, and at least one, so one family
-# call, one apply per map kind and one kernel call serve the whole batch.
-# A stack holds at least 9 entries, so a batch has at most 2048 points and
-# each of its (points, 9, 9) map stacks at most about 2.7 MB.  Small batches
-# cost the block kernel dearly: on a 2-vCPU Xeon, 12,000 stage-1 rows took
-# 54 ms in 128-row batches, 32 ms in 200-row ones and 8 ms in 2000-row ones.
-# A probe stack that fills the budget alone (2000 probes, or 500 at k = 2)
-# keeps one point per batch, where batching saves no per-call overhead worth
-# the memory.
+# A scan batch holds the probes at as many grid points of one stage as fit
+# in SCAN_CHUNK_ENTRIES complex probe entries, and at least one, so one
+# blend (or stage-4 block build) and one kernel call serve the whole batch.
+# X and Xdot then take at most about 0.3 MB each, or one probe stack where
+# the stack alone is larger; the chain's applies hold four probe stacks for
+# the whole scan.  Small batches cost the block kernel dearly: on
+# a 2-vCPU Xeon, 12,000 stage-1 rows took 54 ms in 128-row batches, 32 ms in
+# 200-row ones and 8 ms in 2000-row ones.  A probe stack that fills the
+# budget alone (2000 probes, or 500 at k = 2) keeps one point per batch,
+# where batching saves no per-call overhead worth the memory.
 SCAN_CHUNK_ENTRIES = 2048 * 9
 
 # The fields of ``ScanReport.rows``, packed in this order.
@@ -291,19 +291,21 @@ _SCAN_ROW = np.dtype([("t", float), ("probe_id", int), ("k", int), ("norm", floa
                       ("rderiv", float), ("verdict", "U4")])
 
 
-# Vectorized rows (j*3 + i and i*3 + j) of the output entries |i><j| and
-# |j><i| that link qutrit output pairs (0, 1), (0, 2) and (1, 2), the bits 1,
-# 2 and 4 of a point's output code.
-_PAIR_ROWS = np.array([[1, 3], [2, 6], [5, 7]])
+def _pair_codes(nonzero: np.ndarray) -> np.ndarray:
+    """Output codes of masks (..., 3, 3) of a map's nonzero output entries
+    |i><j|: the bits 1, 2 and 4 of the linked qutrit pairs (0, 1), (0, 2) and
+    (1, 2).  0 is diagonal output (after the complete dephasing E1, on
+    [t1, t3]), 1 is span{|0>, |1>} plus |2> (stage 4), 7 a full qutrit."""
+    linked = nonzero | np.swapaxes(nonzero, -1, -2)
+    return linked[..., 0, 1] * 1 + linked[..., 0, 2] * 2 + linked[..., 1, 2] * 4
 
 
-def _output_codes(maps: np.ndarray) -> np.ndarray:
-    """Per map of a stack (points, 9, 9), the bits of the output pairs whose
-    rows are not all exactly 0: 0 for diagonal output (after the complete
-    dephasing E1, on [t1, t3]), 1 for span{|0>, |1>} plus |2> (stage 4), 7
-    for a full qutrit (stage 1).  Each row is tested in place and only the
-    (points, 9) table of nonzero rows is gathered, not a complex entry."""
-    return np.any(maps, axis=-1)[:, _PAIR_ROWS].any(axis=-1) @ np.array([1, 2, 4])
+# The code of stage i <= 3, read off its two chain maps: the output entries
+# whose rows of P_{i-1} or P_i are not all exactly 0 (vec |i><j| is row
+# 3j + i, so the mask is transposed, which the pairs do not see).
+_BLEND_CODES = tuple(int(_pair_codes(np.any(np.stack(_CHAIN[i:i + 2]), axis=(0, 2))
+                                     .reshape(3, 3)))
+                     for i in range(3))
 
 
 @functools.lru_cache(maxsize=None)
@@ -468,11 +470,12 @@ def _row_sum(columns: list) -> np.ndarray:
     return np.stack(columns, axis=-1).sum(axis=-1)
 
 
-def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: int):
+def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: int,
+                       still: np.ndarray | None = None):
     """``_eigh_norm_rderiv`` of stacks X, Xdot (points, probes, 3k, 3k)
     where X = (Lambda_t tensor Id_k)(probe) and ``codes`` holds each point's
-    ``_output_codes``: X is then block diagonal, with zero entries exactly
-    where Lambda_t's output rows are.
+    output code (``_pair_codes``): X is then block diagonal, with zero
+    entries exactly where Lambda_t's output rows are.
 
     Per block the eigenvalues and Kato rates <v_i|Xdot|v_i> are read off the
     diagonal (1 x 1), in closed form (2 x 2, ``_pair_spectrum``; 3 x 3,
@@ -489,6 +492,11 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
     the full X, as do rows with NaN or inf, which fail the comparisons or
     the finiteness test, and rows whose 3 x 3 closed form fails its trust
     test (near-degenerate eigenvalues, or one near 0), which read NaN rates.
+
+    ``still`` marks the points where Xdot is exactly 0.  Kato's formula is
+    then 0 whatever the kernel and the ties, so those rows read +0.0 and
+    take eigh only for a non-finite norm or a refused 3 x 3 closed form;
+    eigh's sum of the terms sign(lam) * 0 starts from +0.0 and reads +0.0.
     """
     norm, rderiv = np.empty(X.shape[:2]), np.empty(X.shape[:2])
     slow = np.ones(X.shape[:2], dtype=bool)
@@ -497,7 +505,8 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
         at = codes == code
         at = slice(None) if at.all() else at
         Xg, Xdotg = X[at], Xdot[at]
-        lam, rates = [], []
+        still_rows = None if still is None or not still[at].any() else still[at][:, None]
+        lam, rates, refused = [], [], np.zeros(Xg.shape[:2], dtype=bool)
         # non-finite entries and ties only raise flags in rows that take eigh
         with np.errstate(all="ignore"):
             for size, rows, cols in _block_entries(code, k):
@@ -511,6 +520,8 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
                     values = _pair_spectrum(B, Bdot)
                 elif size == 3:
                     values = _triple_spectrum(B, Bdot)
+                    if still_rows is not None:
+                        refused |= np.isnan(values[1]).reshape(Xg.shape[:2] + (-1,)).any(axis=-1)
                 else:
                     block_lam, _, _, block_rates = _eigh_spectrum(B, Bdot)
                     values = block_lam, block_rates
@@ -523,19 +534,86 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
             smallest = functools.reduce(np.minimum, mag)
             rising = functools.reduce(np.logical_and, [b > a for a, b in zip(lam, lam[1:])])
             # the values ascend, so the largest |lam| sits at one end
-            slow[at] = ~((smallest > KERNEL_CUTOFF * np.maximum(mag[0], mag[-1]))
-                         & rising & np.isfinite(rderiv[at]))
+            fast = ((smallest > KERNEL_CUTOFF * np.maximum(mag[0], mag[-1]))
+                    & rising & np.isfinite(rderiv[at]))
+            if still_rows is not None:
+                fast = np.where(still_rows, np.isfinite(norm[at]) & ~refused, fast)
+                rderiv[at] = np.where(still_rows, 0.0, rderiv[at])
+            slow[at] = ~fast
     if slow.all():
-        return _eigh_norm_rderiv(X, Xdot)
-    if slow.any():
+        norm, rderiv = _eigh_norm_rderiv(X, Xdot)
+    elif slow.any():
         norm[slow], rderiv[slow] = _eigh_norm_rderiv(X[slow], Xdot[slow])
     return norm, rderiv
 
 
-def _norm_rderiv(fam, stack: np.ndarray, ts, k: int):
+def _chain_applies(stack: np.ndarray, k: int) -> np.ndarray:
+    """A_j = (P_j tensor Id_k)(probe) for each probe of ``stack`` and each map
+    P_j of the chain Id, E1, E2 E1, E3 E2 E1, as one (4, probes, 3k, 3k)
+    array: A_0 is the stack itself, and the other three take one
+    ``apply_to_extended`` each."""
+    return np.stack([stack, *(apply_to_extended(P, stack, k) for P in _CHAIN[1:])])
+
+
+def _gamma4_images(coefficients, Y: np.ndarray):
+    """(Gamma^(4) tensor Id_k)(A) = a (x) Y_A + b (x) Y_B for each probe's
+    |0><0| and |1><1| blocks, Y = (Y_A, Y_B) stacked as (2, probes, k, k),
+    the only blocks of A that Gamma^(4) reads, at each point of its
+    ``coefficients`` (c00, c11, c_trace) (``qutrit_family._gamma4_coefficients``).
+    Per point, one matmul of its (9, 2) factors by the (2, probes * k^2)
+    blocks, the same whatever the batch, and one transpose give (points,
+    probes, 3k, 3k), system-major; also returned is the (points, 3, 3) mask
+    of the nonzero factors."""
+    c00, c11, c_trace = coefficients
+    C = np.zeros((len(c00), 3, 3, 2), dtype=complex)  # [point, i, j]: (a_ij, b_ij)
+    C[:, 0, 0, 0] = c00
+    C[..., 1] = np.swapaxes(c11.reshape(-1, 3, 3), 1, 2)  # vec |i><j| is 3j + i
+    C[:, 2, 2] = c_trace[:, None]
+    q, k = Y.shape[1:3]
+    out = (C.reshape(-1, 9, 2) @ Y.reshape(2, -1)).reshape(len(C), 3, 3, q, k, k)
+    return out.transpose(0, 3, 1, 4, 2, 5).reshape(len(C), q, 3 * k, 3 * k), C.any(axis=-1)
+
+
+def _stage_operators(params, chain: np.ndarray, s: int, ts: np.ndarray):
+    """X = (Lambda_t tensor Id_k)(probe), Xdot = (dLambda_t/dt tensor Id_k)(probe)
+    as (points, probes, 3k, 3k), each point's output code and the points
+    where Xdot is exactly 0, for the points ``ts`` of stage s + 1, from the
+    chain's applies A_j (``_chain_applies``).
+
+    Stage i <= 3 is w P_{i-1} + (1 - w) P_i (``qutrit_family._weights``),
+    so X = w A_{i-1} + (1 - w) A_i and Xdot = (dw/dtau / length)
+    (A_{i-1} - A_i), + 0.0 writing its exact zeros as +0.0; its code is read
+    off its two chain maps, and Xdot = 0 where dw/dtau is 0 (tau = 0 of
+    stages 2 and 3).  Stage 4 is Gamma^(4) after P3, built from A_3's blocks
+    (``_gamma4_images``); each point's code is read off its coefficients, so
+    at t3, where the ket is |1>, it is 0, and Xdot = 0 where all of its
+    derivative's are (tau = 0 for delta > 1)."""
+    k = chain.shape[-1] // 3
+    starts = (0.0, params.t1, params.t2, params.t3, params.t4)
+    length = starts[s + 1] - starts[s]
+    taus = ((ts - starts[s]) / length).tolist()
+    if s < 3:
+        # each point's X and Xdot as one row over the flattened pair of
+        # applies, entry by entry, so no result depends on the batch
+        pair, shape = chain[s:s + 2].reshape(2, -1), (len(taus),) + chain.shape[1:]
+        w = _weights(s + 1, taus, False).reshape(-1, 1)
+        wdot = _weights(s + 1, taus, True).reshape(-1, 1) / length
+        X = w * pair[0]
+        X += (1.0 - w) * pair[1]
+        Xdot = wdot * (pair[0] - pair[1]) + 0.0
+        return (X.reshape(shape), Xdot.reshape(shape), np.full(len(taus), _BLEND_CODES[s]),
+                wdot[:, 0] == 0)
+    Y = np.stack([chain[3][:, :k, :k], chain[3][:, k:2 * k, k:2 * k]])
+    X, nonzero = _gamma4_images(_gamma4_coefficients(taus, params, False), Y)
+    Xdot, moving = _gamma4_images([c / length for c in _gamma4_coefficients(taus, params, True)], Y)
+    return X, Xdot, _pair_codes(nonzero), ~moving.any(axis=(1, 2))
+
+
+def _norm_rderiv(fam, chain: np.ndarray, ts, k: int):
     """Trace norms ||X||_1 of X = (Lambda_t tensor Id_k)(probe) at the points
-    ``ts`` for a stack of probes, and their exact right derivatives: two arrays
-    (len(ts), probes), from one apply per map kind and ``_block_norm_rderiv``.
+    ``ts`` for a stack of probes, given as its chain's applies
+    (``_chain_applies``), and their exact right derivatives: two arrays
+    (len(ts), probes), from ``_stage_operators`` and ``_block_norm_rderiv``.
 
     With X = sum_i lam_i |v_i><v_i| and Xdot = (dLambda_t/dt tensor Id_k)(probe),
     the right derivative is (Kato, Perturbation Theory, ch. II)
@@ -545,39 +623,38 @@ def _norm_rderiv(fam, stack: np.ndarray, ts, k: int):
     P0 the projector onto the kernel of X, which is the eigenvalues with
     |lam| <= KERNEL_CUTOFF * max |lam| of each probe.
 
-    The output blocks of each point are read off the rows of its Lambda_t
-    alone (its derivative can link blocks that Lambda_t keeps apart, as at
-    t3): one 3 x 3 block in stage 1, three 1 x 1 blocks on [t1, t3] after
-    the complete dephasing E1, and span{|0>, |1>} plus |2> in stage 4, each
-    tensored with the ancilla.  A row's result does not depend on the other
-    points or probes of its batch, so the chunking moves no result.
+    The output blocks of each point are read off Lambda_t alone (its
+    derivative can link blocks that Lambda_t keeps apart, as at t3): one
+    3 x 3 block in stage 1, three 1 x 1 blocks on [t1, t3] after the
+    complete dephasing E1, and span{|0>, |1>} plus |2> in stage 4, each
+    tensored with the ancilla.  A row's result depends on no other point or
+    probe, so the batching moves no result.
     """
-    maps = fam.stack(ts)
-    X, codes = apply_to_extended(maps, stack, k), _output_codes(maps)
-    del maps  # one map stack at a time
-    Xdot = apply_to_extended(fam.dot_stack(ts), stack, k)
-    return _block_norm_rderiv(X, Xdot, codes, k)
+    stages, ts = _stages(ts, fam.params), np.asarray(ts, dtype=float)
+    norm, rderiv = np.empty((2, len(ts), chain.shape[1]))
+    for s in set(stages.tolist()):  # one stage per scan batch
+        at = stages == s
+        X, Xdot, codes, still = _stage_operators(fam.params, chain, s, ts[at])
+        norm[at], rderiv[at] = _block_norm_rderiv(X, Xdot, codes, k, still)
+    return norm, rderiv
 
 
 def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     """Right-derivative scan of ||(Lambda_t tensor Id_k)(X)||_1.
 
     ``fam`` is a ``qutrit_family.Family`` on the system factor; for k > 1 the
-    probes must live on the product space.  The grid goes in consecutive
-    batches of as many grid points as SCAN_CHUNK_ENTRIES of probe entries
-    allow, and at least one (2 qutrit probes: 1024 points), each one
-    ``fam.stack`` and ``fam.dot_stack`` call and one kernel call, and the
-    derivatives are exact (``_norm_rderiv``).  Each point's X splits into
-    the output blocks of its Lambda_t tensored with C^k: one block in stage
-    1, three on [t1, t3] and two in stage 4.  1 x 1 blocks are read off the
-    diagonal, 2 x 2 and 3 x 3 blocks in closed form and larger ones by one
-    batched eigh per block size; each block's values ascend, so a row's are
-    merged, not sorted.  The rows with a kernel eigenvalue, a tie, a non-finite value or
-    a 3 x 3 block too near degenerate for its closed form (TRIPLE_GAP,
-    TRIPLE_FLOOR) take one batched eigh of the whole X.  A row of 1 x 1
-    blocks gives eigh's bits, and the batching changes no bit of a result.
-    Rows are sorted by (probe, t); a row reads "ok" only where its right
-    derivative is at most TOL_DERIV, so a NaN row fails.
+    probes must live on the product space.  Each map of the chain Id, E1,
+    E2 E1, E3 E2 E1 is applied to the probes once (``_chain_applies``), and
+    every point's X and Xdot are built from those applies
+    (``_stage_operators``): the scan builds no map stack.  The grid is split
+    at the junctions, each t in the stage ``Family.stack`` assigns it, and
+    each stage goes in consecutive batches of as many points as
+    SCAN_CHUNK_ENTRIES of probe entries allow, and at least one (2 qutrit
+    probes: 1024 points), each one call of the block kernel
+    (``_block_norm_rderiv``).  The derivatives are exact (``_norm_rderiv``),
+    and the batching changes no bit of a result.  Rows are sorted by
+    (probe, t); a row reads "ok" only where its right derivative is at most
+    TOL_DERIV, so a NaN row fails.
     """
     grid = list(grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -587,6 +664,9 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     stack = probes.probes
     n, points = stack.shape[0], len(grid)
     chunk = max(1, SCAN_CHUNK_ENTRIES // stack.size)
+    # the first grid index of stages 2, 3 and 4
+    bounds = [0, *np.searchsorted(_stages(grid, fam.params), (1, 2, 3)).tolist(), points]
+    chain = _chain_applies(stack, k)
 
     # filled column by column; each (probes, points) view is a field's rows
     rows = np.recarray(n * points, dtype=_SCAN_ROW)
@@ -595,10 +675,11 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     t[:] = grid
     probe_id[:] = np.arange(n)[:, None]
     rows["k"] = k
-    for i in range(0, points, chunk):
-        part = slice(i, i + chunk)
-        batch_norm, batch_rderiv = _norm_rderiv(fam, stack, grid[part], k)
-        norm[:, part], rderiv[:, part] = batch_norm.T, batch_rderiv.T
+    for first, stop in zip(bounds, bounds[1:]):
+        for i in range(first, stop, chunk):
+            part = slice(i, min(i + chunk, stop))
+            batch_norm, batch_rderiv = _norm_rderiv(fam, chain, grid[part], k)
+            norm[:, part], rderiv[:, part] = batch_norm.T, batch_rderiv.T
     rows["verdict"] = np.where(rows["rderiv"] <= TOL_DERIV, "ok", "fail")
     return ScanReport(rows=rows, seed=probes.seed)
 

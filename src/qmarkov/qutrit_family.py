@@ -210,6 +210,39 @@ def _vec_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b.conj()[:, :, None] * a[:, None, :]).reshape(-1, 9)
 
 
+def _gamma4_coefficients(taus: list, params: MapParams, dot: bool):
+    """(c00, c11, c_trace) of Gamma^(4)_tau(X) = c00 x00 |0><0| + x11 c11 +
+    c_trace (x00 + x11) |2><2|, or of d Gamma^(4)/d tau (one-sided at 0 and
+    1) with ``dot``, at each tau of ``taus``: c00 and c_trace (points,) and
+    c11 (points, 9), a vectorised operator, from scalar libm values of
+    s = tau^delta, the ket and ds/dtau per point.
+
+    delta-smoothing reparameterizes the whole family as tau -> tau^delta.
+    Substituting only inside the rotation argument would make the norm of the
+    lam = 1 probe behave as (1 + tau^2) cos(theta tau^delta), which grows
+    like tau^2 near tau = 0 for every delta > 1 (norm backflow); the full
+    reparameterization keeps contractivity by the chain rule while still
+    zeroing the right time-derivative at the third junction.  Gamma^(4) is
+    X -> (1 + s^2)(x00 |0><0| + x11 |psi><psi|) + (1 - s^2)(x00 + x11) |2><2|
+    with |psi> the ket rotated by theta*s."""
+    delta, theta = params.delta, params.theta
+    sigma = np.array([tau ** delta for tau in taus])
+    kets = np.array([(math.sin(a), math.cos(a), 0.0)  # rotated_ket(theta s)
+                     for a in (theta * sigma).tolist()], dtype=complex)
+    vec_proj, up = _vec_outer(kets, kets), 1.0 + sigma * sigma
+    if not dot:
+        return up, up[:, None] * vec_proj, 1.0 - sigma * sigma
+    # chain rule through s = tau^delta, with ds/dtau = 0 at tau = 0 for
+    # delta > 1, and d|psi>/ds = theta (cos, -sin, 0)
+    ds = np.array([delta * tau ** (delta - 1.0) if tau > 0.0 else float(delta == 1.0)
+                   for tau in taus])
+    dkets = np.zeros_like(kets)
+    dkets[:, 0], dkets[:, 1] = theta * kets[:, 1], theta * -kets[:, 0]
+    c11 = ((2.0 * sigma)[:, None] * vec_proj
+           + up[:, None] * (_vec_outer(dkets, kets) + _vec_outer(kets, dkets)))
+    return ds * (2.0 * sigma), ds[:, None] * c11, ds * (-2.0 * sigma)
+
+
 def _gammas(i: int, taus: list, params: MapParams, dot: bool) -> np.ndarray:
     """Gamma^(i)_tau, or d Gamma^(i)/d tau (one-sided at 0 and 1) with ``dot``,
     at each tau of ``taus``: a fresh (len(taus), 9, 9) complex array, from
@@ -217,30 +250,7 @@ def _gammas(i: int, taus: list, params: MapParams, dot: bool) -> np.ndarray:
     if i in (1, 2, 3):
         return _blend(_weights(i, taus, dot), _CHAIN[0], (E1, E2, E3)[i - 1].matrix, dot)
     if i == 4:
-        # delta-smoothing reparameterizes the whole family as tau -> tau^delta.
-        # Substituting only inside the rotation argument would make the norm of
-        # the lam = 1 probe behave as (1 + tau^2) cos(theta tau^delta), which
-        # grows like tau^2 near tau = 0 for every delta > 1 (norm backflow);
-        # the full reparameterization keeps contractivity by the chain rule
-        # while still zeroing the right time-derivative at the third junction.
-        # X -> (1 + s^2)(x00 |0><0| + x11 |psi><psi|) + (1 - s^2)(x00 + x11) |2><2|
-        # with s = tau^delta and |psi> the ket rotated by theta*s.
-        delta, theta = params.delta, params.theta
-        sigma = np.array([tau ** delta for tau in taus])
-        kets = np.array([(math.sin(a), math.cos(a), 0.0)  # rotated_ket(theta s)
-                         for a in (theta * sigma).tolist()], dtype=complex)
-        vec_proj, up = _vec_outer(kets, kets), 1.0 + sigma * sigma
-        if not dot:
-            return _gamma4(up, up[:, None] * vec_proj, 1.0 - sigma * sigma)
-        # chain rule through s = tau^delta, with ds/dtau = 0 at tau = 0 for
-        # delta > 1, and d|psi>/ds = theta (cos, -sin, 0)
-        ds = [delta * tau ** (delta - 1.0) if tau > 0.0 else float(delta == 1.0)
-              for tau in taus]
-        dkets = np.zeros_like(kets)
-        dkets[:, 0], dkets[:, 1] = theta * kets[:, 1], theta * -kets[:, 0]
-        c11 = ((2.0 * sigma)[:, None] * vec_proj
-               + up[:, None] * (_vec_outer(dkets, kets) + _vec_outer(kets, dkets)))
-        return np.array(ds)[:, None, None] * _gamma4(2.0 * sigma, c11, -2.0 * sigma)
+        return _gamma4(*_gamma4_coefficients(taus, params, dot))
     raise OperandError(f"family index must be 1..4, got {i}")
 
 
@@ -258,20 +268,28 @@ def gamma_family_dot(i: int, tau: float, params: MapParams | None = None) -> Sup
     return SuperOp(dim=3, matrix=_gammas(i, [tau], params or MapParams(), True)[0])
 
 
-def _lambda_stack(ts, params: MapParams, dot: bool, left: bool = False) -> np.ndarray:
-    """Lambda_t, or d Lambda_t / dt with ``dot``, at each t of ``ts``: a fresh
-    (len(ts), 9, 9) complex array.  The stages are [0, t1), [t1, t2), [t2, t3)
-    and [t3, t4], or with ``left`` [0, t1], (t1, t2], (t2, t3] and (t3, t4],
-    assigned in one ``searchsorted`` pass.  Stage i <= 3 is the blend
-    w P_{i-1} + (1 - w) P_i of consecutive chain maps, so both sides of t1
-    and t2 read the same chain entry; stage 4 is one stacked Gamma^(4) times
-    P3.  A derivative is divided by its stage's length."""
-    starts = (0.0, params.t1, params.t2, params.t3, params.t4)
+def _stages(ts, params: MapParams, left: bool = False) -> np.ndarray:
+    """The stage index 0..3 of each t of ``ts``, in one ``searchsorted`` pass:
+    the stages are [0, t1), [t1, t2), [t2, t3) and [t3, t4], or with ``left``
+    [0, t1], (t1, t2], (t2, t3] and (t3, t4].  A t outside [0, t4] (NaN
+    included) is an error."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     inside = (ts >= 0.0) & (ts <= params.t4)  # NaN is outside
     if not inside.all():
         raise OperandError(f"t = {ts[~inside][0].item()} outside [0, {params.t4}]")
-    stages = np.searchsorted(starts[1:4], ts, "left" if left else "right")
+    return np.searchsorted((params.t1, params.t2, params.t3), ts, "left" if left else "right")
+
+
+def _lambda_stack(ts, params: MapParams, dot: bool, left: bool = False) -> np.ndarray:
+    """Lambda_t, or d Lambda_t / dt with ``dot``, at each t of ``ts``: a fresh
+    (len(ts), 9, 9) complex array, each t in the stage ``_stages`` assigns.
+    Stage i <= 3 is the blend w P_{i-1} + (1 - w) P_i of consecutive chain
+    maps, so both sides of t1 and t2 read the same chain entry; stage 4 is
+    one stacked Gamma^(4) times P3.  A derivative is divided by its stage's
+    length."""
+    starts = (0.0, params.t1, params.t2, params.t3, params.t4)
+    stages = _stages(ts, params, left)
+    ts = np.asarray(ts, dtype=float).reshape(-1)
     out = np.empty((len(ts), 9, 9), dtype=complex)
     for s in set(stages.tolist()):
         at = stages == s
@@ -303,12 +321,15 @@ def lambda_t_dot(t: float, params: MapParams | None = None) -> SuperOp:
 class Family:
     """Callable t -> Lambda_t with parameters bound.
 
-    The scans, the CP/TP check and the forcing witness take their maps from
-    ``stack`` and ``dot_stack``, which build stages 1-3 as blends of the
-    chain Id, E1, E2 E1, E3 E2 E1 and take one matmul only on stage 4.
-    ``__call__`` looks up its one-point case ``lambda_t`` at call time, so a
-    wrapper installed on that module function sees single-point calls only,
-    not the grids.
+    The divisibility scan, the CP/TP check, the continuity check and the
+    forcing witness take their maps from ``stack`` and ``dot_stack``, which
+    build stages 1-3 as blends of the chain Id, E1, E2 E1, E3 E2 E1 and take
+    one matmul only on stage 4.  The contractivity scan builds no map: it
+    blends the chain maps' images of its probes with the same weights
+    (``_weights``) and builds stage 4 from Gamma^(4)'s coefficients
+    (``_gamma4_coefficients``).  ``__call__`` looks up its one-point case
+    ``lambda_t`` at call time, so a wrapper installed on that module
+    function sees single-point calls only, not the grids.
     """
 
     params: MapParams

@@ -23,8 +23,9 @@ from .tolerances import RANK_CUTOFF, TOL_PSD
 # overhead small, few enough to keep peak memory flat.  On a 2-vCPU Xeon,
 # 1024 made the divisibility scan of 1000 points no faster (21-33 ms against
 # 23-30 ms per call) and raised the peak RSS of a process running it and a
-# 2-probe scan from 41.7 to 46.5 MB.  The contractivity scan sizes its
-# batches by its probe stack instead (contractivity.SCAN_CHUNK_ENTRIES).
+# 2-probe scan from 41.7 to 46.5 MB.  The contractivity scan stacks no
+# maps: it applies each chain map to its probes once and batches points by
+# its probe stack (contractivity.SCAN_CHUNK_ENTRIES).
 GRID_CHUNK = 64
 
 

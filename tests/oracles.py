@@ -1,12 +1,13 @@
 """Test-only oracles: a Richardson finite-difference right derivative, a
 full matrix evaluation of the closed-form norm, the scan's block kernel as
-it was written, with a sort, and Lambda_t as it was written, each stage's
-Gamma^(i) followed by a matmul by its prefix map.
+it was written, with a sort, Lambda_t as it was written, each stage's
+Gamma^(i) followed by a matmul by its prefix map, and the scan's batches as
+they were written, from a map stack per batch.
 
 The package computes these quantities exactly (Kato's formula in the scan,
 the closed forms in ``contractivity``); the tests check it against these
-independent routes, and the kernel and the family against their earlier
-forms bit for bit.
+independent routes, the kernel and the family against their earlier forms
+bit for bit, and the scan against its map-stack form to rounding.
 """
 
 import bisect
@@ -16,11 +17,13 @@ import math
 import numpy as np
 
 from qmarkov import qutrit_family
-from qmarkov.contractivity import (_block_entries, _eigh_norm_rderiv, _eigh_spectrum,
-                                   _pair_spectrum, _triple_spectrum, lambda_probe)
+from qmarkov.contractivity import (SCAN_CHUNK_ENTRIES, _block_entries, _block_norm_rderiv,
+                                   _eigh_norm_rderiv, _eigh_spectrum, _pair_spectrum,
+                                   _triple_spectrum, lambda_probe)
 from qmarkov.operators import OperandError, trace_norm
 from qmarkov.qutrit_family import (E1, E2_E1, E3_E2_E1, MapParams, gamma_family,
                                    make_E, rate_f, rate_g)
+from qmarkov.superops import apply_to_extended
 from qmarkov.tolerances import KERNEL_CUTOFF
 
 # Default initial step of the finite-difference right-derivative estimator
@@ -156,3 +159,38 @@ def lambda_stack_prefixed(ts, params: MapParams, dot: bool, left: bool = False):
             m /= starts[s + 1] - starts[s]
         out[at] = m if prefixes[s] is None else m @ prefixes[s].matrix
     return out
+
+
+# Vectorized rows (j*3 + i and i*3 + j) of the output entries |i><j| and
+# |j><i| that link qutrit output pairs (0, 1), (0, 2) and (1, 2), the bits 1,
+# 2 and 4 of a point's output code.
+_PAIR_ROWS = np.array([[1, 3], [2, 6], [5, 7]])
+
+
+def output_codes(maps):
+    """Per map of a stack (points, 9, 9), the bits of the output pairs whose
+    rows are not all exactly 0, as the scan read them point by point: 0 for
+    diagonal output (on [t1, t3]), 1 for span{|0>, |1>} plus |2> (stage 4),
+    7 for a full qutrit (stage 1)."""
+    return np.any(maps, axis=-1)[:, _PAIR_ROWS].any(axis=-1) @ np.array([1, 2, 4])
+
+
+def norm_rderiv_by_maps(fam, stack, ts, k):
+    """The scan's batch as it was written: Lambda_t and its derivative at the
+    points ``ts`` from ``Family.stack`` and ``dot_stack``, each applied to
+    every probe, each point's output code read off its map's rows, and the
+    block kernel; two arrays (len(ts), probes)."""
+    maps = fam.stack(ts)
+    X, codes = apply_to_extended(maps, stack, k), output_codes(maps)
+    Xdot = apply_to_extended(fam.dot_stack(ts), stack, k)
+    return _block_norm_rderiv(X, Xdot, codes, k)
+
+
+def scan_by_maps(fam, stack, grid, k):
+    """(norm, rderiv), each (probes, points): the scan's columns as it
+    computed them, in batches of as many grid points as SCAN_CHUNK_ENTRIES
+    of probe entries allow, each from ``norm_rderiv_by_maps``."""
+    chunk = max(1, SCAN_CHUNK_ENTRIES // stack.size)
+    parts = [norm_rderiv_by_maps(fam, stack, grid[i:i + chunk], k)
+             for i in range(0, len(grid), chunk)]
+    return tuple(np.concatenate([part[j] for part in parts]).T for j in range(2))

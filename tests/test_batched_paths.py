@@ -13,17 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmarkov.contractivity import (_block_entries, _block_norm_rderiv, _eigh_norm_rderiv,
-                                   _norm_rderiv, _output_codes, _triple_spectrum,
-                                   norm_derivative_scan)
+from qmarkov.contractivity import (_block_entries, _block_norm_rderiv, _chain_applies,
+                                   _eigh_norm_rderiv, _norm_rderiv, _stage_operators,
+                                   _triple_spectrum, norm_derivative_scan)
 from qmarkov.divisibility import RESIDUAL_TOL, _intermediate_maps
 from qmarkov.operators import random_probes
-from qmarkov.qutrit_family import MapParams, family
+from qmarkov.qutrit_family import MapParams, _stages, family
 from qmarkov.superops import apply_to_extended
 from qmarkov.tolerances import (KERNEL_CUTOFF, RANK_CUTOFF, TOL_DERIV, TRIPLE_FLOOR,
                                 TRIPLE_GAP)
 
-from oracles import block_norm_rderiv_sorted
+from oracles import block_norm_rderiv_sorted, output_codes
 
 
 def _probes_by_loop(dim, count, seed):
@@ -121,6 +121,15 @@ def test_kernel_over_read_is_bounded():
     assert bound.max() < 1e-11 < TOL_DERIV
 
 
+def _chain_operators(params, stack, grid, k):
+    """The scan's X, Xdot, output codes and zero-derivative points on an
+    ascending grid, stage by stage (``_stage_operators``), joined."""
+    chain, grid = _chain_applies(stack, k), np.asarray(grid, dtype=float)
+    stages = _stages(grid, params)
+    parts = [_stage_operators(params, chain, s, grid[stages == s]) for s in sorted(set(stages))]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def _assert_same_bits(got, expected):
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
@@ -174,12 +183,10 @@ def test_dephased_shortcut_bit_equal_to_eigh(scan):
     eigh fallback) are bit-equal, sign of zero included, to the eigh path on
     the same X and Xdot."""
     params, grid, stack = scan
-    fam = family(params)
-    maps = fam.stack(grid)
-    assert not _output_codes(maps).any()  # the whole grid dephases
-    X = apply_to_extended(maps, stack, 1)
-    Xdot = apply_to_extended(fam.dot_stack(grid), stack, 1)
-    _assert_same_bits(_norm_rderiv(fam, stack, grid, 1), _eigh_norm_rderiv(X, Xdot))
+    X, Xdot, codes, _ = _chain_operators(params, stack, grid, 1)
+    assert not codes.any()  # the whole grid dephases
+    _assert_same_bits(_norm_rderiv(family(params), _chain_applies(stack, 1), grid, 1),
+                      _eigh_norm_rderiv(X, Xdot))
 
 
 @settings(max_examples=100, deadline=None)
@@ -214,23 +221,25 @@ def _eigh_matrices(monkeypatch, scan):
 
 
 def test_eigh_takes_stage_1_kernel_rows_and_stage_4_blocks(monkeypatch):
-    """The default verify scan (200 probes x 200 points) sends 453 of its
-    40,000 rows to eigh, all 3 x 3: every row at t = 1.98 and t = 2.0, where
-    stage 2's weight (about 1e-21) or E2 E1 leaves every X a kernel
-    eigenvalue, and the 53 of stage 1's 10,000 rows that fail the closed
-    3 x 3 form's trust test (17 with neighbouring eigenvalues closer than
+    """The default verify scan (200 probes x 200 points) sends 253 of its
+    40,000 rows to eigh, all 3 x 3: every row at t = 1.98, where stage 2's
+    weight (about 1e-21) leaves every X a kernel eigenvalue and Xdot is not
+    0, and the 53 of stage 1's 10,000 rows that fail the closed 3 x 3
+    form's trust test (17 with neighbouring eigenvalues closer than
     TRIPLE_GAP, 36 with a pair of opposite signs closer than
-    sqrt(TRIPLE_GAP)); stage 4 takes the closed 2 x 2 form.  The k = 2
-    scan (500 probes x 40 points) sends 5,500 6 x 6 matrices (the one block
-    of the 10 points of stage 1, and the full X at t = 2.0) and 4,500 4 x 4
-    blocks span{|0>, |1>} x C^2 (the 9 points of stage 4 after t3)."""
+    sqrt(TRIPLE_GAP)); stage 4 takes the closed 2 x 2 form.  The rows at
+    t = 2.0 have a kernel eigenvalue too (the |2> block of E2 E1 is 0), but
+    Xdot = 0 there (dw/dtau = 0 at tau = 0), so they need no eigh.  The
+    k = 2 scan (500 probes x 40 points) sends 5,000 6 x 6 matrices (the one
+    block of the 10 points of stage 1) and 4,500 4 x 4 blocks
+    span{|0>, |1>} x C^2 (the 9 points of stage 4 after t3)."""
     grid = np.linspace(0.0, 4.0, 200, endpoint=False)
     probes = random_probes(3, 200, 20210907)
     assert _eigh_matrices(monkeypatch, lambda: norm_derivative_scan(
-        family(), probes, grid)) == {3: 453}
+        family(), probes, grid)) == {3: 253}
     probes = random_probes(6, 500, 20210907)
     assert _eigh_matrices(monkeypatch, lambda: norm_derivative_scan(
-        family(), probes, np.linspace(0.0, 4.0, 40, endpoint=False), k=2)) == {6: 5500, 4: 4500}
+        family(), probes, np.linspace(0.0, 4.0, 40, endpoint=False), k=2)) == {6: 5000, 4: 4500}
 
 
 def test_scan_sorts_nothing(monkeypatch):
@@ -284,10 +293,9 @@ def test_block_kernel_matches_eigh(scan):
     kernel's norms and right derivatives agree with the full eigh of the same
     X and Xdot to rounding, and give the same verdicts."""
     params, grid, k, stack = scan
-    fam = family(params)
-    X = apply_to_extended(fam.stack(grid), stack, k)
-    Xdot = apply_to_extended(fam.dot_stack(grid), stack, k)
-    _assert_close(_norm_rderiv(fam, stack, grid, k), _eigh_norm_rderiv(X, Xdot))
+    X, Xdot, _, _ = _chain_operators(params, stack, grid, k)
+    _assert_close(_norm_rderiv(family(params), _chain_applies(stack, k), grid, k),
+                  _eigh_norm_rderiv(X, Xdot))
 
 
 def _outcomes(X, Xdot, codes, k):
@@ -313,7 +321,7 @@ def test_block_kernel_keeps_the_sorted_kernels_bits(scan):
     maps = fam.stack(grid)
     X = apply_to_extended(maps, stack, k)
     Xdot = apply_to_extended(fam.dot_stack(grid), stack, k)
-    got, expected = _outcomes(X, Xdot, _output_codes(maps), k)
+    got, expected = _outcomes(X, Xdot, output_codes(maps), k)
     assert got == expected
 
 

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from qmarkov import contractivity
-from qmarkov.contractivity import (SingularPointError, bound_chain_check,
+from qmarkov import contractivity, qutrit_family
+from qmarkov.contractivity import (SingularPointError, _chain_applies, bound_chain_check,
                                    gamma4_derivative_closed_form,
                                    gamma4_norm_closed_form, lambda_probe,
                                    lambda_reflection_check,
                                    norm_derivative_scan, theta_window_sweep)
-from qmarkov.operators import OperandError, ProbeSet, random_probes, trace_norm
-from qmarkov.qutrit_family import RHO_A, RHO_B, MapParams, family
+from qmarkov.operators import PROBE_KINDS, OperandError, ProbeSet, random_probes, trace_norm
+from qmarkov.qutrit_family import RHO_A, RHO_B, Family, MapParams, family
 from qmarkov.superops import apply_to_extended
 from qmarkov.tolerances import TOL_DERIV
 
-from oracles import DEFAULT_H0, gamma4_norm_numeric, right_derivative
+from oracles import DEFAULT_H0, gamma4_norm_numeric, right_derivative, scan_by_maps
 
 SEED = 17
 THETA = 1.5
@@ -202,9 +202,10 @@ class TestScan:
         worst row, wherever it sits among finite ones."""
         real = contractivity._norm_rderiv
 
-        def one_nan(fam, stack, ts, k):
-            norm, rderiv = real(fam, stack, ts, k)
-            rderiv[list(ts).index(2.5), 1] = math.nan
+        def one_nan(fam, chain, ts, k):
+            norm, rderiv = real(fam, chain, ts, k)
+            if 2.5 in ts:
+                rderiv[list(ts).index(2.5), 1] = math.nan
             return norm, rderiv
 
         monkeypatch.setattr(contractivity, "_norm_rderiv", one_nan)
@@ -224,16 +225,18 @@ class TestScan:
         columns, with a NaN row reading "fail"."""
         real = contractivity._norm_rderiv
 
-        def one_nan(fam, stack, ts, k):
-            norm, rderiv = real(fam, stack, ts, k)
-            rderiv[0, 1] = math.nan
+        def one_nan(fam, chain, ts, k):
+            norm, rderiv = real(fam, chain, ts, k)
+            if ts[0] == 0.0:
+                rderiv[0, 1] = math.nan
             return norm, rderiv
 
         monkeypatch.setattr(contractivity, "_norm_rderiv", one_nan)
         grid = np.linspace(0.0, 4.0, 8, endpoint=False)
         probes = random_probes(3 * k, 3, SEED)
         report = norm_derivative_scan(family(), probes, grid, k=k)
-        norm, rderiv = (a.T.ravel() for a in one_nan(family(), probes.probes, grid, k))
+        norm, rderiv = (a.T.ravel() for a in one_nan(
+            family(), _chain_applies(probes.probes, k), grid, k))
         expected = np.rec.fromarrays(
             [np.tile(grid, 3), np.repeat(np.arange(3), 8), np.full(24, k), norm, rderiv,
              np.where(rderiv <= TOL_DERIV, "ok", "fail")],
@@ -289,6 +292,115 @@ class TestScan:
         report = norm_derivative_scan(family(), probes, [0.1, 0.5], k=2)
         assert report.k == 2
         assert all(row.k == 2 for row in report.rows)
+
+
+# Junctions with stage lengths other than 1, as in the CI's stretched config.
+STRETCHED = {"t1": 0.7, "t2": 1.9, "t3": 2.3, "t4": 5.1}
+
+
+def _chain_grid(params):
+    """41 points over [0, t4] and the junctions t1, t2 and t3."""
+    return sorted({*np.linspace(0.0, params.t4, 41).tolist(), params.t1, params.t2, params.t3})
+
+
+class TestScanOnTheChain:
+    """The scan applies each map of the chain Id, E1, E2 E1, E3 E2 E1 to the
+    probes once and builds every point's X and Xdot from those applies; its
+    rows hold to the scan as it was written, from a map stack per batch
+    (``oracles.scan_by_maps``)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_needs_no_map_stack(self, monkeypatch, k):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan built a map stack")
+
+        for owner, name in ((Family, "stack"), (Family, "dot_stack"),
+                            (qutrit_family, "_lambda_stack")):
+            monkeypatch.setattr(owner, name, refuse)
+        for params in (MapParams(), MapParams(delta=1.05, **STRETCHED)):
+            grid = _chain_grid(params)
+            report = norm_derivative_scan(family(params), random_probes(3 * k, 4, SEED), grid, k=k)
+            assert len(report.rows) == 4 * len(grid)
+
+    @pytest.mark.parametrize("n_probes,points", [(1, 1), (2, 1000), (200, 40), (2000, 5)])
+    def test_applies_each_chain_map_once(self, monkeypatch, n_probes, points):
+        """Three applies per scan, one per map E1, E2 E1 and E3 E2 E1, for a
+        one-batch grid as for one batch per point."""
+        shapes, real = [], contractivity.apply_to_extended
+
+        def counting(S, X, k):
+            shapes.append(np.shape(S))
+            return real(S, X, k)
+
+        monkeypatch.setattr(contractivity, "apply_to_extended", counting)
+        norm_derivative_scan(family(), random_probes(3, n_probes, SEED),
+                             np.linspace(0.0, 4.0, points, endpoint=False))
+        assert shapes == [(9, 9)] * 3
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("times", [{}, STRETCHED], ids=["unit", "stretched"])
+    @pytest.mark.parametrize("delta", [1.0, 1.05, 110.0])
+    @pytest.mark.parametrize("theta", [math.sqrt(2), 1.5, math.pi / 2, 1.6])
+    def test_rows_match_map_stack_scan(self, theta, delta, times, k):
+        """In every stage and at every junction the rows differ from the
+        map-stack scan's by rounding alone: the norm by at most 1e-14 of
+        max(1, norm) and rderiv by at most 1e-13 of max(1, |rderiv|), with
+        an equal verdict column.  Over this set they read at most 9.6e-16
+        and 1.7e-14 (8.9e-15 and 9.1e-13 absolute, the latter at
+        delta = 110, where the stage-4 rates reach about 100)."""
+        params = MapParams(theta=theta, delta=delta, **times)
+        grid = _chain_grid(params)
+        for kind in PROBE_KINDS:
+            probes = random_probes(3 * k, 6, SEED, kind)
+            rows = norm_derivative_scan(family(params), probes, grid, k=k).rows
+            norm, rderiv = (a.ravel() for a in scan_by_maps(family(params), probes.probes,
+                                                            grid, k))
+            assert np.all(np.abs(rows.norm - norm) <= 1e-14 * np.maximum(1.0, norm))
+            assert np.all(np.abs(rows.rderiv - rderiv)
+                          <= 1e-13 * np.maximum(1.0, np.abs(rderiv)))
+            assert rows.verdict.tolist() == np.where(rderiv <= TOL_DERIV, "ok", "fail").tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_derivative_rows(self, k):
+        """At t1 and t2 dw/dtau is 0, and at t3 for delta > 1 so is ds/dtau:
+        Xdot = 0 there, and every row reads rderiv = +0.0, whatever kernel
+        eigenvalue X has (at t2 the |2> block of E2 E1 is 0).  The norms are
+        the map-stack scan's: bit for bit at k = 1, where both read the
+        diagonal, and to rounding at k = 2 and 3."""
+        for params, still in ((MapParams(), [1.0, 2.0]),
+                              (MapParams(delta=1.05, **STRETCHED), [0.7, 1.9, 2.3])):
+            grid = _chain_grid(params)
+            probes = random_probes(3 * k, 6, SEED)
+            rows = norm_derivative_scan(family(params), probes, grid, k=k).rows
+            norm, rderiv = (a.ravel() for a in scan_by_maps(family(params), probes.probes,
+                                                            grid, k))
+            at = np.isin(rows.t, still)
+            assert at.sum() == 6 * len(still)
+            assert np.all(rows.rderiv[at] == 0.0) and not np.signbit(rows.rderiv[at]).any()
+            assert np.all(rderiv[at] == 0.0)
+            if k == 1:
+                assert np.array_equal(rows.norm[at], norm[at])
+            assert np.all(np.abs(rows.norm[at] - norm[at]) <= 1e-14 * np.maximum(1.0, norm[at]))
+
+
+    def test_zero_derivative_row_with_a_refused_closed_form(self, monkeypatch):
+        """At k = 3 and t1 a block-diagonal probe is its own X.  Its |0> block
+        diag(1, 1 + 1e-9, 3) has eigenvalues too close for the 3 x 3 closed
+        form (TRIPLE_GAP), which refuses them, so the row takes one eigh even
+        though Xdot = 0; it reads rderiv = +0.0 and eigh's norm."""
+        probe = np.diag([1.0, 1.0 + 1e-9, 3.0, 2.0, 5.0, 7.0, 4.0, 6.0, 8.0]).astype(complex)
+        calls, eigh = [], np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        rows = norm_derivative_scan(family(), ProbeSet(probes=(probe,), seed=SEED,
+                                                       kind="random-hermitian"), [1.0], k=3).rows
+        assert calls == [(1, 1, 9, 9)]
+        assert rows.rderiv[0] == 0.0 and not np.signbit(rows.rderiv[0])
+        assert rows.norm[0] == trace_norm(probe)
 
 
 def _stencil_eigenvalues(fam, X, t, k):

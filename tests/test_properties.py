@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 import qmarkov
 from qmarkov import contractivity
-from qmarkov.contractivity import (_norm_rderiv, bound_chain_check,
+from qmarkov.contractivity import (_chain_applies, _norm_rderiv, bound_chain_check,
                                    gamma4_derivative_closed_form,
                                    norm_derivative_scan, theta_window_sweep)
 from qmarkov.operators import OperandError, random_probes
@@ -219,8 +219,8 @@ def _scan_csv_by_rows(fam, probes, grid, k):
     """The scan as it was written with one row object per (probe, t) and
     csv.writer, on the scan's own per-grid-point numbers; returns (row
     count, CSV text)."""
-    stack = probes.probes
-    per_t = [_norm_rderiv(fam, stack, [t], k) for t in grid]
+    stack, chain = probes.probes, _chain_applies(probes.probes, k)
+    per_t = [_norm_rderiv(fam, chain, [t], k) for t in grid]
     rows = []
     for pid in range(len(stack)):
         for t, (norm, rderiv) in zip(grid, per_t):
@@ -296,7 +296,7 @@ BUDGET_SIDES = [(1, 1), (1, 2), (1, 7), (1, 32), (1, 33), (2, 1), (2, 3),
 @example(shape=(2, 3), seed=1, extra=list(np.linspace(0.0, 4.0, 129, endpoint=False)))
 def test_scan_rows_match_point_at_a_time(shape, seed, extra):
     """The batched scan's rows are bit-equal to its one-point chunk
-    ``_norm_rderiv(fam, stack, [t], k)`` one grid point at a time, on grids
+    ``_norm_rderiv(fam, chain, [t], k)`` one grid point at a time, on grids
     that contain the junctions t1 to t3, with t = 2.0's kernel rows, and
     that SMALL_BUDGET splits into several batches: more than the 64 points
     of its largest batch (mostly not a multiple of a batch)."""
@@ -306,8 +306,8 @@ def test_scan_rows_match_point_at_a_time(shape, seed, extra):
     probes = random_probes(3 * k, n_probes, seed)
     with mock.patch.object(contractivity, "SCAN_CHUNK_ENTRIES", SMALL_BUDGET):
         report = norm_derivative_scan(family(), probes, grid, k=k)
-    stack = probes.probes
-    per_t = [_norm_rderiv(family(), stack, [t], k) for t in grid]
+    chain = _chain_applies(probes.probes, k)
+    per_t = [_norm_rderiv(family(), chain, [t], k) for t in grid]
     norm = np.array([n[0] for n, _ in per_t]).T.ravel()
     rderiv = np.array([d[0] for _, d in per_t]).T.ravel()
     assert np.array_equal(report.rows.norm, norm)

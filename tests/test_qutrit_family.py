@@ -7,7 +7,6 @@ from scipy.linalg import expm
 
 from qmarkov import qutrit_family
 from qmarkov.cli import check_cp_tp
-from qmarkov.contractivity import norm_derivative_scan
 from qmarkov.divisibility import cp_divisibility_scan
 from qmarkov.operators import OperandError, check_density, random_probes, trace_norm
 from qmarkov.qutrit_family import (_CHAIN, D1, D2, D3, G, RHO_A, RHO_B, Family, MapParams,
@@ -341,7 +340,9 @@ def test_family_callable_binds_params():
 
 class TestStackCallers:
     """The grid checks take each chunk from one ``Family.stack`` (and
-    ``dot_stack``) call and never evaluate the family one point at a time."""
+    ``dot_stack``) call and never evaluate the family one point at a time.
+    The contractivity scan takes no map stack at all (see
+    ``test_contractivity.TestScanOnTheChain``)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -357,15 +358,6 @@ class TestStackCallers:
         monkeypatch.setattr(qutrit_family, "lambda_t", per_point)
         monkeypatch.setattr(qutrit_family, "lambda_t_dot", per_point)
         return calls
-
-    # points per batch: SCAN_CHUNK_ENTRIES // (9 probes), at least 1, so 2
-    # probes take the 150 points in one call and 2000 probes one at a time
-    @pytest.mark.parametrize("n_probes,chunk", [(2, 1024), (2000, 1)])
-    def test_scan(self, calls, n_probes, chunk):
-        grid = list(np.linspace(0.0, 4.0, 150, endpoint=False))
-        norm_derivative_scan(family(), random_probes(3, n_probes, SEED), grid)
-        chunks = [grid[i:i + chunk] for i in range(0, len(grid), chunk)]
-        assert calls == {"stack": chunks, "dot_stack": chunks}
 
     def test_cp_tp(self, calls):
         check_cp_tp(MapParams(), 150)
