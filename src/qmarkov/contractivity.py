@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import OperandError, ProbeSet
-from .qutrit_family import _CHAIN, RHO_A, RHO_B, _gamma4_coefficients, _stages, _weights
+from .qutrit_family import _CHAIN, RHO_A, RHO_B, _stage_images, _stages
 from .superops import apply_to_extended
 from .tolerances import (CSV_TIE_BAND, KERNEL_CUTOFF, SINGULAR_ROOT,
                          TOL_BOUND_CHAIN, TOL_CLOSED_FORM, TOL_DERIV, TOL_REFLECTION,
@@ -274,16 +274,17 @@ class ScanReport:
         }
 
 
-# A scan batch holds the probes at as many grid points of one stage as fit
-# in SCAN_CHUNK_ENTRIES complex probe entries, and at least one, so one
-# blend (or stage-4 block build) and one kernel call serve the whole batch.
+# A scan batch holds the probes at as many grid points as fit in
+# SCAN_CHUNK_ENTRIES complex probe entries, and at least one, so one blend
+# (or stage-4 block build) and one kernel call serve each stage of it.
 # X and Xdot then take at most about 0.3 MB each, or one probe stack where
-# the stack alone is larger; the chain's applies hold four probe stacks for
-# the whole scan.  Small batches cost the block kernel dearly: on
-# a 2-vCPU Xeon, 12,000 stage-1 rows took 54 ms in 128-row batches, 32 ms in
-# 200-row ones and 8 ms in 2000-row ones.  A probe stack that fills the
-# budget alone (2000 probes, or 500 at k = 2) keeps one point per batch,
-# where batching saves no per-call overhead worth the memory.
+# the stack alone is larger; the chain's applies hold three probe stacks
+# beside the probes for the whole scan.  Small batches cost the block
+# kernel dearly: on a 2-vCPU Xeon, 12,000 stage-1 rows took 54 ms in
+# 128-row batches, 32 ms in 200-row ones and 8 ms in 2000-row ones.  A
+# probe stack that fills the budget alone (2000 probes, or 500 at k = 2)
+# keeps one point per batch, where batching saves no per-call overhead
+# worth the memory.
 SCAN_CHUNK_ENTRIES = 2048 * 9
 
 # The fields of ``ScanReport.rows``, packed in this order.
@@ -293,19 +294,12 @@ _SCAN_ROW = np.dtype([("t", float), ("probe_id", int), ("k", int), ("norm", floa
 
 def _pair_codes(nonzero: np.ndarray) -> np.ndarray:
     """Output codes of masks (..., 3, 3) of a map's nonzero output entries
-    |i><j|: the bits 1, 2 and 4 of the linked qutrit pairs (0, 1), (0, 2) and
-    (1, 2).  0 is diagonal output (after the complete dephasing E1, on
-    [t1, t3]), 1 is span{|0>, |1>} plus |2> (stage 4), 7 a full qutrit."""
+    |i><j| (``qutrit_family._stage_images``): the bits 1, 2 and 4 of the
+    linked qutrit pairs (0, 1), (0, 2) and (1, 2).  0 is diagonal output
+    (after the complete dephasing E1, on [t1, t3]), 1 is span{|0>, |1>} plus
+    |2> (stage 4), 7 a full qutrit."""
     linked = nonzero | np.swapaxes(nonzero, -1, -2)
     return linked[..., 0, 1] * 1 + linked[..., 0, 2] * 2 + linked[..., 1, 2] * 4
-
-
-# The code of stage i <= 3, read off its two chain maps: the output entries
-# whose rows of P_{i-1} or P_i are not all exactly 0 (vec |i><j| is row
-# 3j + i, so the mask is transposed, which the pairs do not see).
-_BLEND_CODES = tuple(int(_pair_codes(np.any(np.stack(_CHAIN[i:i + 2]), axis=(0, 2))
-                                     .reshape(3, 3)))
-                     for i in range(3))
 
 
 @functools.lru_cache(maxsize=None)
@@ -547,73 +541,23 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
     return norm, rderiv
 
 
-def _chain_applies(stack: np.ndarray, k: int) -> np.ndarray:
+def _chain_applies(stack: np.ndarray, k: int) -> tuple:
     """A_j = (P_j tensor Id_k)(probe) for each probe of ``stack`` and each map
-    P_j of the chain Id, E1, E2 E1, E3 E2 E1, as one (4, probes, 3k, 3k)
-    array: A_0 is the stack itself, and the other three take one
-    ``apply_to_extended`` each."""
-    return np.stack([stack, *(apply_to_extended(P, stack, k) for P in _CHAIN[1:])])
+    P_j of the chain Id, E1, E2 E1, E3 E2 E1, as four C-contiguous
+    (probes, 3k, 3k) arrays, so that each flattens without a copy: A_0 is
+    the stack itself (a ``ProbeSet``'s is C-contiguous), and the other three
+    take one ``apply_to_extended`` each."""
+    return tuple(np.ascontiguousarray(A) for A in
+                 (stack, *(apply_to_extended(P, stack, k) for P in _CHAIN[1:])))
 
 
-def _gamma4_images(coefficients, Y: np.ndarray):
-    """(Gamma^(4) tensor Id_k)(A) = a (x) Y_A + b (x) Y_B for each probe's
-    |0><0| and |1><1| blocks, Y = (Y_A, Y_B) stacked as (2, probes, k, k),
-    the only blocks of A that Gamma^(4) reads, at each point of its
-    ``coefficients`` (c00, c11, c_trace) (``qutrit_family._gamma4_coefficients``).
-    Per point, one matmul of its (9, 2) factors by the (2, probes * k^2)
-    blocks, the same whatever the batch, and one transpose give (points,
-    probes, 3k, 3k), system-major; also returned is the (points, 3, 3) mask
-    of the nonzero factors."""
-    c00, c11, c_trace = coefficients
-    C = np.zeros((len(c00), 3, 3, 2), dtype=complex)  # [point, i, j]: (a_ij, b_ij)
-    C[:, 0, 0, 0] = c00
-    C[..., 1] = np.swapaxes(c11.reshape(-1, 3, 3), 1, 2)  # vec |i><j| is 3j + i
-    C[:, 2, 2] = c_trace[:, None]
-    q, k = Y.shape[1:3]
-    out = (C.reshape(-1, 9, 2) @ Y.reshape(2, -1)).reshape(len(C), 3, 3, q, k, k)
-    return out.transpose(0, 3, 1, 4, 2, 5).reshape(len(C), q, 3 * k, 3 * k), C.any(axis=-1)
-
-
-def _stage_operators(params, chain: np.ndarray, s: int, ts: np.ndarray):
-    """X = (Lambda_t tensor Id_k)(probe), Xdot = (dLambda_t/dt tensor Id_k)(probe)
-    as (points, probes, 3k, 3k), each point's output code and the points
-    where Xdot is exactly 0, for the points ``ts`` of stage s + 1, from the
-    chain's applies A_j (``_chain_applies``).
-
-    Stage i <= 3 is w P_{i-1} + (1 - w) P_i (``qutrit_family._weights``),
-    so X = w A_{i-1} + (1 - w) A_i and Xdot = (dw/dtau / length)
-    (A_{i-1} - A_i), + 0.0 writing its exact zeros as +0.0; its code is read
-    off its two chain maps, and Xdot = 0 where dw/dtau is 0 (tau = 0 of
-    stages 2 and 3).  Stage 4 is Gamma^(4) after P3, built from A_3's blocks
-    (``_gamma4_images``); each point's code is read off its coefficients, so
-    at t3, where the ket is |1>, it is 0, and Xdot = 0 where all of its
-    derivative's are (tau = 0 for delta > 1)."""
-    k = chain.shape[-1] // 3
-    starts = (0.0, params.t1, params.t2, params.t3, params.t4)
-    length = starts[s + 1] - starts[s]
-    taus = ((ts - starts[s]) / length).tolist()
-    if s < 3:
-        # each point's X and Xdot as one row over the flattened pair of
-        # applies, entry by entry, so no result depends on the batch
-        pair, shape = chain[s:s + 2].reshape(2, -1), (len(taus),) + chain.shape[1:]
-        w = _weights(s + 1, taus, False).reshape(-1, 1)
-        wdot = _weights(s + 1, taus, True).reshape(-1, 1) / length
-        X = w * pair[0]
-        X += (1.0 - w) * pair[1]
-        Xdot = wdot * (pair[0] - pair[1]) + 0.0
-        return (X.reshape(shape), Xdot.reshape(shape), np.full(len(taus), _BLEND_CODES[s]),
-                wdot[:, 0] == 0)
-    Y = np.stack([chain[3][:, :k, :k], chain[3][:, k:2 * k, k:2 * k]])
-    X, nonzero = _gamma4_images(_gamma4_coefficients(taus, params, False), Y)
-    Xdot, moving = _gamma4_images([c / length for c in _gamma4_coefficients(taus, params, True)], Y)
-    return X, Xdot, _pair_codes(nonzero), ~moving.any(axis=(1, 2))
-
-
-def _norm_rderiv(fam, chain: np.ndarray, ts, k: int):
+def _norm_rderiv(fam, chain: tuple, s: int, ts, k: int):
     """Trace norms ||X||_1 of X = (Lambda_t tensor Id_k)(probe) at the points
-    ``ts`` for a stack of probes, given as its chain's applies
-    (``_chain_applies``), and their exact right derivatives: two arrays
-    (len(ts), probes), from ``_stage_operators`` and ``_block_norm_rderiv``.
+    ``ts`` of stage s (0..3, as ``qutrit_family._stages`` assigns) for a
+    stack of probes, given as its chain's applies (``_chain_applies``), and
+    their exact right derivatives: two arrays (len(ts), probes), from the
+    stage's X and Xdot (``qutrit_family._stage_images``) and one call of
+    ``_block_norm_rderiv``, with the points where Xdot is exactly 0.
 
     With X = sum_i lam_i |v_i><v_i| and Xdot = (dLambda_t/dt tensor Id_k)(probe),
     the right derivative is (Kato, Perturbation Theory, ch. II)
@@ -623,20 +567,17 @@ def _norm_rderiv(fam, chain: np.ndarray, ts, k: int):
     P0 the projector onto the kernel of X, which is the eigenvalues with
     |lam| <= KERNEL_CUTOFF * max |lam| of each probe.
 
-    The output blocks of each point are read off Lambda_t alone (its
-    derivative can link blocks that Lambda_t keeps apart, as at t3): one
-    3 x 3 block in stage 1, three 1 x 1 blocks on [t1, t3] after the
-    complete dephasing E1, and span{|0>, |1>} plus |2> in stage 4, each
-    tensored with the ancilla.  A row's result depends on no other point or
-    probe, so the batching moves no result.
+    The output blocks of each point are read off Lambda_t's output entries
+    alone (its derivative can link blocks that Lambda_t keeps apart, as at
+    t3): one 3 x 3 block in stage 1, three 1 x 1 blocks on [t1, t3] after
+    the complete dephasing E1, and span{|0>, |1>} plus |2> in stage 4 (only
+    |0> and |2> at t3, where the ket is |1>), each tensored with the
+    ancilla.  A row's result depends on no other point or probe, so the
+    batching moves no result.
     """
-    stages, ts = _stages(ts, fam.params), np.asarray(ts, dtype=float)
-    norm, rderiv = np.empty((2, len(ts), chain.shape[1]))
-    for s in set(stages.tolist()):  # one stage per scan batch
-        at = stages == s
-        X, Xdot, codes, still = _stage_operators(fam.params, chain, s, ts[at])
-        norm[at], rderiv[at] = _block_norm_rderiv(X, Xdot, codes, k, still)
-    return norm, rderiv
+    X, support = _stage_images(chain, s, ts, fam.params, False)
+    Xdot, moving = _stage_images(chain, s, ts, fam.params, True)
+    return _block_norm_rderiv(X, Xdot, _pair_codes(support), k, ~moving.any(axis=(1, 2)))
 
 
 def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
@@ -645,16 +586,15 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     ``fam`` is a ``qutrit_family.Family`` on the system factor; for k > 1 the
     probes must live on the product space.  Each map of the chain Id, E1,
     E2 E1, E3 E2 E1 is applied to the probes once (``_chain_applies``), and
-    every point's X and Xdot are built from those applies
-    (``_stage_operators``): the scan builds no map stack.  The grid is split
-    at the junctions, each t in the stage ``Family.stack`` assigns it, and
-    each stage goes in consecutive batches of as many points as
-    SCAN_CHUNK_ENTRIES of probe entries allow, and at least one (2 qutrit
-    probes: 1024 points), each one call of the block kernel
-    (``_block_norm_rderiv``).  The derivatives are exact (``_norm_rderiv``),
-    and the batching changes no bit of a result.  Rows are sorted by
-    (probe, t); a row reads "ok" only where its right derivative is at most
-    TOL_DERIV, so a NaN row fails.
+    every point's X and Xdot are built from those applies: the scan builds
+    no map stack.  The grid goes in consecutive batches of as many points
+    as SCAN_CHUNK_ENTRIES of probe entries allow, and at least one (2 qutrit
+    probes: 1024 points), within one stage: the grid is split at the
+    junctions once, each t in the stage ``Family.stack`` assigns it.  Each
+    batch takes one call of the block kernel (``_block_norm_rderiv``).  The
+    derivatives are exact (``_norm_rderiv``), and the batching changes no
+    bit of a result.  Rows are sorted by (probe, t); a row reads "ok" only
+    where its right derivative is at most TOL_DERIV, so a NaN row fails.
     """
     grid = list(grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -664,9 +604,9 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     stack = probes.probes
     n, points = stack.shape[0], len(grid)
     chunk = max(1, SCAN_CHUNK_ENTRIES // stack.size)
-    # the first grid index of stages 2, 3 and 4
-    bounds = [0, *np.searchsorted(_stages(grid, fam.params), (1, 2, 3)).tolist(), points]
     chain = _chain_applies(stack, k)
+    # the first grid index of each stage, and the end of the grid
+    bounds = np.searchsorted(_stages(grid, fam.params), range(5)).tolist()
 
     # filled column by column; each (probes, points) view is a field's rows
     rows = np.recarray(n * points, dtype=_SCAN_ROW)
@@ -675,10 +615,10 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     t[:] = grid
     probe_id[:] = np.arange(n)[:, None]
     rows["k"] = k
-    for first, stop in zip(bounds, bounds[1:]):
+    for s, (first, stop) in enumerate(zip(bounds, bounds[1:])):
         for i in range(first, stop, chunk):
             part = slice(i, min(i + chunk, stop))
-            batch_norm, batch_rderiv = _norm_rderiv(fam, chain, grid[part], k)
+            batch_norm, batch_rderiv = _norm_rderiv(fam, chain, s, grid[part], k)
             norm[:, part], rderiv[:, part] = batch_norm.T, batch_rderiv.T
     rows["verdict"] = np.where(rows["rderiv"] <= TOL_DERIV, "ok", "fail")
     return ScanReport(rows=rows, seed=probes.seed)

@@ -55,15 +55,15 @@ def trace_norm(X):
 @dataclass(frozen=True)
 class ProbeSet:
     """Deterministic seeded collection of Hermitian probe operators, held as
-    one (count, d, d) complex array and validated on construction: finite,
-    and Hermitian within TOL_HERM."""
+    one C-contiguous (count, d, d) complex array and validated on
+    construction: finite, and Hermitian within TOL_HERM."""
 
     probes: np.ndarray
     seed: int
     kind: str
 
     def __post_init__(self):
-        X = np.asarray(self.probes, dtype=complex)
+        X = np.ascontiguousarray(self.probes, dtype=complex)
         if X.ndim != 3 or X.shape[1] != X.shape[2] or 0 in X.shape:
             raise OperandError(f"expected a non-empty (count, d, d) stack, got {X.shape}")
         object.__setattr__(self, "probes", as_hermitian(X))
@@ -103,8 +103,10 @@ def random_probes(dim: int, count: int, seed: int,
     if kind == "random-hermitian":
         g = rng.standard_normal((count, 2, dim, dim))  # a loop's stream, in one draw
         a = g[:, 0] + 1j * g[:, 1]
-        return ProbeSet(probes=(a + np.conj(np.swapaxes(a, -1, -2))) / 2,
-                        seed=seed, kind=kind)
+        # summed into a C-ordered array, which ProbeSet then keeps as it is
+        h = np.add(a, np.conj(np.swapaxes(a, -1, -2)), out=np.empty_like(a))
+        h /= 2
+        return ProbeSet(probes=h, seed=seed, kind=kind)
     probes = []
     for _ in range(count):
         p1 = rng.random()

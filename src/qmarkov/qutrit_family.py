@@ -150,6 +150,17 @@ E3_E2_E1 = _constant(compose(E3, E2_E1))
 _CHAIN = (_constant(SuperOp(dim=3, matrix=np.eye(9, dtype=complex))).matrix,
           E1.matrix, E2_E1.matrix, E3_E2_E1.matrix)
 
+# The chain maps' images P_j(|a><b|) of the basis, (9, 3, 3) in the column
+# order 3b + a: each P_j's columns unvectorised, so ``_stage_images`` of
+# these is Lambda_t's columns.
+_CHAIN_IMAGES = tuple(np.ascontiguousarray(np.swapaxes(P.T.reshape(9, 3, 3), 1, 2))
+                      for P in _CHAIN)
+
+# Per stage i <= 3, the (3, 3) mask of the output entries |i><j| that
+# P_{i-1} or P_i can make nonzero (vec |i><j| is row 3j + i).
+_BLEND_SUPPORT = tuple(np.any(np.stack(_CHAIN[i:i + 2]), axis=(0, 2)).reshape(3, 3).T
+                       for i in range(3))
+
 
 def make_E(i: int, params: MapParams | None = None) -> SuperOp:
     """The four elementary CP maps (E4 needs theta from ``params``)."""
@@ -190,8 +201,12 @@ def _blend(w: np.ndarray, start: np.ndarray, end: np.ndarray, dot: bool) -> np.n
     entry of two chain maps is rounded once, and + 0.0 writes every exact
     zero of the derivative as +0.0 whatever the sign of w."""
     if dot:
-        return w * (start - end) + 0.0
-    return w * start + (1.0 - w) * end
+        m = w * (start - end)
+        m += 0.0
+    else:
+        m = w * start
+        m += (1.0 - w) * end
+    return m
 
 
 def _gamma4(c00: np.ndarray, vec_c11: np.ndarray, c_trace: np.ndarray) -> np.ndarray:
@@ -210,39 +225,6 @@ def _vec_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b.conj()[:, :, None] * a[:, None, :]).reshape(-1, 9)
 
 
-def _gamma4_coefficients(taus: list, params: MapParams, dot: bool):
-    """(c00, c11, c_trace) of Gamma^(4)_tau(X) = c00 x00 |0><0| + x11 c11 +
-    c_trace (x00 + x11) |2><2|, or of d Gamma^(4)/d tau (one-sided at 0 and
-    1) with ``dot``, at each tau of ``taus``: c00 and c_trace (points,) and
-    c11 (points, 9), a vectorised operator, from scalar libm values of
-    s = tau^delta, the ket and ds/dtau per point.
-
-    delta-smoothing reparameterizes the whole family as tau -> tau^delta.
-    Substituting only inside the rotation argument would make the norm of the
-    lam = 1 probe behave as (1 + tau^2) cos(theta tau^delta), which grows
-    like tau^2 near tau = 0 for every delta > 1 (norm backflow); the full
-    reparameterization keeps contractivity by the chain rule while still
-    zeroing the right time-derivative at the third junction.  Gamma^(4) is
-    X -> (1 + s^2)(x00 |0><0| + x11 |psi><psi|) + (1 - s^2)(x00 + x11) |2><2|
-    with |psi> the ket rotated by theta*s."""
-    delta, theta = params.delta, params.theta
-    sigma = np.array([tau ** delta for tau in taus])
-    kets = np.array([(math.sin(a), math.cos(a), 0.0)  # rotated_ket(theta s)
-                     for a in (theta * sigma).tolist()], dtype=complex)
-    vec_proj, up = _vec_outer(kets, kets), 1.0 + sigma * sigma
-    if not dot:
-        return up, up[:, None] * vec_proj, 1.0 - sigma * sigma
-    # chain rule through s = tau^delta, with ds/dtau = 0 at tau = 0 for
-    # delta > 1, and d|psi>/ds = theta (cos, -sin, 0)
-    ds = np.array([delta * tau ** (delta - 1.0) if tau > 0.0 else float(delta == 1.0)
-                   for tau in taus])
-    dkets = np.zeros_like(kets)
-    dkets[:, 0], dkets[:, 1] = theta * kets[:, 1], theta * -kets[:, 0]
-    c11 = ((2.0 * sigma)[:, None] * vec_proj
-           + up[:, None] * (_vec_outer(dkets, kets) + _vec_outer(kets, dkets)))
-    return ds * (2.0 * sigma), ds[:, None] * c11, ds * (-2.0 * sigma)
-
-
 def _gammas(i: int, taus: list, params: MapParams, dot: bool) -> np.ndarray:
     """Gamma^(i)_tau, or d Gamma^(i)/d tau (one-sided at 0 and 1) with ``dot``,
     at each tau of ``taus``: a fresh (len(taus), 9, 9) complex array, from
@@ -250,7 +232,30 @@ def _gammas(i: int, taus: list, params: MapParams, dot: bool) -> np.ndarray:
     if i in (1, 2, 3):
         return _blend(_weights(i, taus, dot), _CHAIN[0], (E1, E2, E3)[i - 1].matrix, dot)
     if i == 4:
-        return _gamma4(*_gamma4_coefficients(taus, params, dot))
+        # delta-smoothing reparameterizes the whole family as tau -> tau^delta.
+        # Substituting only inside the rotation argument would make the norm of
+        # the lam = 1 probe behave as (1 + tau^2) cos(theta tau^delta), which
+        # grows like tau^2 near tau = 0 for every delta > 1 (norm backflow);
+        # the full reparameterization keeps contractivity by the chain rule
+        # while still zeroing the right time-derivative at the third junction.
+        # X -> (1 + s^2)(x00 |0><0| + x11 |psi><psi|) + (1 - s^2)(x00 + x11) |2><2|
+        # with s = tau^delta and |psi> the ket rotated by theta*s.
+        delta, theta = params.delta, params.theta
+        sigma = np.array([tau ** delta for tau in taus])
+        kets = np.array([(math.sin(a), math.cos(a), 0.0)  # rotated_ket(theta s)
+                         for a in (theta * sigma).tolist()], dtype=complex)
+        vec_proj, up = _vec_outer(kets, kets), 1.0 + sigma * sigma
+        if not dot:
+            return _gamma4(up, up[:, None] * vec_proj, 1.0 - sigma * sigma)
+        # chain rule through s = tau^delta, with ds/dtau = 0 at tau = 0 for
+        # delta > 1, and d|psi>/ds = theta (cos, -sin, 0)
+        ds = [delta * tau ** (delta - 1.0) if tau > 0.0 else float(delta == 1.0)
+              for tau in taus]
+        dkets = np.zeros_like(kets)
+        dkets[:, 0], dkets[:, 1] = theta * kets[:, 1], theta * -kets[:, 0]
+        c11 = ((2.0 * sigma)[:, None] * vec_proj
+               + up[:, None] * (_vec_outer(dkets, kets) + _vec_outer(kets, dkets)))
+        return np.array(ds)[:, None, None] * _gamma4(2.0 * sigma, c11, -2.0 * sigma)
     raise OperandError(f"family index must be 1..4, got {i}")
 
 
@@ -280,28 +285,59 @@ def _stages(ts, params: MapParams, left: bool = False) -> np.ndarray:
     return np.searchsorted((params.t1, params.t2, params.t3), ts, "left" if left else "right")
 
 
+def _stage_images(chain, s: int, ts, params: MapParams, dot: bool):
+    """(Lambda_t tensor Id_k)(A), or (d Lambda_t / dt tensor Id_k)(A) with
+    ``dot``, at the points ``ts`` of stage s (0..3, as ``_stages`` assigns),
+    from the images A_j = (P_j tensor Id_k)(A) of a stack A under the chain
+    maps: ``chain`` holds four (q, 3k, 3k) stacks, system-major.  Returns a
+    fresh (points, q, 3k, 3k) array and the (points, 3, 3) mask of the output
+    entries |i><j| that the map, or its derivative, can make nonzero; all
+    others are exactly 0.
+
+    Stage i <= 3 is the blend w P_{i-1} + (1 - w) P_i (``_blend``), one row
+    per point over the flattened images, so both sides of t1 and t2 read the
+    same chain entry and no point's entries depend on the others.  Stage 4
+    is Gamma^(4) after P3, which reads only the |0><0| and |1><1| blocks of
+    A_3: per point, one matmul of Gamma^(4)'s two nonzero columns by those
+    blocks.  A derivative is divided by its stage's length, on stage 4
+    before P3: at delta = 110 the product's subnormals round otherwise.  On
+    stages 1-3, whose zeros the blend writes as +0.0, the derivative is
+    multiplied by 1 / length: that rounds every finite entry as numpy's
+    complex division by length does (the reciprocal times each part), at a
+    fraction of the cost."""
+    starts = (0.0, params.t1, params.t2, params.t3, params.t4)
+    length = starts[s + 1] - starts[s]
+    taus = ((np.asarray(ts, dtype=float) - starts[s]) / length).tolist()
+    points, (q, n) = len(taus), chain[0].shape[:2]
+    if s < 3:
+        w = _weights(s + 1, taus, dot).reshape(-1, 1)
+        out = _blend(w, chain[s].reshape(1, -1), chain[s + 1].reshape(1, -1), dot)
+        if dot:
+            out *= 1.0 / length
+        support = (_BLEND_SUPPORT[s] & (w != 0)[:, :, None] if dot
+                   else _BLEND_SUPPORT[s][None].repeat(points, axis=0))
+        return out.reshape(points, q, n, n), support
+    factor = _gammas(4, taus, params, dot)[:, :, [0, 4]]  # the columns of x00 and x11
+    if dot:
+        factor /= length
+    k = n // 3
+    Y = chain[3].reshape(q, 3, k, 3, k)[:, [0, 1], :, [0, 1]]  # (2, q, k, k)
+    out = (factor @ Y.reshape(2, -1)).reshape(points, 3, 3, q, k, k)  # [point, j, i]: 3j + i
+    support = np.swapaxes(factor.any(axis=-1).reshape(points, 3, 3), 1, 2)
+    return out.transpose(0, 3, 2, 4, 1, 5).reshape(points, q, n, n), support
+
+
 def _lambda_stack(ts, params: MapParams, dot: bool, left: bool = False) -> np.ndarray:
     """Lambda_t, or d Lambda_t / dt with ``dot``, at each t of ``ts``: a fresh
-    (len(ts), 9, 9) complex array, each t in the stage ``_stages`` assigns.
-    Stage i <= 3 is the blend w P_{i-1} + (1 - w) P_i of consecutive chain
-    maps, so both sides of t1 and t2 read the same chain entry; stage 4 is
-    one stacked Gamma^(4) times P3.  A derivative is divided by its stage's
-    length."""
-    starts = (0.0, params.t1, params.t2, params.t3, params.t4)
+    (len(ts), 9, 9) complex array, each t in the stage ``_stages`` assigns,
+    from ``_stage_images`` of the chain maps' own columns."""
     stages = _stages(ts, params, left)
     ts = np.asarray(ts, dtype=float).reshape(-1)
     out = np.empty((len(ts), 9, 9), dtype=complex)
     for s in set(stages.tolist()):
         at = stages == s
-        length = starts[s + 1] - starts[s]
-        taus = ((ts[at] - starts[s]) / length).tolist()
-        if s < 3:
-            m = _blend(_weights(s + 1, taus, dot), _CHAIN[s], _CHAIN[s + 1], dot)
-        else:
-            m = _gammas(4, taus, params, dot)
-        if dot:  # before P3: at delta = 110 the product's subnormals round otherwise
-            m /= length
-        out[at] = m if s < 3 else m @ _CHAIN[3]
+        images, _ = _stage_images(_CHAIN_IMAGES, s, ts[at], params, dot)
+        out[at] = images.transpose(0, 3, 2, 1).reshape(-1, 9, 9)  # [point, 3j + i, column]
     return out
 
 
@@ -325,9 +361,8 @@ class Family:
     forcing witness take their maps from ``stack`` and ``dot_stack``, which
     build stages 1-3 as blends of the chain Id, E1, E2 E1, E3 E2 E1 and take
     one matmul only on stage 4.  The contractivity scan builds no map: it
-    blends the chain maps' images of its probes with the same weights
-    (``_weights``) and builds stage 4 from Gamma^(4)'s coefficients
-    (``_gamma4_coefficients``).  ``__call__`` looks up its one-point case
+    applies Lambda_t to the chain maps' images of its probes through the
+    same ``_stage_images``.  ``__call__`` looks up its one-point case
     ``lambda_t`` at call time, so a wrapper installed on that module
     function sees single-point calls only, not the grids.
     """

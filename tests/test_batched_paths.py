@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qmarkov.contractivity import (_block_entries, _block_norm_rderiv, _chain_applies,
-                                   _eigh_norm_rderiv, _norm_rderiv, _stage_operators,
+                                   _eigh_norm_rderiv, _norm_rderiv, _pair_codes,
                                    _triple_spectrum, norm_derivative_scan)
 from qmarkov.divisibility import RESIDUAL_TOL, _intermediate_maps
 from qmarkov.operators import random_probes
-from qmarkov.qutrit_family import MapParams, _stages, family
+from qmarkov.qutrit_family import MapParams, _stage_images, _stages, family
 from qmarkov.superops import apply_to_extended
 from qmarkov.tolerances import (KERNEL_CUTOFF, RANK_CUTOFF, TOL_DERIV, TRIPLE_FLOOR,
                                 TRIPLE_GAP)
@@ -122,11 +122,17 @@ def test_kernel_over_read_is_bounded():
 
 
 def _chain_operators(params, stack, grid, k):
-    """The scan's X, Xdot, output codes and zero-derivative points on an
-    ascending grid, stage by stage (``_stage_operators``), joined."""
+    """The scan's X, Xdot and output codes on an ascending grid, and its
+    norms and right derivatives (``_norm_rderiv``), stage by stage
+    (``_stage_images`` of the chain's applies), joined."""
     chain, grid = _chain_applies(stack, k), np.asarray(grid, dtype=float)
-    stages = _stages(grid, params)
-    parts = [_stage_operators(params, chain, s, grid[stages == s]) for s in sorted(set(stages))]
+    stages, parts = _stages(grid, params), []
+    for s in sorted(set(stages.tolist())):
+        ts = grid[stages == s]
+        X, support = _stage_images(chain, s, ts, params, False)
+        Xdot, _ = _stage_images(chain, s, ts, params, True)
+        parts.append((X, Xdot, _pair_codes(support),
+                      *_norm_rderiv(family(params), chain, s, ts, k)))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -183,10 +189,9 @@ def test_dephased_shortcut_bit_equal_to_eigh(scan):
     eigh fallback) are bit-equal, sign of zero included, to the eigh path on
     the same X and Xdot."""
     params, grid, stack = scan
-    X, Xdot, codes, _ = _chain_operators(params, stack, grid, 1)
+    X, Xdot, codes, *scan_columns = _chain_operators(params, stack, grid, 1)
     assert not codes.any()  # the whole grid dephases
-    _assert_same_bits(_norm_rderiv(family(params), _chain_applies(stack, 1), grid, 1),
-                      _eigh_norm_rderiv(X, Xdot))
+    _assert_same_bits(scan_columns, _eigh_norm_rderiv(X, Xdot))
 
 
 @settings(max_examples=100, deadline=None)
@@ -293,9 +298,8 @@ def test_block_kernel_matches_eigh(scan):
     kernel's norms and right derivatives agree with the full eigh of the same
     X and Xdot to rounding, and give the same verdicts."""
     params, grid, k, stack = scan
-    X, Xdot, _, _ = _chain_operators(params, stack, grid, k)
-    _assert_close(_norm_rderiv(family(params), _chain_applies(stack, k), grid, k),
-                  _eigh_norm_rderiv(X, Xdot))
+    X, Xdot, _, *scan_columns = _chain_operators(params, stack, grid, k)
+    _assert_close(scan_columns, _eigh_norm_rderiv(X, Xdot))
 
 
 def _outcomes(X, Xdot, codes, k):

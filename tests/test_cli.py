@@ -142,8 +142,8 @@ class TestScan:
         is strict JSON: max_rderiv is null and its location is the NaN row."""
         real = contractivity._norm_rderiv
 
-        def one_nan(fam, chain, ts, k):
-            norm, rderiv = real(fam, chain, ts, k)
+        def one_nan(fam, chain, s, ts, k):
+            norm, rderiv = real(fam, chain, s, ts, k)
             if 2.0 in ts:
                 rderiv[list(ts).index(2.0), 1] = math.nan
             return norm, rderiv

@@ -23,8 +23,8 @@ from qmarkov.contractivity import (_chain_applies, _norm_rderiv, bound_chain_che
                                    norm_derivative_scan, theta_window_sweep)
 from qmarkov.operators import OperandError, random_probes
 from qmarkov.qutrit_family import (D1, D2, D3, E1, E2, E2_E1, E3, E3_E2_E1, K2,
-                                   MapParams, family, gamma_family, lambda_t,
-                                   lambda_t_dot, make_E)
+                                   MapParams, _stages, family, gamma_family,
+                                   lambda_t, lambda_t_dot, make_E)
 from qmarkov.superops import (SuperOp, compose, from_kraus, is_cp, is_tp,
                               to_choi)
 from qmarkov.tolerances import TOL_CLOSED_FORM, TOL_DERIV
@@ -220,7 +220,7 @@ def _scan_csv_by_rows(fam, probes, grid, k):
     csv.writer, on the scan's own per-grid-point numbers; returns (row
     count, CSV text)."""
     stack, chain = probes.probes, _chain_applies(probes.probes, k)
-    per_t = [_norm_rderiv(fam, chain, [t], k) for t in grid]
+    per_t = [_norm_rderiv(fam, chain, s, [t], k) for s, t in zip(_stages(grid, fam.params), grid)]
     rows = []
     for pid in range(len(stack)):
         for t, (norm, rderiv) in zip(grid, per_t):
@@ -296,7 +296,7 @@ BUDGET_SIDES = [(1, 1), (1, 2), (1, 7), (1, 32), (1, 33), (2, 1), (2, 3),
 @example(shape=(2, 3), seed=1, extra=list(np.linspace(0.0, 4.0, 129, endpoint=False)))
 def test_scan_rows_match_point_at_a_time(shape, seed, extra):
     """The batched scan's rows are bit-equal to its one-point chunk
-    ``_norm_rderiv(fam, chain, [t], k)`` one grid point at a time, on grids
+    ``_norm_rderiv(fam, chain, s, [t], k)`` one grid point at a time, on grids
     that contain the junctions t1 to t3, with t = 2.0's kernel rows, and
     that SMALL_BUDGET splits into several batches: more than the 64 points
     of its largest batch (mostly not a multiple of a batch)."""
@@ -307,7 +307,8 @@ def test_scan_rows_match_point_at_a_time(shape, seed, extra):
     with mock.patch.object(contractivity, "SCAN_CHUNK_ENTRIES", SMALL_BUDGET):
         report = norm_derivative_scan(family(), probes, grid, k=k)
     chain = _chain_applies(probes.probes, k)
-    per_t = [_norm_rderiv(family(), chain, [t], k) for t in grid]
+    per_t = [_norm_rderiv(family(), chain, s, [t], k)
+             for s, t in zip(_stages(grid, MapParams()), grid)]
     norm = np.array([n[0] for n, _ in per_t]).T.ravel()
     rderiv = np.array([d[0] for _, d in per_t]).T.ravel()
     assert np.array_equal(report.rows.norm, norm)

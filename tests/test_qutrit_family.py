@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qmarkov import qutrit_family
+from qmarkov import contractivity, qutrit_family
 from qmarkov.cli import check_cp_tp
+from qmarkov.contractivity import norm_derivative_scan
 from qmarkov.divisibility import cp_divisibility_scan
 from qmarkov.operators import OperandError, check_density, random_probes, trace_norm
 from qmarkov.qutrit_family import (_CHAIN, D1, D2, D3, G, RHO_A, RHO_B, Family, MapParams,
@@ -341,7 +342,7 @@ def test_family_callable_binds_params():
 class TestStackCallers:
     """The grid checks take each chunk from one ``Family.stack`` (and
     ``dot_stack``) call and never evaluate the family one point at a time.
-    The contractivity scan takes no map stack at all (see
+    The contractivity scan takes no map stack at all (see also
     ``test_contractivity.TestScanOnTheChain``)."""
 
     @pytest.fixture
@@ -358,6 +359,33 @@ class TestStackCallers:
         monkeypatch.setattr(qutrit_family, "lambda_t", per_point)
         monkeypatch.setattr(qutrit_family, "lambda_t_dot", per_point)
         return calls
+
+    # points per batch: SCAN_CHUNK_ENTRIES // (9 probes), at least 1, within
+    # a stage (t1, t2 and t3 fall after grid points 37, 74 and 112), so 2
+    # probes take each stage in one batch and 2000 probes one point at a
+    # time; each batch is one call of the block kernel
+    @pytest.mark.parametrize("n_probes,chunk", [(2, 1024), (2000, 1)])
+    def test_scan(self, calls, monkeypatch, n_probes, chunk):
+        batches, kernel = [], []
+        batch, block = contractivity._norm_rderiv, contractivity._block_norm_rderiv
+
+        def batch_counting(fam, chain, s, ts, k):
+            batches.append((s, list(ts)))
+            return batch(fam, chain, s, ts, k)
+
+        def block_counting(X, *args):
+            kernel.append(len(X))
+            return block(X, *args)
+
+        monkeypatch.setattr(contractivity, "_norm_rderiv", batch_counting)
+        monkeypatch.setattr(contractivity, "_block_norm_rderiv", block_counting)
+        grid = list(np.linspace(0.0, 4.0, 150, endpoint=False))
+        norm_derivative_scan(family(), random_probes(3, n_probes, SEED), grid)
+        stages = [grid[:38], grid[38:75], grid[75:113], grid[113:]]
+        assert batches == [(s, part[i:i + chunk]) for s, part in enumerate(stages)
+                           for i in range(0, len(part), chunk)]
+        assert kernel == [len(ts) for _, ts in batches]
+        assert calls == {"stack": [], "dot_stack": []}
 
     def test_cp_tp(self, calls):
         check_cp_tp(MapParams(), 150)
