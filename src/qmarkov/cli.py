@@ -94,17 +94,19 @@ def check_closed_form(params: MapParams) -> dict:
     return result
 
 
-def _scan(args, k: int, path: Path) -> contractivity.ScanReport:
+def _scan(args, k: int) -> contractivity.ScanReport:
     """The scan of ``args.probes`` seeded probes on C^3 tensor C^k over
-    ``args.grid`` points of [0, t4), its rows written to ``path``."""
+    ``args.grid`` points of [0, t4)."""
     probes = random_probes(3 * k, args.probes, args.seed)
     grid = np.linspace(0.0, args.params.t4, args.grid, endpoint=False)
-    report = contractivity.norm_derivative_scan(family(args.params), probes, grid, k=k)
-    report.to_csv(path)
-    return report
+    return contractivity.norm_derivative_scan(family(args.params), probes, grid, k=k)
 
 
 def cmd_verify(args, out: Path) -> int:
+    """The certification suite.  Its contractivity check is the k = 1 scan
+    that ``scan`` runs, and ``verify_scan.csv`` holds the rows its verdict
+    rests on (``ScanReport.verdict_rows``), each line the bytes of that row
+    in ``scan.csv``: every failing row, or the worst row when none fails."""
     params = args.params
     checks = {}
     checks["continuity"] = check_continuity(params)
@@ -112,7 +114,8 @@ def cmd_verify(args, out: Path) -> int:
         checks["derivative-continuity"] = check_continuity(params, derivative=True)
     checks["cp-tp"] = check_cp_tp(params, args.grid)
     checks["divisibility"] = check_forcing(params)
-    report = _scan(args, 1, out / "verify_scan.csv")
+    report = _scan(args, 1)
+    report.to_csv(out / "verify_scan.csv", report.verdict_rows)
     checks["contractivity"] = {"passed": report.passed,
                                "max_rderiv": report.max_rderiv,
                                "argmax_t": report.argmax_t}
@@ -140,7 +143,8 @@ def cmd_verify(args, out: Path) -> int:
 
 
 def cmd_scan(args, out: Path) -> int:
-    report = _scan(args, args.k, out / "scan.csv")
+    report = _scan(args, args.k)
+    report.to_csv(out / "scan.csv")
     summary = report.summary()
     summary["theta"] = args.params.theta
     summary["command"] = "scan"

@@ -35,8 +35,9 @@ def lambda_probe(lam: float) -> np.ndarray:
 # Rows per batch of CSV lines, each batch one byte matrix.  A row of the
 # default scan takes 102 bytes of that matrix (two 40-byte %.15g fields and
 # the 7 slots of its %.12g t that are not all NUL among them), and the
-# encoder's temporaries peak at about 640 bytes a row (tracemalloc: 2.6 MB
-# for a 4096-row batch, 20 MB for the 40,000-row scan in one batch).
+# writer's temporaries peak at about 520 bytes a row (tracemalloc: 2.1 MB
+# in 4096-row batches, 16 MB for the 40,000-row scan in one batch; a
+# 4096-value %.15g column's encoding peaks at 0.76 MB of it).
 CSV_ROWS = 1 << 12
 
 # The float encoder's exact range is 1e-30 <= |x| < 10**(P - 1): there the
@@ -57,6 +58,11 @@ def _split(a):
 
 
 _POW10_HI, _POW10_LO = _split(_POW10)
+
+# the four ASCII digits of each of 0000 to 9999, as one uint32 apiece
+_GROUPS = (np.arange(10000, dtype=np.uint16)[:, None]
+           // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+           + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 
 
 def _two_product(a, i):
@@ -84,7 +90,7 @@ def _g_bytes(x, precision: int) -> np.ndarray:
     rounded half to even from the double-double |x| 10**s = hi + lo: M0 =
     rint(hi), and the remainder r = (hi - M0) + lo, which errs by under
     1e-16, moves M0 by one past +-1/2.  An M of 10**P carries into the
-    exponent.  M < 2**53, so its digit prefixes floor(M / 10**k) are exact.
+    exponent.  M < 2**53, so its 4-digit groups are exact integers.
     The text is laid out in fixed slots: sign, "0." and three zeros (for
     exponents -4 to -1), each digit followed by a "." slot, and "e-dd"."""
     x = np.asarray(x, dtype=float)
@@ -112,22 +118,27 @@ def _g_bytes(x, precision: int) -> np.ndarray:
     m[carry] = _POW10[P - 1]
     e += carry
 
-    digits = np.floor(m / _POW10[P - 1::-1, None])  # (P, n): leading j + 1 digits
-    digits[1:] -= 10 * digits[:-1]
-    digits = digits.astype(np.uint8)
+    # m < 10**15: its parts above and below 10**8 are exact integers, each
+    # cut into two 4-digit groups whose ASCII digits _GROUPS holds; the
+    # (P, n) digit rows are copied C-ordered, so that the reductions over
+    # a value's digits below run along rows
+    top = np.floor(m / 1e8)
+    low = (m - top * 1e8).astype(np.int32)
+    top = top.astype(np.int32)
+    groups = np.stack([top // 10000, top % 10000, low // 10000, low % 10000], axis=-1)
+    digits = np.take(_GROUPS, groups).view(np.uint8)[:, 16 - P:].T.copy()
     j = np.arange(P, dtype=np.int8)[:, None]
     # the point follows digit `point` if a nonzero digit follows it, and the
     # digits up to it and up to the last nonzero one are shown
     sci = e < -4
     point = np.where(sci, 0, e).astype(np.int8)
-    last = ((digits != 0) * j).max(axis=0)
+    last = ((digits != ord("0")) * j).max(axis=0)
     text = np.zeros((2 * P + 10, n), dtype=np.uint8)
     text[0] = np.signbit(x) * ord("-")
     small = (e < 0) & ~sci
     text[1], text[2] = small * ord("0"), small * ord(".")
     for k in range(3):
         text[3 + k] = (small & (e < -1 - k)) * ord("0")
-    digits += ord("0")
     np.multiply(digits, j <= np.maximum(point, last), out=text[6:2 * P + 6:2])
     dotted = np.flatnonzero((point >= 0) & (point < last))
     text[7 + 2 * point[dotted], dotted] = ord(".")
@@ -226,6 +237,13 @@ class ScanReport:
         return self.rows[np.argmax(self.rows.rderiv)]
 
     @property
+    def verdict_rows(self) -> np.ndarray:
+        """Indices of the rows the verdict rests on, ascending: every row that
+        reads "fail", or the worst row when none does."""
+        fails = np.flatnonzero(self.rows.verdict == "fail")
+        return fails if fails.size else np.array([np.argmax(self.rows.rderiv)])
+
+    @property
     def max_rderiv(self) -> float:
         return float(self._worst.rderiv)
 
@@ -245,19 +263,21 @@ class ScanReport:
     def k(self) -> int:
         return int(self.rows.k[0])
 
-    def to_csv(self, path) -> None:
-        """Write the rows as ``write_csv`` does, t as %.12g; the bytes of t
-        are encoded once per grid point and those of ``probe_id,k`` once per
-        probe."""
+    def to_csv(self, path, index=slice(None)) -> None:
+        """Write the rows as ``write_csv`` does, t as %.12g, or only the rows
+        ``index`` picks in scan order (``verdict_rows``, say), each line the
+        same bytes as in the full file; the bytes of t are encoded once per
+        grid point and those of ``probe_id,k`` once per probe."""
         rows, points = self.rows, self._points
+        at, picked = np.arange(len(rows))[index], rows[index]
         t = _g_bytes(rows.t[:points], 12)
         t = t[:, t.any(axis=0)]  # the all-NUL slots would be copied per row
         ids = _text_bytes(np.array([f"{p},{k}" for p, k in zip(
             rows.probe_id[::points].tolist(), rows.k[::points].tolist())]))
-        _write_fields(path, rows.dtype.names, len(rows), [
-            lambda part: t[np.arange(part.start, part.stop) % points],
-            lambda part: ids[np.arange(part.start, part.stop) // points],
-            *(lambda part, c=rows[name]: _field_bytes(c[part])
+        _write_fields(path, rows.dtype.names, len(at), [
+            lambda part: t[at[part] % points],
+            lambda part: ids[at[part] // points],
+            *(lambda part, c=picked[name]: _field_bytes(c[part])
               for name in ("norm", "rderiv", "verdict"))])
 
     def summary(self) -> dict:
@@ -396,8 +416,10 @@ def _triple_spectrum(B: np.ndarray, Bdot: np.ndarray):
     19, 523, 2008), so a row reads NaN rates, and takes eigh, where
     neighbouring eigenvalues lie closer than TRIPLE_GAP times its largest
     |lam| (sqrt(TRIPLE_GAP) for a pair of opposite signs) or its smallest
-    |lam| is at most TRIPLE_FLOOR times it; ties, the zero block and
-    non-finite rows fail the same tests."""
+    |lam| is at most TRIPLE_FLOOR times it; ties and non-finite rows fail
+    the same tests, except a row with p = 0, which is m I exactly: its
+    eigenvalues read m and its rates the diagonal of Bdot, all 0 where
+    Bdot = 0.  Its tie sends the row to eigh unless Xdot = 0 there."""
     d0, d1, d2 = B[..., 0, 0].real, B[..., 1, 1].real, B[..., 2, 2].real
     m = (d0 + d1 + d2) / 3
     d0, d1, d2 = d0 - m, d1 - m, d2 - m
@@ -432,8 +454,13 @@ def _triple_spectrum(B: np.ndarray, Bdot: np.ndarray):
         gap = (b - a) / scale
         # a pair of opposite signs enters through its rates' difference: eps/gap^2
         trusted &= np.where(a * b < 0, gap * gap, gap) >= TRIPLE_GAP
-    return (np.stack([lo, mid, hi], axis=-1),
-            np.where(trusted[..., None], np.stack(rates, axis=-1), np.nan))
+    lam = np.stack([lo, mid, hi], axis=-1)
+    rates = np.where(trusted[..., None], np.stack(rates, axis=-1), np.nan)
+    zero = p == 0
+    if zero.any():  # B = m I, where the cubic reads 0/0
+        lam[zero] = m[zero][:, None]
+        rates[zero] = np.stack([e0, e1, e2], axis=-1)[zero]
+    return lam, rates
 
 
 def _merge_runs(lam: list, rates: list) -> None:

@@ -237,7 +237,10 @@ def test_eigh_takes_stage_1_kernel_rows_and_stage_4_blocks(monkeypatch):
     Xdot = 0 there (dw/dtau = 0 at tau = 0), so they need no eigh.  The
     k = 2 scan (500 probes x 40 points) sends 5,000 6 x 6 matrices (the one
     block of the 10 points of stage 1) and 4,500 4 x 4 blocks
-    span{|0>, |1>} x C^2 (the 9 points of stage 4 after t3)."""
+    span{|0>, |1>} x C^2 (the 9 points of stage 4 after t3).  The k = 3
+    scan (20 probes x 40 points) sends those blocks alone, 200 9 x 9 and
+    180 6 x 6: its rows at t = 2.0 read the all-zero |2> block in closed
+    form and need no full 9 x 9 eigh."""
     grid = np.linspace(0.0, 4.0, 200, endpoint=False)
     probes = random_probes(3, 200, 20210907)
     assert _eigh_matrices(monkeypatch, lambda: norm_derivative_scan(
@@ -245,6 +248,9 @@ def test_eigh_takes_stage_1_kernel_rows_and_stage_4_blocks(monkeypatch):
     probes = random_probes(6, 500, 20210907)
     assert _eigh_matrices(monkeypatch, lambda: norm_derivative_scan(
         family(), probes, np.linspace(0.0, 4.0, 40, endpoint=False), k=2)) == {6: 5000, 4: 4500}
+    probes = random_probes(9, 20, 20210907)
+    assert _eigh_matrices(monkeypatch, lambda: norm_derivative_scan(
+        family(), probes, np.linspace(0.0, 4.0, 40, endpoint=False), k=3)) == {9: 200, 6: 180}
 
 
 def test_scan_sorts_nothing(monkeypatch):
@@ -490,6 +496,22 @@ def test_triple_spectrum_reads_constructed_spectra(lam):
     scale = max(abs(lam[0]), abs(lam[-1]))
     assert np.all(np.abs(got_lam - lam) <= 1e-14 * scale)
     assert np.all(np.abs(got_rates - rates) <= 1e-13)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, -2.5])
+def test_triple_spectrum_reads_a_zero_spread_block_exactly(m):
+    """A block m I whose diagonal mean rounds to m (p = 0) reads its
+    eigenvalue m three times, exactly, and the diagonal of Bdot as its
+    rates: 0 where Bdot = 0, so a row whose Xdot is 0 there needs no eigh
+    (the |2> block at t2 is 0).  The kernel calls it under errstate, as
+    here: q reads 0/0 before it is replaced."""
+    B = (m * np.eye(3, dtype=complex))[None]
+    Bdot = np.diag([0.25, -1.0, 2.0]).astype(complex)[None]
+    for derivative, rates in ((Bdot, [0.25, -1.0, 2.0]), (0 * Bdot, [0.0, 0.0, 0.0])):
+        with np.errstate(all="ignore"):
+            lam, got_rates = _triple_spectrum(B, derivative)
+        assert lam.tolist() == [[m, m, m]]
+        assert got_rates.tolist() == [rates]
 
 
 @pytest.mark.parametrize("lams", [

@@ -120,13 +120,39 @@ class TestScan:
         assert summary["passed"] is True
         assert "note" not in summary
 
-    def test_verify_writes_the_same_scan(self, tmp_path, capsys):
+    def test_verify_writes_the_same_scan(self, tmp_path, capsys, monkeypatch):
+        """verify's contractivity check is the scan that scan runs: the two
+        reports hold the same rows, byte for byte."""
         flags = ["--grid", "20", "--probes", "5", "--seed", "7"]
+        reports, real = [], contractivity.norm_derivative_scan
+
+        def spy(*args, **kwargs):
+            reports.append(real(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(contractivity, "norm_derivative_scan", spy)
         run(["verify", "--out", str(tmp_path / "v")] + flags)
         run(["scan", "--out", str(tmp_path / "s")] + flags)
         capsys.readouterr()
+        verify, scan = reports
+        assert verify.rows.tobytes() == scan.rows.tobytes()
+
+    @pytest.mark.parametrize("theta, fails", [("1.5", False), ("0.8", True)])
+    def test_verify_csv_holds_the_verdict_rows(self, tmp_path, capsys, theta, fails):
+        """verify_scan.csv has scan.csv's header and exactly its fail lines,
+        or, where none fails, its worst line: the first maximum of rderiv."""
+        flags = ["--theta", theta, "--grid", "20", "--probes", "5", "--seed", "7"]
+        run(["verify", "--out", str(tmp_path / "v")] + flags)
+        run(["scan", "--out", str(tmp_path / "s")] + flags)
+        capsys.readouterr()
+        header, *lines = (tmp_path / "s" / "scan.csv").read_bytes().split(b"\r\n")[:-1]
+        expected = [line for line in lines if line.endswith(b",fail")]
+        assert bool(expected) == fails
+        if not fails:
+            rderiv = [float(line.split(b",")[4]) for line in lines]
+            expected = [lines[rderiv.index(max(rderiv))]]
         assert (tmp_path / "v" / "verify_scan.csv").read_bytes() == \
-            (tmp_path / "s" / "scan.csv").read_bytes()
+            b"".join(line + b"\r\n" for line in [header] + expected)
 
     def test_csv_deterministic_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -163,6 +189,14 @@ class TestScan:
         else:
             check = summary["checks"]["contractivity"]
             assert (check["max_rderiv"], check["argmax_t"]) == (None, 2.0)
+            # the NaN row is the one failing row, written as scan.csv writes it
+            run(["scan", "--out", str(tmp_path / "s"), "--grid", "4", "--probes", "2"])
+            capsys.readouterr()
+            header, *lines = (tmp_path / "s" / "scan.csv").read_bytes().split(b"\r\n")[:-1]
+            (nan_line,) = [line for line in lines if line.startswith(b"2,1,1,")]
+            assert b",nan,fail" in nan_line
+            assert (tmp_path / "verify_scan.csv").read_bytes() == \
+                header + b"\r\n" + nan_line + b"\r\n"
 
     def test_ancilla_scan_labelled_exploratory(self, tmp_path, capsys):
         run(["scan", "--k", "2", "--out", str(tmp_path), "--grid", "20",
