@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import contractivity, divisibility
+from . import contractivity, divisibility, tables
 from .operators import random_probes
 from .qutrit_family import CONTRACTIVE_WINDOW, MapParams, family, load_params
 from .superops import GRID_CHUNK, choi_min_eigenvalue, tp_error
@@ -37,7 +37,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-_write_csv = contractivity.write_csv  # the one CSV writer, as the CLI's I/O site
+_write_csv = tables.write_csv  # the one CSV writer, as the CLI's I/O site
 
 
 def check_continuity(params: MapParams, derivative: bool = False) -> dict:

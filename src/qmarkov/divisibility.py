@@ -73,7 +73,7 @@ def intermediate_map(family, s: float, t: float) -> IntermediateMap:
         raise OperandError("need s < t")
     Ls, Lt = family.stack([s, t])
     V, residual, kind = _intermediate_maps(Ls[None], Lt[None])
-    return IntermediateMap(s=s, t=t, map=SuperOp(dim=math.isqrt(len(Ls)), matrix=V[0]),
+    return IntermediateMap(s=s, t=t, map=SuperOp(V[0]),
                            residual=float(residual[0]), definedness=str(kind[0]))
 
 

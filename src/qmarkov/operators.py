@@ -1,8 +1,8 @@
 """Dense Hermitian-operator arithmetic.
 
-Hermiticity and density-matrix validation, the trace norm and seeded probe
-ensembles.  Everything here is a pure function of immutable inputs;
-matrices are plain complex numpy arrays validated on entry.
+Hermiticity validation, the trace norm and seeded probe ensembles.
+Everything here is a pure function of immutable inputs; matrices are plain
+complex numpy arrays validated on entry.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import TOL_HERM, TOL_PSD
+from .tolerances import TOL_HERM
 
 PROBE_KINDS = ("random-hermitian", "state-difference")
 
@@ -33,18 +33,6 @@ def as_hermitian(X) -> np.ndarray:
     return X
 
 
-def check_density(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, PSD up to TOL_PSD."""
-    rho = as_hermitian(rho)
-    if rho.ndim != 2:
-        raise OperandError(f"expected one density matrix, got shape {rho.shape}")
-    if abs(np.trace(rho).real - 1.0) > TOL_HERM or abs(np.trace(rho).imag) > TOL_HERM:
-        raise OperandError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -TOL_PSD:
-        raise OperandError("density matrix has a negative eigenvalue beyond tolerance")
-    return rho
-
-
 def trace_norm(X):
     """Sum of absolute eigenvalues of Hermitian ``X``: a float, or for a
     stack (..., n, n) an array of one sum per matrix."""
@@ -60,7 +48,6 @@ class ProbeSet:
 
     probes: np.ndarray
     seed: int
-    kind: str
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.probes, dtype=complex)
@@ -106,9 +93,9 @@ def random_probes(dim: int, count: int, seed: int,
         # summed into a C-ordered array, which ProbeSet then keeps as it is
         h = np.add(a, np.conj(np.swapaxes(a, -1, -2)), out=np.empty_like(a))
         h /= 2
-        return ProbeSet(probes=h, seed=seed, kind=kind)
+        return ProbeSet(probes=h, seed=seed)
     probes = []
     for _ in range(count):
         p1 = rng.random()
         probes.append(p1 * _random_state(rng, dim) - (1 - p1) * _random_state(rng, dim))
-    return ProbeSet(probes=probes, seed=seed, kind=kind)
+    return ProbeSet(probes=probes, seed=seed)

@@ -104,10 +104,6 @@ class MapParams:
         if not 1.0 <= self.delta < math.inf:
             raise OperandError("delta must be finite and >= 1")
 
-    @property
-    def in_contractive_window(self) -> bool:
-        return CONTRACTIVE_WINDOW[0] <= self.theta <= CONTRACTIVE_WINDOW[1]
-
 
 def load_params(path) -> MapParams:
     """Read MapParams from a plain-text key = value file; a key may appear once."""
@@ -147,7 +143,7 @@ E3_E2_E1 = _constant(compose(E3, E2_E1))
 # The chain P0 = Id, P1 = E1, P2 = E2 E1, P3 = E3 E2 E1: stage i <= 3 of
 # Lambda_t runs from P_{i-1} at tau = 0 to P_i at tau = 1, and stage 4 acts
 # after P3.  Each column holds at most one nonzero entry, 1 or 1/2.
-_CHAIN = (_constant(SuperOp(dim=3, matrix=np.eye(9, dtype=complex))).matrix,
+_CHAIN = (_constant(SuperOp(np.eye(9, dtype=complex))).matrix,
           E1.matrix, E2_E1.matrix, E3_E2_E1.matrix)
 
 # The chain maps' images P_j(|a><b|) of the basis, (9, 3, 3) in the column
@@ -174,7 +170,7 @@ def make_E(i: int, params: MapParams | None = None) -> SuperOp:
 def dephasing_generator() -> SuperOp:
     """L0(X) = D1 X D1 + D2 X D2 + D3 X D3 - 3X (unit rate)."""
     m = sum(np.kron(D.conj(), D) for D in (D1, D2, D3)) - 3.0 * np.eye(9)
-    return SuperOp(dim=3, matrix=m.astype(complex))
+    return SuperOp(m.astype(complex))
 
 
 def _weights(i: int, taus: list, dot: bool) -> np.ndarray:
@@ -263,14 +259,7 @@ def gamma_family(i: int, tau: float, params: MapParams | None = None) -> SuperOp
     """Gamma^(i)_tau for i in 1..4 and tau in [0, 1]: the one-point ``_gammas``.
     For i <= 3 it is w Id + (1 - w) E_i with w from ``_weights``."""
     _check_tau(tau)
-    return SuperOp(dim=3, matrix=_gammas(i, [tau], params or MapParams(), False)[0])
-
-
-def gamma_family_dot(i: int, tau: float, params: MapParams | None = None) -> SuperOp:
-    """d Gamma^(i)_tau / d tau, one-sided at the ends of [0, 1]; for i <= 3
-    it is (dw/dtau) (Id - E_i), with every zero entry +0.0."""
-    _check_tau(tau)
-    return SuperOp(dim=3, matrix=_gammas(i, [tau], params or MapParams(), True)[0])
+    return SuperOp(_gammas(i, [tau], params or MapParams(), False)[0])
 
 
 def _stages(ts, params: MapParams, left: bool = False) -> np.ndarray:
@@ -344,13 +333,7 @@ def _lambda_stack(ts, params: MapParams, dot: bool, left: bool = False) -> np.nd
 def lambda_t(t: float, params: MapParams | None = None) -> SuperOp:
     """The piecewise family on [0, t4] (the one-point ``Family.stack``); t
     outside the domain is an error."""
-    return SuperOp(dim=3, matrix=_lambda_stack([t], params or MapParams(), False)[0])
-
-
-def lambda_t_dot(t: float, params: MapParams | None = None) -> SuperOp:
-    """d Lambda_t / dt from the right within the stage ``lambda_t`` picks for t,
-    at t4 from the left (the one-point ``Family.dot_stack``)."""
-    return SuperOp(dim=3, matrix=_lambda_stack([t], params or MapParams(), True)[0])
+    return SuperOp(_lambda_stack([t], params or MapParams(), False)[0])
 
 
 @dataclass(frozen=True)
@@ -379,8 +362,9 @@ class Family:
         return _lambda_stack(ts, self.params, False, left)
 
     def dot_stack(self, ts, left: bool = False) -> np.ndarray:
-        """d Lambda_t / dt (see ``lambda_t_dot``) at each t of ``ts``, as
-        ``stack``; with ``left``, the left derivative."""
+        """d Lambda_t / dt at each t of ``ts``, as ``stack``: from the right
+        within the stage ``stack`` picks for t, at t4 from the left; with
+        ``left``, the left derivative."""
         return _lambda_stack(ts, self.params, True, left)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import OperandError
-from .tolerances import RANK_CUTOFF, TOL_PSD
+from .tolerances import RANK_CUTOFF
 
 
 # Maps per batched linear-algebra call when the maps of a time grid are
@@ -41,29 +41,26 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SuperOp:
-    """Linear map on operators, represented by its vectorized-action matrix."""
+    """Linear map on d x d operators, represented by its d^2 x d^2
+    vectorized-action matrix; d is read off the matrix."""
 
-    dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim ** 2, self.dim ** 2):
-            raise OperandError(f"superoperator matrix must be {self.dim**2} x {self.dim**2}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or math.isqrt(len(m)) ** 2 != len(m):
+            raise OperandError(f"superoperator matrix must be d^2 x d^2, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(len(self.matrix))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
         if X.shape != (self.dim, self.dim):
             raise OperandError("operand dimension mismatch")
         return unvec(self.matrix @ vec(X))
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self.apply(X)
-
-
-def identity_superop(d: int) -> SuperOp:
-    return SuperOp(dim=d, matrix=np.eye(d * d, dtype=complex))
 
 
 def superop_from_action(action, d: int) -> SuperOp:
@@ -74,14 +71,14 @@ def superop_from_action(action, d: int) -> SuperOp:
             unit = np.zeros((d, d), dtype=complex)
             unit[i, j] = 1.0
             m[:, j * d + i] = vec(np.asarray(action(unit), dtype=complex))
-    return SuperOp(dim=d, matrix=m)
+    return SuperOp(m)
 
 
 def compose(S2: SuperOp, S1: SuperOp) -> SuperOp:
     """The map X -> S2(S1(X))."""
     if S2.dim != S1.dim:
         raise OperandError("superoperator dimension mismatch")
-    return SuperOp(dim=S1.dim, matrix=S2.matrix @ S1.matrix)
+    return SuperOp(S2.matrix @ S1.matrix)
 
 
 def from_kraus(kraus_ops) -> SuperOp:
@@ -98,8 +95,7 @@ def from_kraus(kraus_ops) -> SuperOp:
     for K in ops:
         if K.shape != (d, d):
             raise OperandError("Kraus operators must be square with uniform dimension")
-    m = sum(np.kron(K.conj(), K) for K in ops)
-    return SuperOp(dim=d, matrix=m)
+    return SuperOp(sum(np.kron(K.conj(), K) for K in ops))
 
 
 def _matrices(S) -> tuple[np.ndarray, int]:
@@ -135,11 +131,6 @@ def choi_min_eigenvalue(S):
     return float(out) if out.ndim == 0 else out
 
 
-def is_cp(S: SuperOp) -> bool:
-    """Complete positivity: Choi matrix PSD up to TOL_PSD."""
-    return choi_min_eigenvalue(S) >= -TOL_PSD
-
-
 def tp_error(S):
     """Largest entry of |Tr_out C - I|, C the Choi matrix; 0 iff S preserves trace.
 
@@ -150,11 +141,6 @@ def tp_error(S):
     reduced = np.einsum("...kikj->...ij", C.reshape(C.shape[:-2] + (d, d, d, d)))
     out = np.abs(reduced - np.eye(d)).max(axis=(-2, -1))
     return float(out) if out.ndim == 0 else out
-
-
-def is_tp(S: SuperOp) -> bool:
-    """Trace preservation: Choi partial trace over the output factor is the identity."""
-    return tp_error(S) <= TOL_PSD
 
 
 def apply_to_extended(S, X: np.ndarray, k: int) -> np.ndarray:
@@ -176,7 +162,7 @@ def apply_to_extended(S, X: np.ndarray, k: int) -> np.ndarray:
     return Y.transpose(0, 4, 1, 3, 2).reshape(m.shape[:-2] + X.shape)
 
 
-def image_basis(S: SuperOp) -> np.ndarray:
+def _image_basis(S: SuperOp) -> np.ndarray:
     """Orthonormal (Hilbert-Schmidt) basis of Im(S), shape (rank, d, d).
 
     Rank-revealing SVD with the relative singular-value cutoff RANK_CUTOFF.
@@ -189,12 +175,12 @@ def image_basis(S: SuperOp) -> np.ndarray:
 
 
 def image_rank(S: SuperOp) -> int:
-    return image_basis(S).shape[0]
+    return _image_basis(S).shape[0]
 
 
 def image_inclusion_residual(S_earlier: SuperOp, S_later: SuperOp) -> float:
     """Largest residual of Im(S_later) basis vectors projected onto Im(S_earlier)."""
-    E, L = (image_basis(S).reshape(-1, S.dim ** 2).T for S in (S_earlier, S_later))
+    E, L = (_image_basis(S).reshape(-1, S.dim ** 2).T for S in (S_earlier, S_later))
     return float(np.linalg.norm(L - E @ (E.conj().T @ L), axis=0).max(initial=0.0))
 
 

@@ -100,7 +100,7 @@ JUNCTION_GAP = 1e-12
 # pi/2, where both forced targets coincide up to rounding (1.2e-16).
 WITNESS_MIN_DISCREPANCY = 1e-6
 
-# A float whose scaled remainder r (see contractivity._g_bytes) lies within
+# A float whose scaled remainder r (see tables._g_bytes) lies within
 # this of +-1/2 is a near-tie of its last printed digit, and Python's
 # formatter writes it: r errs by under 1e-16, so it could round either way.
 # Exact ties (12345678901234.25 at 15 digits) land here, and a value away

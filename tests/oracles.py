@@ -19,10 +19,10 @@ import numpy as np
 from qmarkov import qutrit_family
 from qmarkov.contractivity import (SCAN_CHUNK_ENTRIES, _block_entries, _block_norm_rderiv,
                                    _eigh_norm_rderiv, _eigh_spectrum, _pair_spectrum,
-                                   _triple_spectrum, lambda_probe)
+                                   _triple_spectrum)
 from qmarkov.operators import OperandError, trace_norm
-from qmarkov.qutrit_family import (E1, E2_E1, E3_E2_E1, MapParams, gamma_family,
-                                   make_E, rate_f, rate_g)
+from qmarkov.qutrit_family import (E1, E2_E1, E3_E2_E1, RHO_A, RHO_B, MapParams,
+                                   gamma_family, make_E, rate_f, rate_g)
 from qmarkov.superops import apply_to_extended
 from qmarkov.tolerances import KERNEL_CUTOFF
 
@@ -67,7 +67,7 @@ def right_derivative(f, t: float, h0: float = DEFAULT_H0) -> float:
 def gamma4_norm_numeric(lam: float, tau: float, theta: float) -> float:
     """Full matrix-evaluation oracle for the closed-form norm."""
     params = MapParams(theta=theta)
-    return trace_norm(gamma_family(4, tau, params).apply(lambda_probe(lam)))
+    return trace_norm(gamma_family(4, tau, params).apply(RHO_A - lam * RHO_B))
 
 
 def block_norm_rderiv_sorted(X, Xdot, codes, k):

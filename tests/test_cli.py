@@ -456,19 +456,6 @@ class TestDerivativeContinuity:
         assert summary["checks"]["derivative-continuity"]["passed"] is True
 
 
-def _public_functions():
-    """Every public function of ``qmarkov.__all__``, of the submodules among
-    them and of ``qmarkov.cli``, and the public methods of their classes."""
-    objs = [getattr(qmarkov, name) for name in qmarkov.__all__]
-    for module in [cli] + [obj for obj in objs if inspect.ismodule(obj)]:
-        objs += vars(module).values()
-    found = [obj for obj in objs if inspect.isfunction(obj)]
-    for cls in (obj for obj in objs if inspect.isclass(obj)):
-        found += [fn for _, fn in inspect.getmembers(cls, inspect.isfunction)]
-    return {fn for fn in found
-            if fn.__module__.startswith("qmarkov.") and not fn.__name__.startswith("_")}
-
-
 def _module_members(kind):
     """Every object passing ``kind`` (inspect.isfunction, inspect.isclass)
     that is defined at the top of a ``qmarkov`` module, the module-private
@@ -476,6 +463,16 @@ def _module_members(kind):
     return {obj for info in pkgutil.iter_modules(qmarkov.__path__)
             for obj in vars(importlib.import_module(f"qmarkov.{info.name}")).values()
             if kind(obj) and obj.__module__.startswith("qmarkov.")}
+
+
+def _public_functions():
+    """Every public function of every ``qmarkov`` module, and the public
+    methods of their classes."""
+    found = set(_module_members(inspect.isfunction))
+    for cls in _module_members(inspect.isclass):
+        found.update(fn for _, fn in inspect.getmembers(cls, inspect.isfunction))
+    return {fn for fn in found
+            if fn.__module__.startswith("qmarkov.") and not fn.__name__.startswith("_")}
 
 
 def _constructor_names(cls):
@@ -500,7 +497,13 @@ class TestNoThresholdKnob:
     function parameter, constructor field or flag can set one."""
 
     def test_no_tolerance_parameter(self):
-        knobs = _knobs(_public_functions())
+        functions = _public_functions()
+        # every module that defines a public function is walked, not only
+        # those ``qmarkov.__all__`` reaches
+        assert {fn.__module__ for fn in functions} == {
+            f"qmarkov.{name}" for name in ("cli", "contractivity", "divisibility", "operators",
+                                           "qutrit_family", "superops", "tables")}
+        knobs = _knobs(functions)
         # kept: the acceptance test sets it
         assert knobs == {"qmarkov.contractivity.lambda_reflection_check(tol)"}
         assert _knobs(_module_members(inspect.isfunction)) == knobs
@@ -521,3 +524,18 @@ class TestNoThresholdKnob:
         assert run(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "--slack" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_package_exports():
+    """``qmarkov.__all__`` names what the command line, the benchmark, the
+    acceptance test or the README use, and no module object."""
+    assert qmarkov.__all__ == [
+        "ScanReport", "bound_chain_check", "gamma4_derivative_closed_form",
+        "lambda_reflection_check", "norm_derivative_scan", "theta_window_sweep",
+        "cp_divisibility_scan", "intermediate_map", "positive_forcing_witness",
+        "ProbeSet", "random_probes", "trace_norm",
+        "MapParams", "continuity_report", "family", "gamma_family", "lambda_t",
+        "load_params", "make_E",
+        "SuperOp", "apply_to_extended", "from_kraus", "image_rank",
+        "is_image_nonincreasing", "superop_from_action", "to_choi",
+    ]

@@ -6,7 +6,7 @@ import pytest
 from qmarkov import contractivity, qutrit_family
 from qmarkov.contractivity import (SingularPointError, _chain_applies, bound_chain_check,
                                    gamma4_derivative_closed_form,
-                                   gamma4_norm_closed_form, lambda_probe,
+                                   gamma4_norm_closed_form,
                                    lambda_reflection_check,
                                    norm_derivative_scan, theta_window_sweep)
 from qmarkov.operators import PROBE_KINDS, OperandError, ProbeSet, random_probes, trace_norm
@@ -163,7 +163,7 @@ class TestScan:
     def test_psd_probe_norm_constant(self):
         # a trace-preserving family keeps ||rho||_1 = 1 exactly
         probes = type(random_probes(3, 1, SEED))(
-            probes=(np.eye(3) / 3,), seed=SEED, kind="random-hermitian")
+            probes=(np.eye(3) / 3,), seed=SEED)
         grid = np.linspace(0.0, 4.0, 21, endpoint=False)
         report = norm_derivative_scan(family(), probes, grid)
         assert report.passed
@@ -175,7 +175,7 @@ class TestScan:
         # for lam <= 0 the probe stays PSD up to sign, so the norm is the
         # trace 1 - lam at every time
         probes = type(random_probes(3, 1, SEED))(
-            probes=(lambda_probe(-0.5),), seed=SEED, kind="random-hermitian")
+            probes=(RHO_A - (-0.5) * RHO_B,), seed=SEED)
         report = norm_derivative_scan(family(), probes,
                                       np.linspace(3.0, 4.0, 11, endpoint=False))
         for row in report.rows:
@@ -190,7 +190,7 @@ class TestScan:
 
     def test_backflow_detected_below_window(self):
         probes = type(random_probes(3, 1, SEED))(
-            probes=(lambda_probe(1.0),), seed=SEED, kind="random-hermitian")
+            probes=(RHO_A - RHO_B,), seed=SEED)
         fam = family(MapParams(theta=1.2))
         report = norm_derivative_scan(fam, probes, np.linspace(3.0, 3.5, 26))
         assert not report.passed
@@ -250,7 +250,7 @@ class TestScan:
     def test_failure_near_end_for_large_theta_lam_one(self):
         # theta = 1.6 > pi/2: the lam = 1 probe norm turns upward before tau = 1
         probes = type(random_probes(3, 1, SEED))(
-            probes=(lambda_probe(1.0),), seed=SEED, kind="random-hermitian")
+            probes=(RHO_A - RHO_B,), seed=SEED)
         fam = family(MapParams(theta=1.6))
         report = norm_derivative_scan(fam, probes, np.linspace(3.9, 3.999, 12))
         assert not report.passed
@@ -261,7 +261,7 @@ class TestScan:
         lam = 2.0
         lam_eff = 2 * lam - 1
         probes = type(random_probes(3, 1, SEED))(
-            probes=(lambda_probe(lam),), seed=SEED, kind="random-hermitian")
+            probes=(RHO_A - lam * RHO_B,), seed=SEED)
         grid = [3.1, 3.4, 3.7]
         report = norm_derivative_scan(family(), probes, grid)
         for row in report.rows:
@@ -397,8 +397,8 @@ class TestScanOnTheChain:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        rows = norm_derivative_scan(family(), ProbeSet(probes=(probe,), seed=SEED,
-                                                       kind="random-hermitian"), [1.0], k=3).rows
+        rows = norm_derivative_scan(family(), ProbeSet(probes=(probe,), seed=SEED),
+                                    [1.0], k=3).rows
         assert calls == [(1, 1, 9, 9)]
         assert rows.rderiv[0] == 0.0 and not np.signbit(rows.rderiv[0])
         assert rows.norm[0] == trace_norm(probe)
@@ -452,7 +452,7 @@ class TestExactDerivative:
         # the kink, but the right derivative at t is that of the left branch,
         # where |1 - 2(1 - t)^4| and 1 + 2(1 - t)^4 both fall at 8(1 - t)^3.
         t = KINK_T - DEFAULT_H0 / 2
-        probes = ProbeSet(probes=(KINK_PROBE,), seed=0, kind="random-hermitian")
+        probes = ProbeSet(probes=(KINK_PROBE,), seed=0)
         assert not _no_sign_change(_stencil_eigenvalues(family(), KINK_PROBE, t, 1))
         (row,) = norm_derivative_scan(family(), probes, [t]).rows
         assert row.rderiv == pytest.approx(-16.0 * (1.0 - t) ** 3, abs=1e-9)
@@ -460,13 +460,11 @@ class TestExactDerivative:
     def test_kernel_term_at_the_kink(self):
         # At tau* the crossing eigenvalue is in the kernel: ||P0 Xdot P0||_1
         # = 8(1 - tau*)^3 cancels the -8(1 - tau*)^3 of the largest one.
-        probes = ProbeSet(probes=(KINK_PROBE,), seed=0, kind="random-hermitian")
+        probes = ProbeSet(probes=(KINK_PROBE,), seed=0)
         (row,) = norm_derivative_scan(family(), probes, [KINK_T]).rows
         assert abs(row.rderiv) <= 1e-12
         assert row.norm == pytest.approx(1.0 + 2.0 * (1.0 - KINK_T) ** 4 + 1.0, abs=1e-12)
 
 
 def test_lambda_probe_values():
-    assert np.allclose(lambda_probe(0.0), RHO_A)
-    assert np.allclose(lambda_probe(1.0), RHO_A - RHO_B)
-    assert trace_norm(lambda_probe(1.0)) == pytest.approx(1.0)
+    assert trace_norm(RHO_A - RHO_B) == pytest.approx(1.0)

@@ -4,7 +4,9 @@ stress the formatting: signed zeros, infinities, NaN, subnormals and +-1e300,
 on row counts on both sides of a CSV_ROWS batch, and on any float64 bit
 pattern.  No encoder step may raise a numpy RuntimeWarning."""
 
+import ast
 import csv
+import inspect
 import io
 import math
 
@@ -13,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarkov import cli, contractivity, divisibility
-from qmarkov.contractivity import CSV_ROWS, ScanReport, norm_derivative_scan
+from qmarkov import cli, contractivity, divisibility, tables
+from qmarkov.contractivity import ScanReport, norm_derivative_scan
 from qmarkov.operators import OperandError, random_probes
 from qmarkov.qutrit_family import family
+from qmarkov.tables import CSV_ROWS
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -140,7 +143,7 @@ def test_write_csv_batches(tmp_path, total):
     """Float, text and integer columns, across batch edges."""
     values = np.resize(np.array(SPECIAL), total)
     labels = [f"r{i}" for i in range(total)]
-    contractivity.write_csv(tmp_path / "x.csv", np.rec.fromarrays(
+    tables.write_csv(tmp_path / "x.csv", np.rec.fromarrays(
         [values, np.array(labels, dtype=str), np.arange(total)], names=("a", "b", "c")))
     expected = _reference(["a", "b", "c"], [[_g15(v), s, i] for i, (v, s)
                                             in enumerate(zip(values.tolist(), labels))])
@@ -152,7 +155,7 @@ def _encoded(tmp_path, values) -> tuple:
     fields ``ScanReport.to_csv`` writes for them, one probe with ``values``
     as its grid."""
     n = len(values)
-    contractivity.write_csv(tmp_path / "x.csv", np.rec.fromarrays([values], names="x"))
+    tables.write_csv(tmp_path / "x.csv", np.rec.fromarrays([values], names="x"))
     rows = np.rec.fromarrays(
         [values, np.zeros(n, dtype=int), np.ones(n, dtype=int), np.zeros(n),
          np.zeros(n), np.full(n, "ok")],
@@ -209,7 +212,7 @@ def test_pinned_float_fields(tmp_path, monkeypatch, value, text, python):
         formatted.append((v, spec))
         return format(v, spec)
 
-    monkeypatch.setattr(contractivity, "format", spy, raising=False)
+    monkeypatch.setattr(tables, "format", spy, raising=False)
     g15, g12 = _encoded(tmp_path, np.array([value]))
     assert g15 == [text] == [format(value, ".15g")]
     assert g12 == [format(value, ".12g")]
@@ -227,5 +230,16 @@ def test_empty_table_writes_the_header(tmp_path):
                                           ([1j], TypeError)])
 def test_unencodable_columns_are_refused(tmp_path, column, error):
     with pytest.raises(error):
-        contractivity.write_csv(tmp_path / "x.csv",
-                                np.rec.fromarrays([np.array(column)], names="x"))
+        tables.write_csv(tmp_path / "x.csv", np.rec.fromarrays([np.array(column)], names="x"))
+
+
+def test_tables_imports_no_computing_layer():
+    """The CSV format needs numpy and ``tolerances`` alone: ``tables`` imports
+    none of contractivity, qutrit_family, divisibility, superops or operators."""
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(tables))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "numpy", ".tolerances"}

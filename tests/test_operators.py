@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from qmarkov.operators import (OperandError, ProbeSet, as_hermitian, check_density,
-                               random_probes, trace_norm)
+from qmarkov.operators import OperandError, ProbeSet, as_hermitian, random_probes, trace_norm
 
 from oracles import right_derivative
 
@@ -136,9 +135,11 @@ class TestRandomProbes:
 
 class TestProbeSet:
     def test_holds_one_array(self):
-        ps = ProbeSet((np.diag([1.0, 0.0, -1.0]),), 0, "x")
+        ps = ProbeSet((np.diag([1.0, 0.0, -1.0]),), 0)
         assert ps.probes.shape == (1, 3, 3) and ps.probes.dtype == complex
         assert len(ps) == 1 and ps.dim == 3
+        with pytest.raises(TypeError):  # random_probes validates a kind but keeps none
+            ProbeSet(ps.probes, 0, "random-hermitian")
 
     @pytest.mark.parametrize("probes", [
         (np.diag([1, np.nan, -1]),),  # a scan of it died in eigh
@@ -150,28 +151,26 @@ class TestProbeSet:
     ], ids=["nan", "inf", "non-hermitian", "2-d", "non-square", "empty"])
     def test_rejects(self, probes):
         with pytest.raises(OperandError):
-            ProbeSet(probes, 0, "x")
+            ProbeSet(probes, 0)
 
 
 def test_stacks():
-    """as_hermitian checks every matrix of a stack, trace_norm returns one
-    norm per matrix, and check_density takes one matrix only."""
+    """as_hermitian checks every matrix of a stack, and trace_norm returns
+    one norm per matrix."""
     rng = np.random.default_rng(SEED)
     stack = np.stack([[rand_herm(rng, 3) for _ in range(4)] for _ in range(2)])
     assert as_hermitian(stack).shape == (2, 4, 3, 3)
     norms = trace_norm(stack)
     assert norms.shape == (2, 4)
     assert norms.tolist() == [[trace_norm(X) for X in row] for row in stack]
-    with pytest.raises(OperandError, match="one density matrix"):
-        check_density(np.stack([np.eye(3) / 3] * 2))
     stack[1, 2, 0, 1] += 1e-3
     with pytest.raises(OperandError, match="not Hermitian"):
         as_hermitian(stack)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_check_density_rejects_non_finite(bad):
-    """Every comparison with a NaN is false, so a NaN entry passed the
-    trace and eigenvalue checks before as_hermitian tested finiteness."""
+def test_as_hermitian_rejects_non_finite_density(bad):
+    """Every comparison with a NaN is false, so a NaN entry passes trace and
+    eigenvalue checks; as_hermitian tests finiteness first."""
     with pytest.raises(OperandError, match="NaN or infinite"):
-        check_density(np.diag([bad, 0.5, 0.5]))
+        as_hermitian(np.diag([bad, 0.5, 0.5]))

@@ -24,10 +24,10 @@ from qmarkov.contractivity import (_chain_applies, _norm_rderiv, bound_chain_che
 from qmarkov.operators import OperandError, random_probes
 from qmarkov.qutrit_family import (D1, D2, D3, E1, E2, E2_E1, E3, E3_E2_E1, K2,
                                    MapParams, _stages, family, gamma_family,
-                                   lambda_t, lambda_t_dot, make_E)
-from qmarkov.superops import (SuperOp, compose, from_kraus, is_cp, is_tp,
-                              to_choi)
-from qmarkov.tolerances import TOL_CLOSED_FORM, TOL_DERIV
+                                   lambda_t, make_E)
+from qmarkov.superops import (SuperOp, choi_min_eigenvalue, compose, from_kraus, to_choi,
+                              tp_error)
+from qmarkov.tolerances import TOL_CLOSED_FORM, TOL_DERIV, TOL_PSD
 
 from oracles import right_derivative
 
@@ -54,7 +54,7 @@ def _superop_matrices(d: int):
 
 @PROPERTY_SETTINGS
 @given(st.sampled_from([2, 3]).flatmap(
-    lambda d: _superop_matrices(d).map(lambda m: SuperOp(dim=d, matrix=m))))
+    lambda d: _superop_matrices(d).map(SuperOp)))
 def test_choi_reshuffle_matches_definition(S):
     assert np.array_equal(to_choi(S), _choi_by_definition(S))
 
@@ -99,7 +99,7 @@ def test_lambda_t_is_stage_composition(point):
                            compose(KRAUS_E3, compose(KRAUS_E2, KRAUS_E1)))
     S = lambda_t(t, p)
     assert np.allclose(S.matrix, expected.matrix, rtol=0.0, atol=1e-12)
-    assert is_cp(S) and is_tp(S)
+    assert choi_min_eigenvalue(S) >= -TOL_PSD and tp_error(S) <= TOL_PSD
 
 
 UNEQUAL = dict(theta=1.55, t1=0.7, t2=1.9, t3=2.5, t4=4.2)
@@ -115,7 +115,7 @@ def test_lambda_t_dot_matches_right_derivative(stage, tau, delta):
     p = MapParams(delta=delta, **UNEQUAL)
     starts = (0.0, p.t1, p.t2, p.t3, p.t4)
     t = starts[stage - 1] + tau * (starts[stage] - starts[stage - 1])
-    exact = lambda_t_dot(t, p).matrix
+    exact = family(p).dot_stack([t])[0]
     for idx in np.ndindex(exact.shape):
         for part in (np.real, np.imag):
             oracle = right_derivative(lambda s: part(lambda_t(s, p).matrix[idx]), t)
@@ -123,8 +123,8 @@ def test_lambda_t_dot_matches_right_derivative(stage, tau, delta):
 
 
 def test_lambda_t_dot_vanishes_at_third_junction_when_smoothed():
-    assert not np.any(lambda_t_dot(UNEQUAL["t3"], MapParams(delta=1.05, **UNEQUAL)).matrix)
-    assert np.any(lambda_t_dot(UNEQUAL["t3"], MapParams(delta=1.0, **UNEQUAL)).matrix)
+    assert not np.any(family(MapParams(delta=1.05, **UNEQUAL)).dot_stack([UNEQUAL["t3"]])[0])
+    assert np.any(family(MapParams(delta=1.0, **UNEQUAL)).dot_stack([UNEQUAL["t3"]])[0])
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
@@ -160,14 +160,13 @@ def family_grids(draw):
 @example((MapParams(delta=1.05), list(np.linspace(3.0, 4.0, 401))))
 def test_stack_is_one_point_stacks(point):
     """A grid's stack is bit-equal to its points' one-point stacks, so the
-    batched prefix matmul agrees with the per-matrix one, and ``lambda_t`` /
-    ``lambda_t_dot`` are the one-point stacks."""
+    batched prefix matmul agrees with the per-matrix one, and ``lambda_t`` is
+    the one-point stack."""
     p, grid = point
     fam = family(p)
-    for stack, one in ((fam.stack, lambda_t), (fam.dot_stack, lambda_t_dot)):
-        per_point = np.concatenate([stack([t]) for t in grid])
-        assert _bit_equal(stack(grid), per_point)
-        assert _bit_equal(np.stack([one(t, p).matrix for t in grid]), per_point)
+    for stack in (fam.stack, fam.dot_stack):
+        assert _bit_equal(stack(grid), np.concatenate([stack([t]) for t in grid]))
+    assert _bit_equal(np.stack([lambda_t(t, p).matrix for t in grid]), fam.stack(grid))
 
 
 @pytest.mark.parametrize("bad", [-1e-300, -0.5, 4.0 + 1e-12, 9.0, math.nan])
@@ -176,9 +175,8 @@ def test_stack_rejects_points_outside_domain(bad):
     for evaluate in (fam.stack, fam.dot_stack):
         with pytest.raises(OperandError):
             evaluate([0.5, bad, 3.5])
-    for one in (lambda_t, lambda_t_dot):
-        with pytest.raises(OperandError):
-            one(bad)
+    with pytest.raises(OperandError):
+        lambda_t(bad)
 
 
 def test_stack_is_fresh_writable_memory():

@@ -9,12 +9,12 @@ from qmarkov import contractivity, qutrit_family
 from qmarkov.cli import check_cp_tp
 from qmarkov.contractivity import norm_derivative_scan
 from qmarkov.divisibility import cp_divisibility_scan
-from qmarkov.operators import OperandError, check_density, random_probes, trace_norm
-from qmarkov.qutrit_family import (_CHAIN, D1, D2, D3, G, RHO_A, RHO_B, Family, MapParams,
-                                   continuity_report, dephasing_generator,
-                                   family, gamma_family, gamma_family_dot, lambda_t,
-                                   load_params, make_E, rate_f, rate_g,
-                                   rotated_ket)
+from qmarkov.operators import OperandError, as_hermitian, random_probes, trace_norm
+from qmarkov.qutrit_family import (_CHAIN, CONTRACTIVE_WINDOW, D1, D2, D3, G, RHO_A, RHO_B,
+                                   Family, MapParams, _gammas, continuity_report,
+                                   dephasing_generator, family, gamma_family, lambda_t,
+                                   load_params, make_E, rate_f, rate_g, rotated_ket)
+from qmarkov.tolerances import TOL_HERM, TOL_PSD
 
 from oracles import lambda_stack_prefixed
 
@@ -33,8 +33,9 @@ class TestConstants:
             assert np.allclose(D @ D, np.eye(3))
 
     def test_target_states_are_densities(self):
-        check_density(RHO_A)
-        check_density(RHO_B)
+        for rho in (RHO_A, RHO_B):
+            assert abs(np.trace(as_hermitian(rho)) - 1.0) <= TOL_HERM
+            assert np.linalg.eigvalsh(rho).min() >= -TOL_PSD
         assert np.allclose(RHO_A, np.diag([1.0, 0.0, 1.0]) / 2)
         assert np.allclose(RHO_B, np.diag([0.0, 1.0, 1.0]) / 2)
 
@@ -68,7 +69,8 @@ class TestRateFunction:
 
 class TestParams:
     def test_defaults_in_window(self):
-        assert MapParams().in_contractive_window
+        low, high = CONTRACTIVE_WINDOW
+        assert low <= MapParams().theta <= high
 
     def test_validation(self):
         with pytest.raises(OperandError):
@@ -283,7 +285,7 @@ class TestChain:
     def test_gamma_derivative_zeros_are_positive(self):
         for i in (1, 2, 3):
             for tau in (0.0, 0.3, 1.0):
-                m = gamma_family_dot(i, tau).matrix
+                m = _gammas(i, [tau], MapParams(), True)[0]
                 assert not np.signbit(m.real[m.real == 0.0]).any()
                 assert not np.signbit(m.imag).any()
 
@@ -314,10 +316,9 @@ class TestContinuity:
         with pytest.raises(OperandError):
             continuity_report(eps_ladder=(0.9,))
 
-    @pytest.mark.parametrize("values,gammas", [("stack", gamma_family),
-                                               ("dot_stack", gamma_family_dot)],
+    @pytest.mark.parametrize("values,dot", [("stack", False), ("dot_stack", True)],
                              ids=["stack", "dot_stack"])
-    def test_left_value_takes_the_stage_that_ends(self, values, gammas):
+    def test_left_value_takes_the_stage_that_ends(self, values, dot):
         # at t_j the stage ending there at tau = 1, its prefix applied; off the
         # junctions, and at 0 and t4, the same bits as the right value
         params = MapParams(delta=1.05, t1=0.7, t2=1.9, t3=2.3, t4=5.1)
@@ -325,8 +326,8 @@ class TestContinuity:
         left = values([params.t1, params.t2, params.t3], left=True)
         starts = (0.0, params.t1, params.t2, params.t3)
         for i, (m, prefix) in enumerate(zip(left, (None, make_E(1), qutrit_family.E2_E1))):
-            gamma = gammas(i + 1, 1.0, params).matrix
-            if gammas is gamma_family_dot:
+            gamma = _gammas(i + 1, [1.0], params, dot)[0]
+            if dot:
                 gamma = gamma / (starts[i + 1] - starts[i])
             assert np.array_equal(m, gamma if prefix is None else gamma @ prefix.matrix)
         ts = [0.0, 0.3, 1.2, 2.0, 3.7, params.t4]
@@ -357,7 +358,6 @@ class TestStackCallers:
         def per_point(*args):
             raise AssertionError("per-point family evaluation")
         monkeypatch.setattr(qutrit_family, "lambda_t", per_point)
-        monkeypatch.setattr(qutrit_family, "lambda_t_dot", per_point)
         return calls
 
     # points per batch: SCAN_CHUNK_ENTRIES // (9 probes), at least 1, within

@@ -3,13 +3,15 @@ import pytest
 
 from qmarkov.operators import OperandError, random_probes
 from qmarkov.qutrit_family import RHO_A, RHO_B, family, lambda_t, make_E
-from qmarkov.superops import (SuperOp, apply_to_extended, choi_min_eigenvalue,
-                              compose, from_kraus, identity_superop,
-                              image_basis, image_inclusion_residual,
-                              image_rank, is_cp, is_image_nonincreasing,
-                              is_tp, superop_from_action, to_choi, tp_error)
+from qmarkov.superops import (SuperOp, _image_basis, apply_to_extended,
+                              choi_min_eigenvalue, compose, from_kraus,
+                              image_inclusion_residual, image_rank,
+                              is_image_nonincreasing, superop_from_action, to_choi,
+                              tp_error)
+from qmarkov.tolerances import TOL_PSD
 
 SEED = 11
+IDENTITY = SuperOp(np.eye(9, dtype=complex))
 
 
 def unit(i, j, d=3):
@@ -31,7 +33,7 @@ class TestApply:
     def test_identity(self):
         rng = np.random.default_rng(SEED)
         X = rng.standard_normal((3, 3))
-        assert np.allclose(identity_superop(3).apply(X), X)
+        assert np.allclose(IDENTITY.apply(X), X)
 
     def test_e1_dephases(self):
         X = np.arange(9, dtype=float).reshape(3, 3)
@@ -48,7 +50,18 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(OperandError):
-            identity_superop(3).apply(np.eye(2))
+            IDENTITY.apply(np.eye(2))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 4), (9,), (1, 9, 9)])
+    def test_bad_shape(self, shape):
+        """d is read off the matrix, which must be d^2 x d^2."""
+        with pytest.raises(OperandError, match="d\\^2 x d\\^2"):
+            SuperOp(np.zeros(shape))
+
+    def test_dim_is_read_off_the_matrix(self):
+        assert IDENTITY.dim == 3 and SuperOp(np.eye(4)).dim == 2
+        with pytest.raises(TypeError):
+            SuperOp(dim=3, matrix=np.eye(9))
 
     def test_hermiticity_preserved(self):
         for S in (make_E(1), make_E(2), make_E(3), make_E(4)):
@@ -60,7 +73,7 @@ class TestApply:
 class TestCompose:
     def test_with_identity(self):
         S = make_E(2)
-        assert np.allclose(compose(S, identity_superop(3)).matrix, S.matrix)
+        assert np.allclose(compose(S, IDENTITY).matrix, S.matrix)
 
     def test_e2e1_closed_form(self):
         X = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
@@ -75,7 +88,7 @@ class TestCompose:
     def test_associative(self):
         rng = np.random.default_rng(SEED)
         for _ in range(5):
-            A, B, C = (SuperOp(3, rng.standard_normal((9, 9))) for _ in range(3))
+            A, B, C = (SuperOp(rng.standard_normal((9, 9))) for _ in range(3))
             left = compose(compose(A, B), C).matrix
             right = compose(A, compose(B, C)).matrix
             assert np.max(np.abs(left - right)) < 1e-12
@@ -107,21 +120,21 @@ class TestFromKraus:
 
 class TestChoi:
     def test_identity_choi(self):
-        C = to_choi(identity_superop(3))
+        C = to_choi(IDENTITY)
         vals = np.linalg.eigvalsh(C)
         assert np.trace(C) == pytest.approx(3.0)
         assert np.sum(vals > 1e-10) == 1  # rank one
 
     def test_e4_cp_not_tp(self):
         S = make_E(4)
-        assert is_cp(S)
-        assert not is_tp(S)
+        assert choi_min_eigenvalue(S) >= -TOL_PSD
+        assert tp_error(S) > TOL_PSD
         # trace doubles on the upper block
         assert np.trace(S.apply(np.eye(3) / 3)).real == pytest.approx(4 / 3)
 
     def test_transpose_not_cp(self):
         S = transpose_map()
-        assert not is_cp(S)
+        assert not choi_min_eigenvalue(S) >= -TOL_PSD
         assert choi_min_eigenvalue(S) == pytest.approx(-1.0, abs=1e-12)
 
     def test_tp_iff_trace_preserved_on_probes(self):
@@ -134,16 +147,16 @@ class TestChoi:
         for S in maps:
             preserved = all(
                 abs(np.trace(S.apply(X)) - np.trace(X)) <= 1e-10 for X in probes)
-            assert is_tp(S) == preserved
+            assert (tp_error(S) <= TOL_PSD) == preserved
 
 
 class TestImage:
     def test_identity_full_rank(self):
-        assert image_rank(identity_superop(3)) == 9
+        assert image_rank(IDENTITY) == 9
 
     def test_t3_image_spanned_by_target_states(self):
         S = lambda_t(3.0)
-        basis = image_basis(S)
+        basis = _image_basis(S)
         assert basis.shape[0] == 2
         E = basis.reshape(2, -1).T
         for op in (RHO_A, RHO_B):
