@@ -46,32 +46,38 @@ class ScanReport:
     def _points(self) -> int:
         return len(self.rows) // (int(self.rows.probe_id[-1]) + 1)
 
-    @property
-    def _worst(self):
-        return self.rows[np.argmax(self.rows.rderiv)]
+    # Each fact below reads a strided field of every row, so it is read once:
+    # a cached_property writes the instance __dict__, which a frozen
+    # dataclass leaves open.
+    @functools.cached_property
+    def _worst(self) -> int:
+        return int(np.argmax(self.rows.rderiv))
+
+    @functools.cached_property
+    def _fails(self) -> np.ndarray:
+        return np.flatnonzero(self.rows.verdict == "fail")
 
     @property
     def verdict_rows(self) -> np.ndarray:
         """Indices of the rows the verdict rests on, ascending: every row that
         reads "fail", or the worst row when none does."""
-        fails = np.flatnonzero(self.rows.verdict == "fail")
-        return fails if fails.size else np.array([np.argmax(self.rows.rderiv)])
+        return self._fails if self._fails.size else np.array([self._worst])
 
     @property
     def max_rderiv(self) -> float:
-        return float(self._worst.rderiv)
+        return float(self.rows.rderiv[self._worst])
 
     @property
     def argmax_t(self) -> float:
-        return float(self._worst.t)
+        return float(self.rows.t[self._worst])
 
     @property
     def argmax_probe(self) -> int:
-        return int(self._worst.probe_id)
+        return int(self.rows.probe_id[self._worst])
 
     @property
     def passed(self) -> bool:
-        return not np.any(self.rows.verdict == "fail")
+        return not self._fails.size
 
     @property
     def k(self) -> int:
@@ -99,16 +105,31 @@ class ScanReport:
 
 # A scan batch holds the probes at as many grid points as fit in
 # SCAN_CHUNK_ENTRIES complex probe entries, and at least one, so one blend
-# (or stage-4 block build) and one kernel call serve each stage of it.
-# X and Xdot then take at most about 0.3 MB each, or one probe stack where
-# the stack alone is larger; the chain's applies hold three probe stacks
-# beside the probes for the whole scan.  Small batches cost the block
-# kernel dearly: on a 2-vCPU Xeon, 12,000 stage-1 rows took 54 ms in
-# 128-row batches, 32 ms in 200-row ones and 8 ms in 2000-row ones.  A
-# probe stack that fills the budget alone (2000 probes, or 500 at k = 2)
-# keeps one point per batch, where batching saves no per-call overhead
-# worth the memory.
-SCAN_CHUNK_ENTRIES = 2048 * 9
+# (or stage-4 block build) and one kernel call serve each stage of it: 2
+# qutrit probes take up to 2048 points, the default 200 take 20, and 2000
+# qutrit probes or 500 at k = 2 take 2.  X and Xdot then take at most about
+# 0.6 MB each, or one probe stack where the stack alone is larger; the
+# chain's applies hold three probe stacks beside the probes for the whole
+# scan.  Each batch pays a fixed numpy cost (a one-probe, one-point batch
+# takes 165, 69, 66 and 134 us on stages 1-4), and a larger batch pays in
+# page faults instead: its temporaries go back to the system and fault in
+# again batch by batch.  Swept on a 2-vCPU Xeon, one BLAS thread, at 2048,
+# 4096, 6144, 8192 and 10240 x 9:
+# - scan CPU alone, medians of 21 alternating calls: 2000 x 40 18.1, 15.6,
+#   14.5, 14.6, 13.3 ms; 500 x 40 at k = 2 50.4, 48.0, 47.0, 46.0, 45.3 ms;
+#   200 x 200 9.3, 8.3, 7.8, 8.3, 7.8 ms.  Its tracemalloc peak at
+#   2000 x 40: 6.9, 8.4, 9.9, 11.4, 13.2 MB;
+# - minor page faults per `scan` call: 2000 x 40 10, 8, 1738, 5, 2529;
+#   200 x 200 7, 9, 1325, 3682, 6524 (the allocator's thresholds move with
+#   the sizes it has freed, so the count does not grow evenly);
+# - end to end, bench/run.py round_s.p50, medians of 3 runs of 8 s:
+#   probe-heavy 0.248, 0.236, 0.239, 0.235, 0.235 s (peak_rss_mb 100.2,
+#   100.8, 102.5, 98.2, 99.6); certify 0.114, 0.114, 0.114, 0.121, 0.133 s;
+#   grid-heavy 0.040 s at each.
+# 8192 and 10240 x 9 slow certify by 7 and 16 %.  Of the rest, 4096 x 9
+# beat 6144 x 9 on probe-heavy, 0.236 against 0.239 s over 5 runs each,
+# with 1.7 MB less peak RSS.
+SCAN_CHUNK_ENTRIES = 4096 * 9
 
 # The fields of ``ScanReport.rows``, packed in this order.
 _SCAN_ROW = np.dtype([("t", float), ("probe_id", int), ("k", int), ("norm", float),
@@ -241,10 +262,13 @@ def _triple_spectrum(B: np.ndarray, Bdot: np.ndarray):
     t0 = e0 + e1 + e2
     t1 = d0 * e0 + d1 * e1 + d2 * e2 + 2 * (_re_dot(b01, f01) + _re_dot(b02, f02)
                                             + _re_dot(b12, f12))
-    # (B - m)^2: its diagonal, and its entries (0, 1), (0, 2), (1, 2)
+    # (B - m)^2: its diagonal, and its entries (0, 1), (0, 2), (1, 2).  In
+    # `b02 * b12.conj()` numpy would reuse the temporary conj from 256 KiB on
+    # and multiply it by b02, and its complex multiply does not commute bit
+    # for bit, so a row's bits would hang on its batch's size.
     t2 = ((d0 * d0 + s01 + s02) * e0 + (d1 * d1 + s01 + s12) * e1
           + (d2 * d2 + s02 + s12) * e2
-          + 2 * (_re_dot((d0 + d1) * b01 + b02 * b12.conj(), f01)
+          + 2 * (_re_dot((d0 + d1) * b01 + np.multiply(b02, b12.conj()), f01)
                  + _re_dot((d0 + d2) * b02 + b01 * b12, f02)
                  + _re_dot((d1 + d2) * b12 + b01.conj() * b02, f12)))
     rates = [(t2 - (mj + mk) * t1 + mj * mk * t0) / ((mi - mj) * (mi - mk))
@@ -419,7 +443,7 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     every point's X and Xdot are built from those applies: the scan builds
     no map stack.  The grid goes in consecutive batches of as many points
     as SCAN_CHUNK_ENTRIES of probe entries allow, and at least one (2 qutrit
-    probes: 1024 points), within one stage: the grid is split at the
+    probes: 2048 points), within one stage: the grid is split at the
     junctions once, each t in the stage ``Family.stack`` assigns it.  Each
     batch takes one call of the block kernel (``_block_norm_rderiv``).  The
     derivatives are exact (``_norm_rderiv``), and the batching changes no

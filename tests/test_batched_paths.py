@@ -17,7 +17,7 @@ from qmarkov.contractivity import (_block_entries, _block_norm_rderiv, _chain_ap
                                    _eigh_norm_rderiv, _norm_rderiv, _pair_codes,
                                    _triple_spectrum, norm_derivative_scan)
 from qmarkov.divisibility import RESIDUAL_TOL, _intermediate_maps
-from qmarkov.operators import random_probes
+from qmarkov.operators import ProbeSet, random_probes
 from qmarkov.qutrit_family import MapParams, _stage_images, _stages, family
 from qmarkov.superops import apply_to_extended
 from qmarkov.tolerances import (KERNEL_CUTOFF, RANK_CUTOFF, TOL_DERIV, TRIPLE_FLOOR,
@@ -549,3 +549,34 @@ def test_triple_fallbacks_take_eigh(monkeypatch, block, rates):
     turns into an error."""
     X = block[None, None].astype(complex)
     _assert_row_takes_eigh(monkeypatch, X, np.broadcast_to(rates, X.shape).astype(complex), 7)
+
+
+@pytest.mark.parametrize("k,n_probes", [(1, 2000), (2, 500)])
+def test_scan_rows_at_the_budget_match_point_at_a_time(k, n_probes):
+    """At the package's own SCAN_CHUNK_ENTRIES, where the benchmark's
+    probe-heavy scans (2000 qutrit probes, and 500 at k = 2, on 40 points)
+    take several points a batch, every row is bit-equal to its one-point
+    batch ``_norm_rderiv(fam, chain, s, [t], k)``.  The property test of
+    this runs at a small budget."""
+    fam, grid = family(), np.linspace(0.0, 4.0, 40, endpoint=False)
+    probes = random_probes(3 * k, n_probes, 1)
+    rows = norm_derivative_scan(fam, probes, grid, k=k).rows
+    chain = _chain_applies(probes.probes, k)
+    per_t = [_norm_rderiv(fam, chain, s, [t], k)
+             for s, t in zip(_stages(grid, fam.params), grid)]
+    for name, column in zip(("norm", "rderiv"), zip(*per_t)):
+        assert rows[name].tobytes() == np.concatenate(column).T.ravel().tobytes()
+
+
+def test_scan_rows_do_not_hang_on_the_probe_count():
+    """A row's bits do not depend on how many probes share its batch: the
+    one-point stage-1 batches of 20,000 qutrit probes, whose 3 x 3 closed
+    form works on arrays past numpy's 256 KiB threshold for reusing a
+    temporary, read the rows of the 2000-probe scans of their parts."""
+    fam, grid = family(), [0.1, 0.4, 0.7]
+    probes = random_probes(3, 20000, 1)
+    rows = norm_derivative_scan(fam, probes, grid).rows
+    parts = [norm_derivative_scan(fam, ProbeSet(probes.probes[i:i + 2000], 1), grid).rows
+             for i in range(0, 20000, 2000)]
+    for name in ("norm", "rderiv"):
+        assert rows[name].tobytes() == np.concatenate([p[name] for p in parts]).tobytes()

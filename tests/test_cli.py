@@ -198,6 +198,66 @@ class TestScan:
             assert (tmp_path / "verify_scan.csv").read_bytes() == \
                 header + b"\r\n" + nan_line + b"\r\n"
 
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    @pytest.mark.parametrize("theta", ["1.5", "0.8"])
+    def test_report_reads_each_fact_once(self, tmp_path, capsys, monkeypatch, command,
+                                         theta):
+        """One run takes the argmax of rderiv once and compares verdict once,
+        however many facts its summary, its stdout line and its exit code
+        state (θ = 0.8 fails on 9 rows of this grid, θ = 1.5 on none), and
+        those facts are the rows' own: the first maximum of rderiv, its t
+        and probe, and whether any row reads "fail"."""
+        reads, reports, real = [], [], contractivity.norm_derivative_scan
+
+        class Field(np.ndarray):
+            """A field of the rows that logs an argmax or a ufunc call on it."""
+            def __array_finalize__(self, obj):
+                self.name = getattr(obj, "name", None)
+
+            def argmax(self, *args, **kwargs):
+                reads.append((self.name, "argmax"))
+                return self.view(np.ndarray).argmax(*args, **kwargs)
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                reads.append((self.name, ufunc.__name__))
+                inputs = [x.view(np.ndarray) if isinstance(x, Field) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        class Rows(np.recarray):
+            def __getattribute__(self, attr):
+                value = super().__getattribute__(attr)
+                if attr in ("rderiv", "verdict"):
+                    value = value.view(Field)
+                    value.name = attr
+                return value
+
+        def spy(*args, **kwargs):
+            report = real(*args, **kwargs)
+            reports.append(dataclasses.replace(report, rows=report.rows.view(Rows)))
+            return reports[-1]
+
+        monkeypatch.setattr(contractivity, "norm_derivative_scan", spy)
+        code = run([command, "--theta", theta, "--grid", "20", "--probes", "5", "--seed", "7",
+                    "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert sorted(reads) == [("rderiv", "argmax"), ("verdict", "equal")]
+
+        rows = reports[0].rows.view(np.recarray)
+        rderiv = rows["rderiv"].tolist()
+        worst = rderiv.index(max(rderiv))
+        passed = "fail" not in rows["verdict"].tolist()
+        assert passed == (theta == "1.5")
+        facts = {"passed": passed, "max_rderiv": rderiv[worst], "argmax_t": rows["t"][worst]}
+        summary = json.loads((tmp_path / f"{command}_summary.json").read_text())
+        if command == "scan":
+            assert code == (0 if passed else 1)
+            assert summary == {**summary, **facts, "argmax_probe": rows["probe_id"][worst]}
+            assert out == (f"max right-derivative {rderiv[worst]:.3e} at t={rows['t'][worst]}"
+                           f" (probe {rows['probe_id'][worst]}); "
+                           f"{'pass' if passed else 'fail'}\n")
+        else:
+            assert summary["checks"]["contractivity"] == facts
+
     def test_ancilla_scan_labelled_exploratory(self, tmp_path, capsys):
         run(["scan", "--k", "2", "--out", str(tmp_path), "--grid", "20",
              "--probes", "5"])

@@ -360,12 +360,15 @@ class TestStackCallers:
         monkeypatch.setattr(qutrit_family, "lambda_t", per_point)
         return calls
 
-    # points per batch: SCAN_CHUNK_ENTRIES // (9 probes), at least 1, within
-    # a stage (t1, t2 and t3 fall after grid points 37, 74 and 112), so 2
-    # probes take each stage in one batch and 2000 probes one point at a
-    # time; each batch is one call of the block kernel
-    @pytest.mark.parametrize("n_probes,chunk", [(2, 1024), (2000, 1)])
-    def test_scan(self, calls, monkeypatch, n_probes, chunk):
+    # points per batch: SCAN_CHUNK_ENTRIES // (probes x (3k)^2 entries), at
+    # least 1, within a stage (t1, t2 and t3 fall after grid points 37, 74
+    # and 112); each batch is one call of the block kernel.  The budget is
+    # meant to give 2 qutrit probes each stage in one batch, and the
+    # benchmark's 2000 qutrit probes and 500 at k = 2 several points a batch.
+    @pytest.mark.parametrize("k,n_probes", [(1, 2), (1, 2000), (2, 500)])
+    def test_scan(self, calls, monkeypatch, k, n_probes):
+        chunk = max(1, contractivity.SCAN_CHUNK_ENTRIES // (n_probes * (3 * k) ** 2))
+        assert chunk >= 38 if n_probes == 2 else chunk > 1
         batches, kernel = [], []
         batch, block = contractivity._norm_rderiv, contractivity._block_norm_rderiv
 
@@ -380,7 +383,7 @@ class TestStackCallers:
         monkeypatch.setattr(contractivity, "_norm_rderiv", batch_counting)
         monkeypatch.setattr(contractivity, "_block_norm_rderiv", block_counting)
         grid = list(np.linspace(0.0, 4.0, 150, endpoint=False))
-        norm_derivative_scan(family(), random_probes(3, n_probes, SEED), grid)
+        norm_derivative_scan(family(), random_probes(3 * k, n_probes, SEED), grid, k=k)
         stages = [grid[:38], grid[38:75], grid[75:113], grid[113:]]
         assert batches == [(s, part[i:i + chunk]) for s, part in enumerate(stages)
                            for i in range(0, len(part), chunk)]
