@@ -148,8 +148,8 @@ _CHAIN = (_constant(SuperOp(np.eye(9, dtype=complex))).matrix,
 
 # The chain maps' images P_j(|a><b|) of the basis, (9, 3, 3) in the column
 # order 3b + a: each P_j's columns unvectorised, so ``_stage_images`` of
-# these is Lambda_t's columns.
-_CHAIN_IMAGES = tuple(np.ascontiguousarray(np.swapaxes(P.T.reshape(9, 3, 3), 1, 2))
+# these is Lambda_t's columns.  Every chain entry is real: these are float64.
+_CHAIN_IMAGES = tuple(np.ascontiguousarray(np.swapaxes(P.real.T.reshape(9, 3, 3), 1, 2))
                       for P in _CHAIN)
 
 # Per stage i <= 3, the (3, 3) mask of the output entries |i><j| that
@@ -209,7 +209,7 @@ def _gamma4(c00: np.ndarray, vec_c11: np.ndarray, c_trace: np.ndarray) -> np.nda
     """Stack of X -> c00 x00 |0><0| + x11 c11 + c_trace (x00 + x11) |2><2|, the
     form of Gamma^(4) and its derivative: only the columns of |0><0| (index 0)
     and |1><1| (index 4) are nonzero.  ``vec_c11`` is (points, 9)."""
-    m = np.zeros((len(c00), 81), dtype=complex)
+    m = np.zeros((len(c00), 81))
     m[:, 0] = c00
     m[:, 4::9] = vec_c11  # column 4
     m[:, 72:77:4] = c_trace[:, None]  # row 8, columns 0 and 4
@@ -217,14 +217,15 @@ def _gamma4(c00: np.ndarray, vec_c11: np.ndarray, c_trace: np.ndarray) -> np.nda
 
 
 def _vec_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """vec |a><b| for each point of the ket stacks a and b."""
-    return (b.conj()[:, :, None] * a[:, None, :]).reshape(-1, 9)
+    """vec |a><b| for each point of the real ket stacks a and b.  + 0.0
+    writes each exact zero as +0.0, the sign the complex product gives."""
+    return (b[:, :, None] * a[:, None, :] + 0.0).reshape(-1, 9)
 
 
 def _gammas(i: int, taus: list, params: MapParams, dot: bool) -> np.ndarray:
     """Gamma^(i)_tau, or d Gamma^(i)/d tau (one-sided at 0 and 1) with ``dot``,
-    at each tau of ``taus``: a fresh (len(taus), 9, 9) complex array, from
-    scalar libm coefficients per point broadcast against constant matrices."""
+    at each tau of ``taus``: a fresh (len(taus), 9, 9) array, float64 for i = 4,
+    from libm coefficients per point broadcast against constant matrices."""
     if i in (1, 2, 3):
         return _blend(_weights(i, taus, dot), _CHAIN[0], (E1, E2, E3)[i - 1].matrix, dot)
     if i == 4:
@@ -239,7 +240,7 @@ def _gammas(i: int, taus: list, params: MapParams, dot: bool) -> np.ndarray:
         delta, theta = params.delta, params.theta
         sigma = np.array([tau ** delta for tau in taus])
         kets = np.array([(math.sin(a), math.cos(a), 0.0)  # rotated_ket(theta s)
-                         for a in (theta * sigma).tolist()], dtype=complex)
+                         for a in (theta * sigma).tolist()])
         vec_proj, up = _vec_outer(kets, kets), 1.0 + sigma * sigma
         if not dot:
             return _gamma4(up, up[:, None] * vec_proj, 1.0 - sigma * sigma)
@@ -288,12 +289,11 @@ def _stage_images(chain, s: int, ts, params: MapParams, dot: bool):
     same chain entry and no point's entries depend on the others.  Stage 4
     is Gamma^(4) after P3, which reads only the |0><0| and |1><1| blocks of
     A_3: per point, one matmul of Gamma^(4)'s two nonzero columns by those
-    blocks.  A derivative is divided by its stage's length, on stage 4
-    before P3: at delta = 110 the product's subnormals round otherwise.  On
-    stages 1-3, whose zeros the blend writes as +0.0, the derivative is
-    multiplied by 1 / length: that rounds every finite entry as numpy's
-    complex division by length does (the reciprocal times each part), at a
-    fraction of the cost."""
+    blocks.  A derivative is multiplied by 1 / length of its stage, on
+    stage 4 before P3: at delta = 110 the product's subnormals round
+    otherwise.  That rounds every finite entry as numpy's complex division
+    by length does (the reciprocal times each part), so a real map and the
+    complex images of the scan read the same bits."""
     starts = (0.0, params.t1, params.t2, params.t3, params.t4)
     length = starts[s + 1] - starts[s]
     taus = ((np.asarray(ts, dtype=float) - starts[s]) / length).tolist()
@@ -308,7 +308,7 @@ def _stage_images(chain, s: int, ts, params: MapParams, dot: bool):
         return out.reshape(points, q, n, n), support
     factor = _gammas(4, taus, params, dot)[:, :, [0, 4]]  # the columns of x00 and x11
     if dot:
-        factor /= length
+        factor *= 1.0 / length
     k = n // 3
     Y = chain[3].reshape(q, 3, k, 3, k)[:, [0, 1], :, [0, 1]]  # (2, q, k, k)
     out = (factor @ Y.reshape(2, -1)).reshape(points, 3, 3, q, k, k)  # [point, j, i]: 3j + i
@@ -318,11 +318,11 @@ def _stage_images(chain, s: int, ts, params: MapParams, dot: bool):
 
 def _lambda_stack(ts, params: MapParams, dot: bool, left: bool = False) -> np.ndarray:
     """Lambda_t, or d Lambda_t / dt with ``dot``, at each t of ``ts``: a fresh
-    (len(ts), 9, 9) complex array, each t in the stage ``_stages`` assigns,
-    from ``_stage_images`` of the chain maps' own columns."""
+    (len(ts), 9, 9) float64 array, each t in the stage ``_stages`` assigns,
+    from ``_stage_images`` of the chain maps' own (real) columns."""
     stages = _stages(ts, params, left)
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    out = np.empty((len(ts), 9, 9), dtype=complex)
+    out = np.empty((len(ts), 9, 9))
     for s in set(stages.tolist()):
         at = stages == s
         images, _ = _stage_images(_CHAIN_IMAGES, s, ts[at], params, dot)
@@ -356,9 +356,9 @@ class Family:
         return lambda_t(t, self.params)
 
     def stack(self, ts, left: bool = False) -> np.ndarray:
-        """Lambda_t at each t of ``ts``: a fresh (len(ts), 9, 9) complex array.
-        With ``left``, the left limit: at a junction t_j it is the stage that
-        ends there, at tau = 1 (at 0 it is still stage 1)."""
+        """Lambda_t, which is real, at each t of ``ts``: a fresh (len(ts), 9, 9)
+        float64 array.  With ``left``, the left limit: at a junction t_j it is
+        the stage that ends there, at tau = 1 (at 0 it is still stage 1)."""
         return _lambda_stack(ts, self.params, False, left)
 
     def dot_stack(self, ts, left: bool = False) -> np.ndarray:

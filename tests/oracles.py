@@ -117,7 +117,8 @@ def block_norm_rderiv_sorted(X, Xdot, codes, k):
 def _gamma_stack(i, taus, params, dot):
     """Gamma^(i) (its tau-derivative with ``dot``) at each tau of ``taus`` as
     it was written: stage 1 by index writes of its dephasing coefficient,
-    stages 2 and 3 as w I + (1 - w) E_i, and the package's own Gamma^(4)."""
+    stages 2 and 3 as w I + (1 - w) E_i, and the package's own Gamma^(4) as
+    a complex array, so a stage length divides it by numpy's complex division."""
     if i == 1:
         coefficients = ([-4.0 * (1.0 - tau) ** 3 for tau in taus] if dot else
                         [0.0 if math.isinf(g) else math.exp(-4.0 * g) for g in map(rate_g, taus)])
@@ -126,7 +127,7 @@ def _gamma_stack(i, taus, params, dot):
         m[:, ::40] = 0.0 if dot else 1.0  # |i><i| sits at index 4i
         return m.reshape(-1, 9, 9)
     if i == 4:
-        return qutrit_family._gammas(4, taus, params, dot)
+        return qutrit_family._gammas(4, taus, params, dot).astype(complex)
     target, fs = make_E(i).matrix, [rate_f(tau) for tau in taus]
     if not dot:
         w = np.array([0.0 if math.isinf(f) else math.exp(-f) for f in fs])[:, None, None]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qmarkov import divisibility
 from qmarkov.divisibility import (cp_divisibility_scan, intermediate_map,
                                   positive_forcing_witness)
 from qmarkov.operators import OperandError, random_probes, trace_norm
@@ -130,14 +131,49 @@ class TestCpDivisibilityScan:
         assert len(rows) == len(grid) - 1
         for row, (s, t) in zip(rows, zip(grid, grid[1:])):
             im = intermediate_map(fam, s, t)
-            lo = math.nan if im.definedness == "inconsistent" else \
-                choi_min_eigenvalue(im.map)
+            V = im.map.matrix
+            if not isinstance(fam, FakeFamily):
+                # Family.stack is float64: V is the real parts of the
+                # complex SuperOp, whose imaginary parts are 0
+                assert not V.imag.any()
+                V = V.real
+            lo = math.nan if im.definedness == "inconsistent" else choi_min_eigenvalue(V)
             verdict = ("undefined-off-image" if math.isnan(lo)
                        else "CP" if lo >= -TOL_PSD else "not-CP")
             assert (row["s"], row["t"], row["definedness"], row["verdict"]) == \
                 (s, t, im.definedness, verdict)
             assert row["residual"] == im.residual
             assert np.array_equal(row["choi_min_eig"], lo, equal_nan=True)
+
+    @pytest.mark.parametrize("theta", [1.3, math.sqrt(2), 1.5, math.pi / 2, 1.6],
+                             ids=["1.3", "sqrt2", "1.5", "pi/2", "1.6"])
+    @pytest.mark.parametrize("delta", [1.0, 1.05, 2.0])
+    def test_complex_stack_reads_the_same(self, monkeypatch, theta, delta):
+        # Family.stack is float64; the same maps as a complex stack take the
+        # complex SVD and Choi spectrum, and must give the same labels and
+        # the same numbers to rounding
+        fam = family(MapParams(theta=theta, delta=delta))
+        complex_fam = FakeFamily(None)
+        complex_fam.stack = lambda ts: fam.stack(ts).astype(complex)
+        dtypes, choi = [], divisibility.choi_min_eigenvalue
+
+        def spy(V):
+            dtypes.append(V.dtype)
+            return choi(V)
+        monkeypatch.setattr(divisibility, "choi_min_eigenvalue", spy)
+        for points in (50, 150, 1000):
+            grid = np.linspace(0.0, 4.0, points)
+            dtypes.clear()
+            real = cp_divisibility_scan(fam, grid)
+            assert set(dtypes) == {np.dtype(float)}
+            dtypes.clear()
+            rows = cp_divisibility_scan(complex_fam, grid)
+            assert set(dtypes) == {np.dtype(complex)}
+            assert (rows.definedness == real.definedness).all()
+            assert (rows.verdict == real.verdict).all()
+            assert np.abs(rows.residual - real.residual).max() <= 1e-14
+            assert np.allclose(rows.choi_min_eig, real.choi_min_eig, rtol=0.0, atol=1e-14,
+                               equal_nan=True)
 
     def test_rank_jump_is_inconsistent(self):
         rows = cp_divisibility_scan(rank_jump_family, [1.0, 3.0, 3.5])

@@ -248,6 +248,27 @@ class TestChain:
         # so exp(g L0) = exp(-4g) Id + (1 - exp(-4g)) E1, the stage-1 blend
         assert np.array_equal(dephasing_generator().matrix, 4.0 * (_CHAIN[1] - _CHAIN[0]))
 
+    def test_chain_entries_are_real(self):
+        # so the chain images, and every Lambda_t built from them, are float64
+        for m in _CHAIN:
+            assert not m.imag.any()
+            assert set(np.unique(m.real).tolist()) <= {0.0, 0.5, 1.0}
+        assert all(images.dtype == np.float64 for images in qutrit_family._CHAIN_IMAGES)
+
+    @pytest.mark.parametrize("delta", [1.0, 1.05, 110.0])
+    @pytest.mark.parametrize("junctions", [(1.0, 2.0, 3.0, 4.0), (0.7, 1.9, 2.3, 5.1)],
+                             ids=["t=1/2/3/4", "t=0.7/1.9/2.3/5.1"])
+    def test_stacks_are_float64_on_every_stage(self, delta, junctions):
+        params = MapParams(1.5, *junctions, delta=delta)
+        ts = np.linspace(0.0, params.t4, 41)
+        fam = family(params)
+        for left in (False, True):
+            assert set(qutrit_family._stages(ts, params, left).tolist()) == {0, 1, 2, 3}
+            for stack in (fam.stack, fam.dot_stack):
+                for points in (ts, ts[-1:], [junctions[2]]):
+                    m = stack(points, left=left)
+                    assert m.dtype == np.float64 and m.shape == (len(points), 9, 9)
+
     def test_chain_is_read_only(self):
         for m in _CHAIN:
             assert not m.flags.writeable
@@ -273,9 +294,12 @@ class TestChain:
         for dot, stack in ((False, fam.stack), (True, fam.dot_stack)):
             for left in (False, True):
                 for ts in grids:
+                    # the complex oracle's imaginary parts are 0, and the
+                    # float64 stack holds the bits of its real parts
                     expected = lambda_stack_prefixed(ts, params, dot, left)
+                    assert not expected.imag.any()
                     assert np.array_equal(stack(ts, left=left).view(np.uint64),
-                                          expected.view(np.uint64))
+                                          expected.real.view(np.uint64))
 
     @pytest.mark.parametrize("bad", [4.5, math.nan, -1e-300, 5.0])
     def test_first_point_outside_the_domain_is_named(self, bad):
@@ -288,6 +312,18 @@ class TestChain:
                 m = _gammas(i, [tau], MapParams(), True)[0]
                 assert not np.signbit(m.real[m.real == 0.0]).any()
                 assert not np.signbit(m.imag).any()
+
+
+    @pytest.mark.parametrize("theta", [1.5, 1.6, 2.5])
+    def test_gamma4_ket_zeros_are_positive(self, theta):
+        # column 4 above row 8 is (1 + s^2) |psi><psi| or its derivative: its
+        # zeros come from the kets' 0 third entry, times cos < 0 past pi/2
+        taus = np.linspace(0.0, 1.0, 41).tolist()
+        for dot in (False, True):
+            column = _gammas(4, taus, MapParams(theta=theta, delta=1.05), dot)[:, :8, 4]
+            assert column.dtype == np.float64
+            assert (column == 0.0).any()
+            assert not np.signbit(column[column == 0.0]).any()
 
 
 class TestContinuity:
