@@ -17,7 +17,6 @@ config file, e.g.::
     t3 = 3
     t4 = 4
     delta = 1.0
-    rate = default-pole
 """
 
 from __future__ import annotations
@@ -119,13 +118,9 @@ def load_params(path) -> MapParams:
             if key in seen:
                 raise OperandError(f"config key {key!r} is repeated")
             seen.add(key)
-            if key == "rate":
-                if value != "default-pole":
-                    raise OperandError(f"unknown rate {value!r} in config")
-            elif key in ("theta", "t1", "t2", "t3", "t4", "delta"):
-                kwargs[key] = float(value)
-            else:
+            if key not in ("theta", "t1", "t2", "t3", "t4", "delta"):
                 raise OperandError(f"unknown config key {key!r}")
+            kwargs[key] = float(value)
     return MapParams(**kwargs)
 
 
@@ -142,14 +137,14 @@ E3_E2_E1 = _constant(compose(E3, E2_E1))
 
 # The chain P0 = Id, P1 = E1, P2 = E2 E1, P3 = E3 E2 E1: stage i <= 3 of
 # Lambda_t runs from P_{i-1} at tau = 0 to P_i at tau = 1, and stage 4 acts
-# after P3.  Each column holds at most one nonzero entry, 1 or 1/2.
-_CHAIN = (_constant(SuperOp(np.eye(9, dtype=complex))).matrix,
-          E1.matrix, E2_E1.matrix, E3_E2_E1.matrix)
+# after P3.  Each column holds at most one nonzero entry, 1 or 1/2, so
+# every chain map, like E1..E3, is float64.
+_CHAIN = (_constant(SuperOp(np.eye(9))).matrix, E1.matrix, E2_E1.matrix, E3_E2_E1.matrix)
 
 # The chain maps' images P_j(|a><b|) of the basis, (9, 3, 3) in the column
 # order 3b + a: each P_j's columns unvectorised, so ``_stage_images`` of
-# these is Lambda_t's columns.  Every chain entry is real: these are float64.
-_CHAIN_IMAGES = tuple(np.ascontiguousarray(np.swapaxes(P.real.T.reshape(9, 3, 3), 1, 2))
+# these is Lambda_t's columns.
+_CHAIN_IMAGES = tuple(np.ascontiguousarray(np.swapaxes(P.T.reshape(9, 3, 3), 1, 2))
                       for P in _CHAIN)
 
 # Per stage i <= 3, the (3, 3) mask of the output entries |i><j| that
@@ -169,8 +164,7 @@ def make_E(i: int, params: MapParams | None = None) -> SuperOp:
 
 def dephasing_generator() -> SuperOp:
     """L0(X) = D1 X D1 + D2 X D2 + D3 X D3 - 3X (unit rate)."""
-    m = sum(np.kron(D.conj(), D) for D in (D1, D2, D3)) - 3.0 * np.eye(9)
-    return SuperOp(m.astype(complex))
+    return SuperOp(sum(np.kron(D.conj(), D) for D in (D1, D2, D3)) - 3.0 * np.eye(9))
 
 
 def _weights(i: int, taus: list, dot: bool) -> np.ndarray:

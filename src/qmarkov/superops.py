@@ -39,15 +39,22 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v).reshape(d, d, order="F")
 
 
+def _map_array(m) -> np.ndarray:
+    """A map matrix, a stack of them or a Kraus operator as an array: a
+    real one stays float64 and anything else is complex128."""
+    return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+
+
 @dataclass(frozen=True)
 class SuperOp:
     """Linear map on d x d operators, represented by its d^2 x d^2
-    vectorized-action matrix; d is read off the matrix."""
+    vectorized-action matrix; d is read off the matrix, which is float64
+    for a real map and complex128 otherwise (``_map_array``)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _map_array(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or math.isqrt(len(m)) ** 2 != len(m):
             raise OperandError(f"superoperator matrix must be d^2 x d^2, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
@@ -64,14 +71,9 @@ class SuperOp:
 
 
 def superop_from_action(action, d: int) -> SuperOp:
-    """Build the matrix of a map from its action on matrix units."""
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for i in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            m[:, j * d + i] = vec(np.asarray(action(unit), dtype=complex))
-    return SuperOp(m)
+    """Build the matrix of a map from its action on the real matrix units
+    |i><j| = unvec(e_(j*d + i)), in the dtype the action returns."""
+    return SuperOp(np.stack([vec(action(unvec(e))) for e in np.eye(d * d)], axis=1))
 
 
 def compose(S2: SuperOp, S1: SuperOp) -> SuperOp:
@@ -86,9 +88,9 @@ def from_kraus(kraus_ops) -> SuperOp:
 
     vec(K X K^dag) = (conj(K) kron K) vec(X) in column stacking, so the
     matrix is sum_a conj(K_a) kron K_a; the resulting map is CP by
-    construction.
+    construction, and real for real K_a.
     """
-    ops = [np.asarray(K, dtype=complex) for K in kraus_ops]
+    ops = [_map_array(K) for K in kraus_ops]
     if not ops:
         raise OperandError("empty Kraus set")
     d = ops[0].shape[0]
@@ -100,10 +102,10 @@ def from_kraus(kraus_ops) -> SuperOp:
 
 def _matrices(S) -> tuple[np.ndarray, int]:
     """(matrix, d) of a SuperOp or of a stack (..., d^2, d^2) of superoperator
-    matrices; a real stack stays float64, anything else is complex."""
+    matrices, in the dtype of ``_map_array``."""
     if isinstance(S, SuperOp):
         return S.matrix, S.dim
-    m = np.asarray(S, dtype=complex if np.iscomplexobj(S) else float)
+    m = _map_array(S)
     return m, math.isqrt(m.shape[-1])
 
 
@@ -169,7 +171,7 @@ def _image_basis(S: SuperOp) -> np.ndarray:
     """
     u, s, _ = np.linalg.svd(S.matrix)
     if s[0] == 0:
-        return np.zeros((0, S.dim, S.dim), dtype=complex)
+        return np.zeros((0, S.dim, S.dim), dtype=u.dtype)
     rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     return np.stack([unvec(u[:, i]) for i in range(rank)])
 

@@ -48,10 +48,13 @@ _GROUPS = (np.arange(10000, dtype=np.uint16)[:, None]
 _ZEROS = sum(np.arange(10000) % 10 ** k == 0 for k in range(1, 5)).astype(np.uint8)
 
 
-def _ascii(texts, width: int) -> np.ndarray:
-    """The bytes (len(texts), width) of ASCII texts, each NUL-padded."""
-    return np.frombuffer(b"".join(t.encode().ljust(width, b"\0") for t in texts),
-                         dtype=np.uint8).reshape(len(texts), width)
+def _text_bytes(text: np.ndarray) -> np.ndarray:
+    """The NUL-padded bytes (len(text), width) of an ASCII str array, read
+    through its UCS-4 code points."""
+    codes = np.ascontiguousarray(text).view(np.uint32).reshape(len(text), -1)
+    if codes.max(initial=0) > 127:
+        raise ValueError("CSV text must be ASCII")
+    return codes.astype(np.uint8)
 
 
 def _layout_table() -> np.ndarray:
@@ -77,9 +80,10 @@ def _layout_table() -> np.ndarray:
     digits = np.concatenate([byte < np.minimum(at, shown + 1),
                              (byte >= at) & (byte <= shown),
                              byte == at], axis=-1) * np.repeat(np.uint8([255, 255, ord(".")]), 16)
-    heads = _ascii([sign + ("0." + "0" * (-1 - k) if -4 <= k < 0 else "")
-                    for k in exponents for sign in ("", "-")], 8)
-    tails = _ascii([f"e-{-k:02d}" if k < -4 else "" for k in exponents], 8)
+    heads = _text_bytes(np.array([sign + ("0." + "0" * (-1 - k) if -4 <= k < 0 else "")
+                                  for k in exponents for sign in ("", "-")], dtype="U8"))
+    tails = _text_bytes(np.array([f"e-{-k:02d}" if k < -4 else "" for k in exponents],
+                                 dtype="U8"))
     keys = (len(exponents), 16, 2)
     layout = np.concatenate([
         np.broadcast_to(heads.reshape(len(exponents), 1, 2, 8), keys + (8,)),
@@ -199,15 +203,6 @@ def _g_bytes(x, precision: int, out=None) -> np.ndarray:
         out[i] = 0
         out[i, :len(value)] = np.frombuffer(value, dtype=np.uint8)
     return out
-
-
-def _text_bytes(text: np.ndarray) -> np.ndarray:
-    """The NUL-padded bytes (len(text), width) of an ASCII str array, read
-    through its UCS-4 code points."""
-    codes = np.ascontiguousarray(text).view(np.uint32).reshape(len(text), -1)
-    if codes.max(initial=0) > 127:
-        raise ValueError("CSV text must be ASCII")
-    return codes.astype(np.uint8)
 
 
 def _field(column: np.ndarray):

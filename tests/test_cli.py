@@ -76,14 +76,22 @@ class TestVerify:
         assert summary["theta"] == 1.45
 
     @pytest.mark.parametrize("text", ["theta = 1.5\ntheta = 1.2\n",
-                                      "rate = default-pole\nrate = default-pole\n"],
-                             ids=["theta", "rate"])
+                                      "delta = 1.05\ndelta = 1.05\n"],
+                             ids=["theta", "delta"])
     def test_config_key_repeated(self, text, tmp_path, capsys):
         """A repeated key is a usage error, not a silent override."""
         cfg = tmp_path / "params.cfg"
         cfg.write_text(text)
         assert run(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "repeated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_rate_key_is_unknown(self, tmp_path, capsys):
+        """The family has one dephasing rate, so no config key names it."""
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text("theta = 1.5\nrate = default-pole\n")
+        assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown config key 'rate'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--theta", "--delta"])
@@ -102,13 +110,10 @@ class TestCpTp:
     @pytest.mark.parametrize("points", [2, 200, 301])
     def test_matches_per_map_extremes(self, points):
         params = MapParams(theta=1.55, delta=1.05)
-        # the one-point maps are complex with imaginary parts 0; the check
-        # reads the float64 stack of their real parts
-        maps = np.stack([family(params)(t).matrix for t in np.linspace(0.0, params.t4, points)])
-        assert not maps.imag.any()
+        maps = [family(params)(t) for t in np.linspace(0.0, params.t4, points)]
         result = cli.check_cp_tp(params, points)
-        assert result["min_choi_eig"] == min(choi_min_eigenvalue(m) for m in maps.real)
-        assert result["max_trace_error"] == max(tp_error(m) for m in maps.real)
+        assert result["min_choi_eig"] == min(choi_min_eigenvalue(S) for S in maps)
+        assert result["max_trace_error"] == max(tp_error(S) for S in maps)
         assert result["passed"] is True
 
 

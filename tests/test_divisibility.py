@@ -31,9 +31,10 @@ class FakeFamily:
 
 identity_family = FakeFamily(lambda t: np.eye(9, dtype=complex))
 # Rank-deficient before t = 2 and the identity from there: no map V with
-# V Lambda_s = Lambda_t exists across the jump.
+# V Lambda_s = Lambda_t exists across the jump.  Complex throughout, like
+# the other fakes, so every batch of its stack has one dtype.
 rank_jump_family = FakeFamily(
-    lambda t: family()(3.5).matrix if t < 2.0 else np.eye(9, dtype=complex))
+    lambda t: family()(3.5).matrix.astype(complex) if t < 2.0 else np.eye(9, dtype=complex))
 # 10^(-8t) times the identity: full rank throughout, at scales from 1 to
 # 1e-32, so each interval's rank must be read relative to its own map.
 fading_family = FakeFamily(lambda t: 10.0 ** (-8.0 * t) * np.eye(9, dtype=complex))
@@ -123,27 +124,34 @@ class TestCpDivisibilityScan:
     @pytest.mark.parametrize("fam", [family(), identity_family, rank_jump_family,
                                      fading_family],
                              ids=["qutrit", "identity", "rank-jump", "fading"])
-    def test_rows_match_interval_at_a_time(self, fam):
-        # 149 intervals across all four stages: two full batches of 64 and a
-        # partial one
-        grid = np.linspace(0.0, 4.0, 150)
-        rows = cp_divisibility_scan(fam, grid)
-        assert len(rows) == len(grid) - 1
-        for row, (s, t) in zip(rows, zip(grid, grid[1:])):
-            im = intermediate_map(fam, s, t)
-            V = im.map.matrix
-            if not isinstance(fam, FakeFamily):
-                # Family.stack is float64: V is the real parts of the
-                # complex SuperOp, whose imaginary parts are 0
-                assert not V.imag.any()
-                V = V.real
-            lo = math.nan if im.definedness == "inconsistent" else choi_min_eigenvalue(V)
-            verdict = ("undefined-off-image" if math.isnan(lo)
-                       else "CP" if lo >= -TOL_PSD else "not-CP")
-            assert (row["s"], row["t"], row["definedness"], row["verdict"]) == \
-                (s, t, im.definedness, verdict)
-            assert row["residual"] == im.residual
-            assert np.array_equal(row["choi_min_eig"], lo, equal_nan=True)
+    def test_rows_match_interval_at_a_time(self, monkeypatch, fam):
+        # 149 intervals across all four stages (two full batches of 64 and a
+        # partial one), then 999 in 16 batches.  Each interval's map is the
+        # scan's V in its dtype, bit for bit: float64 for a Family
+        batches = []
+
+        def spy(V):
+            batches.append(V)
+            return choi_min_eigenvalue(V)
+        monkeypatch.setattr(divisibility, "choi_min_eigenvalue", spy)
+        for points in (150, 1000):
+            grid = np.linspace(0.0, 4.0, points)
+            batches.clear()
+            rows = cp_divisibility_scan(fam, grid)
+            assert len(rows) == len(grid) - 1
+            for row, V, s, t in zip(rows, np.concatenate(batches), grid, grid[1:]):
+                im = intermediate_map(fam, s, t)
+                assert im.map.matrix.dtype == V.dtype == (
+                    complex if isinstance(fam, FakeFamily) else float)
+                assert np.array_equal(im.map.matrix.view(np.uint64), V.view(np.uint64))
+                lo = (math.nan if im.definedness == "inconsistent"
+                      else choi_min_eigenvalue(im.map))
+                verdict = ("undefined-off-image" if math.isnan(lo)
+                           else "CP" if lo >= -TOL_PSD else "not-CP")
+                assert (row["s"], row["t"], row["definedness"], row["verdict"]) == \
+                    (s, t, im.definedness, verdict)
+                assert row["residual"] == im.residual
+                assert np.array_equal(row["choi_min_eig"], lo, equal_nan=True)
 
     @pytest.mark.parametrize("theta", [1.3, math.sqrt(2), 1.5, math.pi / 2, 1.6],
                              ids=["1.3", "sqrt2", "1.5", "pi/2", "1.6"])

@@ -88,15 +88,16 @@ class TestParams:
     def test_config_roundtrip(self, tmp_path):
         cfg = tmp_path / "params.cfg"
         cfg.write_text("# comment\ntheta = 1.45\nt1=0.5\nt2=1\nt3=2\nt4=3\n"
-                       "delta = 1.1\nrate = default-pole\n")
+                       "delta = 1.1\n")
         p = load_params(cfg)
         assert p.theta == 1.45 and p.t1 == 0.5 and p.delta == 1.1
 
     def test_config_rejects_unknown(self, tmp_path):
         cfg = tmp_path / "params.cfg"
-        cfg.write_text("thetaa = 1\n")
-        with pytest.raises(OperandError):
-            load_params(cfg)
+        for text in ("thetaa = 1\n", "theta = 1.5\nrate = default-pole\n"):
+            cfg.write_text(text)
+            with pytest.raises(OperandError, match="unknown config key"):
+                load_params(cfg)
 
 
 class TestElementaryMaps:
@@ -251,9 +252,11 @@ class TestChain:
     def test_chain_entries_are_real(self):
         # so the chain images, and every Lambda_t built from them, are float64
         for m in _CHAIN:
-            assert not m.imag.any()
-            assert set(np.unique(m.real).tolist()) <= {0.0, 0.5, 1.0}
+            assert m.dtype == np.float64
+            assert set(np.unique(m).tolist()) <= {0.0, 0.5, 1.0}
         assert all(images.dtype == np.float64 for images in qutrit_family._CHAIN_IMAGES)
+        maps = [make_E(1), make_E(2), make_E(3), dephasing_generator()]
+        assert all(S.matrix.dtype == np.float64 for S in maps)
 
     @pytest.mark.parametrize("delta", [1.0, 1.05, 110.0])
     @pytest.mark.parametrize("junctions", [(1.0, 2.0, 3.0, 4.0), (0.7, 1.9, 2.3, 5.1)],
@@ -268,6 +271,14 @@ class TestChain:
                 for points in (ts, ts[-1:], [junctions[2]]):
                     m = stack(points, left=left)
                     assert m.dtype == np.float64 and m.shape == (len(points), 9, 9)
+        one_point = [make_E(4, params)] + [gamma_family(i, tau, params)
+                                           for i in (1, 2, 3, 4) for tau in (0.0, 0.4, 1.0)]
+        assert all(S.matrix.dtype == np.float64 for S in one_point)
+        # Lambda_t's one-point map is its one-point stack, bit for bit
+        for t in [*ts.tolist(), *junctions]:
+            for m in (lambda_t(t, params).matrix, fam(t).matrix):
+                assert m.dtype == np.float64
+                assert np.array_equal(m.view(np.uint64), fam.stack([t])[0].view(np.uint64))
 
     def test_chain_is_read_only(self):
         for m in _CHAIN:
@@ -310,8 +321,8 @@ class TestChain:
         for i in (1, 2, 3):
             for tau in (0.0, 0.3, 1.0):
                 m = _gammas(i, [tau], MapParams(), True)[0]
-                assert not np.signbit(m.real[m.real == 0.0]).any()
-                assert not np.signbit(m.imag).any()
+                assert m.dtype == np.float64
+                assert not np.signbit(m[m == 0.0]).any()
 
 
     @pytest.mark.parametrize("theta", [1.5, 1.6, 2.5])

@@ -118,6 +118,35 @@ class TestFromKraus:
             assert choi_min_eigenvalue(S) >= -1e-10
 
 
+class TestDtypeRule:
+    """A real map's matrix is float64 and any other is complex128, from every
+    constructor; operands of apply stay complex."""
+
+    def test_real_kraus_operators_give_float64(self):
+        assert from_kraus([np.eye(3), np.diag([1, 2, 3])]).matrix.dtype == np.float64
+        assert all(make_E(i).matrix.dtype == np.float64 for i in (1, 2))
+
+    def test_complex_kraus_operators_give_complex128(self):
+        rng = np.random.default_rng(SEED)
+        assert from_kraus(rand_kraus(rng, 3, 2)).matrix.dtype == np.complex128
+        assert from_kraus([np.eye(3), 1j * np.eye(3)]).matrix.dtype == np.complex128
+
+    def test_compose_follows_its_factors(self):
+        unitary = from_kraus([np.diag([1.0, 1j, -1.0])])
+        assert compose(make_E(2), make_E(1)).matrix.dtype == np.float64
+        assert compose(make_E(2), unitary).matrix.dtype == np.complex128
+
+    def test_action_keeps_its_dtype(self):
+        assert transpose_map().matrix.dtype == np.float64
+        assert make_E(3).matrix.dtype == np.float64
+        assert superop_from_action(lambda X: 1j * X, 3).matrix.dtype == np.complex128
+
+    def test_operands_stay_complex(self):
+        X = np.eye(3)
+        assert make_E(1).apply(X).dtype == np.complex128
+        assert apply_to_extended(make_E(1), X, 1).dtype == np.complex128
+
+
 class TestChoi:
     def test_identity_choi(self):
         C = to_choi(IDENTITY)
