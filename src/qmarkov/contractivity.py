@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import OperandError, ProbeSet
-from .qutrit_family import _CHAIN, _stage_images, _stages
+from .qutrit_family import _CHAIN, _diagonal_blocks, _stage_images, _stages
 from .superops import apply_to_extended
 from .tables import write_scan_csv
 from .tolerances import (KERNEL_CUTOFF, SINGULAR_ROOT, TOL_BOUND_CHAIN, TOL_CLOSED_FORM,
@@ -107,14 +107,16 @@ class ScanReport:
 # SCAN_CHUNK_ENTRIES complex probe entries, and at least one, so one blend
 # (or stage-4 block build) and one kernel call serve each stage of it: 2
 # qutrit probes take up to 2048 points, the default 200 take 20, and 2000
-# qutrit probes or 500 at k = 2 take 2.  X and Xdot then take at most about
-# 0.6 MB each, or one probe stack where the stack alone is larger; the
-# chain's applies hold three probe stacks beside the probes for the whole
-# scan.  Each batch pays a fixed numpy cost (a one-probe, one-point batch
-# takes 165, 69, 66 and 134 us on stages 1-4), and a larger batch pays in
-# page faults instead: its temporaries go back to the system and fault in
-# again batch by batch.  Swept on a 2-vCPU Xeon, one BLAS thread, at 2048,
-# 4096, 6144, 8192 and 10240 x 9:
+# qutrit probes or 500 at k = 2 take 2.  Stage 1's X and Xdot then take at
+# most about 0.6 MB each, or one probe stack where the stack alone is
+# larger, and the output blocks of stages 2-3 and 4 a third and five ninths
+# of that; the chain's applies (three probe stacks) and their diagonal
+# blocks (4 / 3k) stay beside the probes for the whole scan.  Each batch
+# pays a fixed numpy cost (a one-probe, one-point batch took 165, 69, 66 and
+# 134 us on stages 1-4 with whole X), and a larger batch pays in page faults
+# instead: its temporaries go back to the system and fault in again batch
+# by batch.  Swept, with whole X, on a 2-vCPU Xeon, one BLAS thread, at
+# 2048, 4096, 6144, 8192 and 10240 x 9:
 # - scan CPU alone, medians of 21 alternating calls: 2000 x 40 18.1, 15.6,
 #   14.5, 14.6, 13.3 ms; 500 x 40 at k = 2 50.4, 48.0, 47.0, 46.0, 45.3 ms;
 #   200 x 200 9.3, 8.3, 7.8, 8.3, 7.8 ms.  Its tracemalloc peak at
@@ -144,28 +146,6 @@ def _pair_codes(nonzero: np.ndarray) -> np.ndarray:
     |2> (stage 4), 7 a full qutrit."""
     linked = nonzero | np.swapaxes(nonzero, -1, -2)
     return linked[..., 0, 1] * 1 + linked[..., 0, 2] * 2 + linked[..., 1, 2] * 4
-
-
-@functools.lru_cache(maxsize=None)
-def _block_entries(code: int, k: int):
-    """The output blocks of Lambda_t tensor Id_k for an output code, as
-    ((size, rows, cols), ...): X[..., rows, cols] of an operator stack
-    (..., 3k, 3k) is the stack (..., blocks, size, size) of its size x size
-    blocks, one per qutrit block B, which spans B tensor C^k.  Two linked
-    pairs join all three levels in one block."""
-    linked = [pair for bit, pair in enumerate([(0, 1), (0, 2), (1, 2)]) if code >> bit & 1]
-    if len(linked) > 1:
-        blocks = [(0, 1, 2)]
-    elif linked:
-        blocks = [linked[0], (3 - sum(linked[0]),)]
-    else:
-        blocks = [(0,), (1,), (2,)]
-    by_size = {}
-    for block in blocks:
-        q = [i * k + a for i in block for a in range(k)]
-        by_size.setdefault(len(q), []).append(q)
-    return tuple((size, np.array(qs)[:, :, None], np.array(qs)[:, None, :])
-                 for size, qs in sorted(by_size.items()))
 
 
 def _eigh_spectrum(X: np.ndarray, Xdot: np.ndarray):
@@ -318,12 +298,15 @@ def _row_sum(columns: list) -> np.ndarray:
     return np.stack(columns, axis=-1).sum(axis=-1)
 
 
-def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: int,
-                       still: np.ndarray | None = None):
-    """``_eigh_norm_rderiv`` of stacks X, Xdot (points, probes, 3k, 3k)
-    where X = (Lambda_t tensor Id_k)(probe) and ``codes`` holds each point's
-    output code (``_pair_codes``): X is then block diagonal, with zero
-    entries exactly where Lambda_t's output rows are.
+def _block_norm_rderiv(codes: np.ndarray, blocks, full, still: np.ndarray | None = None):
+    """``_eigh_norm_rderiv`` of the rows (points, probes) of X = (Lambda_t
+    tensor Id_k)(probe) and Xdot, where ``codes`` holds each point's output
+    code (``_pair_codes``): X is then block diagonal, with zero entries
+    exactly where Lambda_t's output rows are.  ``blocks(code, at)`` gives the
+    blocks at the points ``at`` of a code, a pair (B, Bdot) of stacks
+    (points, blocks, probes, size, size) per block size, ascending, and
+    ``full(points)`` the whole X and Xdot (points, probes, 3k, 3k), which
+    the kernel asks for only at the points of rows that take eigh.
 
     Per block the eigenvalues and Kato rates <v_i|Xdot|v_i> are read off the
     diagonal (1 x 1), in closed form (2 x 2, ``_pair_spectrum``; 3 x 3,
@@ -337,7 +320,7 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
     diagonal there.)  A row with a kernel eigenvalue needs the cross-block
     entries of Xdot in ||P0 Xdot P0||_1, and a row with a tie has no
     well-ordered pairing of values and rates; both take one batched eigh of
-    the full X, as do rows with NaN or inf, which fail the comparisons or
+    the whole X, as do rows with NaN or inf, which fail the comparisons or
     the finiteness test, and rows whose 3 x 3 closed form fails its trust
     test (near-degenerate eigenvalues, or one near 0), which read NaN rates.
 
@@ -346,35 +329,34 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
     take eigh only for a non-finite norm or a refused 3 x 3 closed form;
     eigh's sum of the terms sign(lam) * 0 starts from +0.0 and reads +0.0.
     """
-    norm, rderiv = np.empty(X.shape[:2]), np.empty(X.shape[:2])
-    slow = np.ones(X.shape[:2], dtype=bool)
+    norm = None
     # the codes present; np.unique would do, but its first call costs 1.6 MB of RSS
     for code in np.flatnonzero(np.bincount(codes)).tolist():
         at = codes == code
         at = slice(None) if at.all() else at
-        Xg, Xdotg = X[at], Xdot[at]
+        stacks = blocks(code, at)
+        if norm is None:  # rows (points, probes)
+            norm, rderiv = np.empty((2, len(codes), stacks[0][0].shape[2]))
+            slow = np.ones(norm.shape, dtype=bool)
         still_rows = None if still is None or not still[at].any() else still[at][:, None]
-        lam, rates, refused = [], [], np.zeros(Xg.shape[:2], dtype=bool)
+        lam, rates, refused = [], [], np.False_
         # non-finite entries and ties only raise flags in rows that take eigh
         with np.errstate(all="ignore"):
-            for size, rows, cols in _block_entries(code, k):
-                if size == 3 * k:  # one block spans the matrix: a view, not a gather
-                    B, Bdot = Xg[..., None, :, :], Xdotg[..., None, :, :]
-                else:
-                    B, Bdot = Xg[..., rows, cols], Xdotg[..., rows, cols]
+            for B, Bdot in stacks:
+                size = B.shape[-1]
                 if size == 1:
-                    values = B[..., 0, 0].real, Bdot[..., 0, 0].real
+                    values = B[..., 0].real, Bdot[..., 0].real
                 elif size == 2:
                     values = _pair_spectrum(B, Bdot)
                 elif size == 3:
                     values = _triple_spectrum(B, Bdot)
                     if still_rows is not None:
-                        refused |= np.isnan(values[1]).reshape(Xg.shape[:2] + (-1,)).any(axis=-1)
+                        refused |= np.isnan(values[1]).any(axis=(1, 3))
                 else:
                     block_lam, _, _, block_rates = _eigh_spectrum(B, Bdot)
                     values = block_lam, block_rates
-                lam.extend(np.moveaxis(values[0].reshape(Xg.shape[:2] + (-1,)), -1, 0))
-                rates.extend(np.moveaxis(values[1].reshape(Xg.shape[:2] + (-1,)), -1, 0))
+                for columns, v in zip((lam, rates), values):  # v: (points, blocks, probes, size)
+                    columns.extend(v[:, b, :, i] for b in range(v.shape[1]) for i in range(size))
             _merge_runs(lam, rates)
             mag = [np.abs(c) for c in lam]
             norm[at] = _row_sum(mag)
@@ -388,30 +370,31 @@ def _block_norm_rderiv(X: np.ndarray, Xdot: np.ndarray, codes: np.ndarray, k: in
                 fast = np.where(still_rows, np.isfinite(norm[at]) & ~refused, fast)
                 rderiv[at] = np.where(still_rows, 0.0, rderiv[at])
             slow[at] = ~fast
-    if slow.all():
-        norm, rderiv = _eigh_norm_rderiv(X, Xdot)
-    elif slow.any():
-        norm[slow], rderiv[slow] = _eigh_norm_rderiv(X[slow], Xdot[slow])
+    if slow.any():
+        points = slow.any(axis=1)
+        X, Xdot = full(np.flatnonzero(points))
+        norm[slow], rderiv[slow] = _eigh_norm_rderiv(X[slow[points]], Xdot[slow[points]])
     return norm, rderiv
 
 
 def _chain_applies(stack: np.ndarray, k: int) -> tuple:
     """A_j = (P_j tensor Id_k)(probe) for each probe of ``stack`` and each map
-    P_j of the chain Id, E1, E2 E1, E3 E2 E1, as four C-contiguous
-    (probes, 3k, 3k) arrays, so that each flattens without a copy: A_0 is
-    the stack itself (a ``ProbeSet``'s is C-contiguous), and the other three
-    take one ``apply_to_extended`` each."""
-    return tuple(np.ascontiguousarray(A) for A in
-                 (stack, *(apply_to_extended(P, stack, k) for P in _CHAIN[1:])))
+    P_j of the chain Id, E1, E2 E1, E3 E2 E1, as four C-contiguous (probes,
+    3k, 3k) arrays, which flatten without a copy, and their diagonal blocks
+    (``qutrit_family._diagonal_blocks``).  A_0 is the stack itself (a
+    ``ProbeSet``'s is C-contiguous); the others take one apply each."""
+    whole = tuple(np.ascontiguousarray(A) for A in
+                  (stack, *(apply_to_extended(P, stack, k) for P in _CHAIN[1:])))
+    return whole, tuple(map(_diagonal_blocks, whole))
 
 
 def _norm_rderiv(fam, chain: tuple, s: int, ts, k: int):
     """Trace norms ||X||_1 of X = (Lambda_t tensor Id_k)(probe) at the points
     ``ts`` of stage s (0..3, as ``qutrit_family._stages`` assigns) for a
     stack of probes, given as its chain's applies (``_chain_applies``), and
-    their exact right derivatives: two arrays (len(ts), probes), from the
-    stage's X and Xdot (``qutrit_family._stage_images``) and one call of
-    ``_block_norm_rderiv``, with the points where Xdot is exactly 0.
+    their exact right derivatives: two arrays (len(ts), probes), from one
+    ``_block_norm_rderiv`` call on the output blocks of X and Xdot
+    (``qutrit_family._stage_images``) and the points where Xdot is 0.
 
     With X = sum_i lam_i |v_i><v_i| and Xdot = (dLambda_t/dt tensor Id_k)(probe),
     the right derivative is (Kato, Perturbation Theory, ch. II)
@@ -423,15 +406,39 @@ def _norm_rderiv(fam, chain: tuple, s: int, ts, k: int):
 
     The output blocks of each point are read off Lambda_t's output entries
     alone (its derivative can link blocks that Lambda_t keeps apart, as at
-    t3): one 3 x 3 block in stage 1, three 1 x 1 blocks on [t1, t3] after
-    the complete dephasing E1, and span{|0>, |1>} plus |2> in stage 4 (only
-    |0> and |2> at t3, where the ket is |1>), each tensored with the
-    ancilla.  A row's result depends on no other point or probe, so the
-    batching moves no result.
+    t3): one 3 x 3 block in stage 1, a view of the whole X; three 1 x 1
+    blocks on [t1, t3] after the complete dephasing E1, blended from the
+    applies' diagonal blocks; and span{|0>, |1>} plus |2> in stage 4 (only
+    |0>, |1> and |2> at t3, where the ket is |1>), each tensored with the
+    ancilla.  Whole X and Xdot on stages 2-4 are built only at the points
+    of rows that take eigh.  A row's result depends on no other point or
+    probe, so the batching moves no result.
     """
-    X, support = _stage_images(chain, s, ts, fam.params, False)
-    Xdot, moving = _stage_images(chain, s, ts, fam.params, True)
-    return _block_norm_rderiv(X, Xdot, _pair_codes(support), k, ~moving.any(axis=(1, 2)))
+    whole, diagonal = chain
+    ts = np.asarray(ts, dtype=float)
+
+    def images(source, at=slice(None)):
+        return [_stage_images(source, s, ts[at], fam.params, dot) for dot in (False, True)]
+
+    (X, support), (Xdot, moving) = images(whole if s == 0 else diagonal)
+
+    def blocks(code, at):
+        B, Bdot = X[at], Xdot[at]
+        if s == 0:  # one block spans the matrix
+            return ((B[:, None], Bdot[:, None]),)
+        if s < 3:  # the three diagonal blocks
+            return ((B, Bdot),)
+        if code == 0:  # (0, 0), (1, 1) and (2, 2) of the five stage-4 blocks
+            return ((B[:, [0, 3, 4]], Bdot[:, [0, 3, 4]]),)
+        points, q = len(B), B.shape[2]  # span{|0>, |1>} from (0, 0), (1, 0), (0, 1), (1, 1)
+        pair = [E[:, :4].reshape(points, 2, 2, q, k, k).transpose(0, 3, 2, 4, 1, 5)
+                .reshape(points, 1, q, 2 * k, 2 * k) for E in (B, Bdot)]
+        return (B[:, 4:], Bdot[:, 4:]), tuple(pair)
+
+    def full(points):
+        return (X[points], Xdot[points]) if s == 0 else [x for x, _ in images(whole, points)]
+
+    return _block_norm_rderiv(_pair_codes(support), blocks, full, ~moving.any(axis=(1, 2)))
 
 
 def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:

@@ -86,9 +86,10 @@ def cp_divisibility_scan(family, grid) -> np.recarray:
     verdict in {"CP", "not-CP", "undefined-off-image"}.  The not-CP verdict
     on rank-deficient intervals refers to the completion; the forcing
     witness is the extension-independent certificate.  ``family`` is read
-    only through ``family.stack(ts)``, once per grid point, and the
-    intervals go in batches of GRID_CHUNK through one SVD, pinv and Choi
-    eigvalsh each; the batching does not change any result.
+    only through ``family.stack(ts)``, once per grid point, which must give
+    one dtype for every ``ts`` (a change is refused), and the intervals go
+    in batches of GRID_CHUNK through one SVD, pinv and Choi eigvalsh each;
+    the batching does not change any result.
     """
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -99,6 +100,8 @@ def cp_divisibility_scan(family, grid) -> np.recarray:
     for i in range(0, n, GRID_CHUNK):
         stop = min(i + GRID_CHUNK, n)
         fresh = family.stack(grid[i + (maps is not None):stop + 1])
+        if maps is not None and fresh.dtype != maps.dtype:
+            raise OperandError(f"family.stack gave {maps.dtype}, then {fresh.dtype}")
         # the previous batch's last map heads the next one
         maps = fresh if maps is None else np.concatenate([maps[-1:], fresh])
         V, residual[i:stop], definedness[i:stop] = _intermediate_maps(maps[:-1], maps[1:])

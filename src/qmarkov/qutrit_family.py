@@ -269,29 +269,40 @@ def _stages(ts, params: MapParams, left: bool = False) -> np.ndarray:
     return np.searchsorted((params.t1, params.t2, params.t3), ts, "left" if left else "right")
 
 
+def _diagonal_blocks(A: np.ndarray) -> np.ndarray:
+    """The diagonal k x k blocks of a stack A (q, 3k, 3k), system-major, as
+    a fresh (3, q, k, k) array: [i, probe, a, b] = A[probe, ik + a, ik + b]."""
+    q, n = A.shape[:2]
+    return A.reshape(q, 3, n // 3, 3, n // 3)[:, [0, 1, 2], :, [0, 1, 2]]
+
+
 def _stage_images(chain, s: int, ts, params: MapParams, dot: bool):
     """(Lambda_t tensor Id_k)(A), or (d Lambda_t / dt tensor Id_k)(A) with
     ``dot``, at the points ``ts`` of stage s (0..3, as ``_stages`` assigns),
     from the images A_j = (P_j tensor Id_k)(A) of a stack A under the chain
-    maps: ``chain`` holds four (q, 3k, 3k) stacks, system-major.  Returns a
-    fresh (points, q, 3k, 3k) array and the (points, 3, 3) mask of the output
-    entries |i><j| that the map, or its derivative, can make nonzero; all
-    others are exactly 0.
+    maps, and the (points, 3, 3) mask of the output entries |i><j| that the
+    map, or its derivative, can make nonzero; all others are exactly 0.
+    ``chain`` holds four (q, 3k, 3k) stacks, system-major, for the whole
+    output (points, q, 3k, 3k), or their diagonal blocks (``_diagonal_blocks``)
+    for the output blocks |i><j| tensor C^(k x k) the scan reads: the
+    diagonal ones on stages 2 and 3, (points, 3, q, k, k), and on stage 4
+    (points, 5, q, k, k) for (i, j) = (0, 0), (1, 0), (0, 1), (1, 1), (2, 2).
 
     Stage i <= 3 is the blend w P_{i-1} + (1 - w) P_i (``_blend``), one row
     per point over the flattened images, so both sides of t1 and t2 read the
     same chain entry and no point's entries depend on the others.  Stage 4
     is Gamma^(4) after P3, which reads only the |0><0| and |1><1| blocks of
-    A_3: per point, one matmul of Gamma^(4)'s two nonzero columns by those
-    blocks.  A derivative is multiplied by 1 / length of its stage, on
-    stage 4 before P3: at delta = 110 the product's subnormals round
-    otherwise.  That rounds every finite entry as numpy's complex division
-    by length does (the reciprocal times each part), so a real map and the
-    complex images of the scan read the same bits."""
+    A_3: per point, one matmul of Gamma^(4)'s two nonzero columns, or of
+    their five rows that can be nonzero, by those blocks.  A derivative is
+    multiplied by 1 / length of its stage, on stage 4 before P3: at delta =
+    110 the product's subnormals round otherwise.  That rounds every finite
+    entry as numpy's complex division by length does (the reciprocal times
+    each part), so a real map and the complex images of the scan read the
+    same bits."""
     starts = (0.0, params.t1, params.t2, params.t3, params.t4)
     length = starts[s + 1] - starts[s]
     taus = ((np.asarray(ts, dtype=float) - starts[s]) / length).tolist()
-    points, (q, n) = len(taus), chain[0].shape[:2]
+    points = len(taus)
     if s < 3:
         w = _weights(s + 1, taus, dot).reshape(-1, 1)
         out = _blend(w, chain[s].reshape(1, -1), chain[s + 1].reshape(1, -1), dot)
@@ -299,15 +310,19 @@ def _stage_images(chain, s: int, ts, params: MapParams, dot: bool):
             out *= 1.0 / length
         support = (_BLEND_SUPPORT[s] & (w != 0)[:, :, None] if dot
                    else _BLEND_SUPPORT[s][None].repeat(points, axis=0))
-        return out.reshape(points, q, n, n), support
+        return out.reshape(points, *chain[s].shape), support
     factor = _gammas(4, taus, params, dot)[:, :, [0, 4]]  # the columns of x00 and x11
     if dot:
         factor *= 1.0 / length
-    k = n // 3
-    Y = chain[3].reshape(q, 3, k, 3, k)[:, [0, 1], :, [0, 1]]  # (2, q, k, k)
-    out = (factor @ Y.reshape(2, -1)).reshape(points, 3, 3, q, k, k)  # [point, j, i]: 3j + i
     support = np.swapaxes(factor.any(axis=-1).reshape(points, 3, 3), 1, 2)
-    return out.transpose(0, 3, 2, 4, 1, 5).reshape(points, q, n, n), support
+    whole = chain[3].ndim == 3
+    Y = (_diagonal_blocks(chain[3]) if whole else chain[3])[:2]  # (2, q, k, k)
+    if not whole:  # rows 3j + i of the five blocks above
+        out = factor[:, [0, 1, 3, 4, 8]] @ Y.reshape(2, -1)
+        return out.reshape(points, 5, *Y.shape[1:]), support
+    q, k = Y.shape[1:3]
+    out = (factor @ Y.reshape(2, -1)).reshape(points, 3, 3, q, k, k)  # [point, j, i]: 3j + i
+    return out.transpose(0, 3, 2, 4, 1, 5).reshape(points, q, 3 * k, 3 * k), support
 
 
 def _lambda_stack(ts, params: MapParams, dot: bool, left: bool = False) -> np.ndarray:

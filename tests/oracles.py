@@ -1,8 +1,9 @@
 """Test-only oracles: a Richardson finite-difference right derivative, a
-full matrix evaluation of the closed-form norm, the scan's block kernel as
-it was written, with a sort, Lambda_t as it was written, each stage's
-Gamma^(i) followed by a matmul by its prefix map, and the scan's batches as
-they were written, from a map stack per batch.
+full matrix evaluation of the closed-form norm, the scan's output blocks
+gathered from whole X and Xdot as the block kernel once took them, the
+block kernel as it was written, with a sort, Lambda_t as it was written,
+each stage's Gamma^(i) followed by a matmul by its prefix map, and the
+scan's batches as they were written, from a map stack per batch.
 
 The package computes these quantities exactly (Kato's formula in the scan,
 the closed forms in ``contractivity``); the tests check it against these
@@ -17,9 +18,8 @@ import math
 import numpy as np
 
 from qmarkov import qutrit_family
-from qmarkov.contractivity import (SCAN_CHUNK_ENTRIES, _block_entries, _block_norm_rderiv,
-                                   _eigh_norm_rderiv, _eigh_spectrum, _pair_spectrum,
-                                   _triple_spectrum)
+from qmarkov.contractivity import (SCAN_CHUNK_ENTRIES, _block_norm_rderiv, _eigh_norm_rderiv,
+                                   _eigh_spectrum, _pair_spectrum, _triple_spectrum)
 from qmarkov.operators import OperandError, trace_norm
 from qmarkov.qutrit_family import (E1, E2_E1, E3_E2_E1, RHO_A, RHO_B, MapParams,
                                    gamma_family, make_E, rate_f, rate_g)
@@ -70,6 +70,41 @@ def gamma4_norm_numeric(lam: float, tau: float, theta: float) -> float:
     return trace_norm(gamma_family(4, tau, params).apply(RHO_A - lam * RHO_B))
 
 
+@functools.lru_cache(maxsize=None)
+def block_entries(code, k):
+    """The output blocks of Lambda_t tensor Id_k for an output code, as
+    ((size, rows, cols), ...): X[..., rows, cols] of an operator stack
+    (..., 3k, 3k) is the stack (..., blocks, size, size) of its size x size
+    blocks, one per qutrit block B, which spans B tensor C^k.  Two linked
+    pairs join all three levels in one block."""
+    linked = [pair for bit, pair in enumerate([(0, 1), (0, 2), (1, 2)]) if code >> bit & 1]
+    if len(linked) > 1:
+        blocks = [(0, 1, 2)]
+    elif linked:
+        blocks = [linked[0], (3 - sum(linked[0]),)]
+    else:
+        blocks = [(0,), (1,), (2,)]
+    by_size = {}
+    for block in blocks:
+        q = [i * k + a for i in block for a in range(k)]
+        by_size.setdefault(len(q), []).append(q)
+    return tuple((size, np.array(qs)[:, :, None], np.array(qs)[:, None, :])
+                 for size, qs in sorted(by_size.items()))
+
+
+def block_norm_rderiv_whole(X, Xdot, codes, k, still=None):
+    """``contractivity._block_norm_rderiv`` on whole stacks X, Xdot (points,
+    probes, 3k, 3k), as the kernel read them before it took blocks: each
+    code's blocks gathered from X and Xdot (``block_entries``), and the
+    whole rows at the points the kernel asks for."""
+    def blocks(code, at):
+        return tuple((np.moveaxis(X[at][..., rows, cols], 2, 1),
+                      np.moveaxis(Xdot[at][..., rows, cols], 2, 1))
+                     for _, rows, cols in block_entries(code, k))
+
+    return _block_norm_rderiv(codes, blocks, lambda points: (X[points], Xdot[points]), still)
+
+
 def block_norm_rderiv_sorted(X, Xdot, codes, k):
     """``contractivity._block_norm_rderiv`` as it was written: each row's block
     values concatenated, argsorted and gathered, then reduced along the
@@ -82,7 +117,7 @@ def block_norm_rderiv_sorted(X, Xdot, codes, k):
         Xg, Xdotg = X[at], Xdot[at]
         lam, rates = [], []
         with np.errstate(all="ignore"):
-            for size, rows, cols in _block_entries(code, k):
+            for size, rows, cols in block_entries(code, k):
                 B, Bdot = Xg[..., rows, cols], Xdotg[..., rows, cols]
                 if size == 1:
                     values = B[..., 0, 0].real, Bdot[..., 0, 0].real
@@ -185,7 +220,7 @@ def norm_rderiv_by_maps(fam, stack, ts, k):
     maps = fam.stack(ts)
     X, codes = apply_to_extended(maps, stack, k), output_codes(maps)
     Xdot = apply_to_extended(fam.dot_stack(ts), stack, k)
-    return _block_norm_rderiv(X, Xdot, codes, k)
+    return block_norm_rderiv_whole(X, Xdot, codes, k)
 
 
 def scan_by_maps(fam, stack, grid, k):

@@ -13,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmarkov.contractivity import (_block_entries, _block_norm_rderiv, _chain_applies,
-                                   _eigh_norm_rderiv, _norm_rderiv, _pair_codes,
-                                   _triple_spectrum, norm_derivative_scan)
+from qmarkov import contractivity
+from qmarkov.contractivity import (_chain_applies, _eigh_norm_rderiv, _norm_rderiv,
+                                   _pair_codes, _triple_spectrum, norm_derivative_scan)
 from qmarkov.divisibility import RESIDUAL_TOL, _intermediate_maps
 from qmarkov.operators import ProbeSet, random_probes
 from qmarkov.qutrit_family import MapParams, _stage_images, _stages, family
@@ -23,7 +23,8 @@ from qmarkov.superops import apply_to_extended
 from qmarkov.tolerances import (KERNEL_CUTOFF, RANK_CUTOFF, TOL_DERIV, TRIPLE_FLOOR,
                                 TRIPLE_GAP)
 
-from oracles import block_norm_rderiv_sorted, output_codes
+from oracles import (block_entries, block_norm_rderiv_sorted, block_norm_rderiv_whole,
+                     output_codes)
 
 
 def _probes_by_loop(dim, count, seed):
@@ -129,8 +130,8 @@ def _chain_operators(params, stack, grid, k):
     stages, parts = _stages(grid, params), []
     for s in sorted(set(stages.tolist())):
         ts = grid[stages == s]
-        X, support = _stage_images(chain, s, ts, params, False)
-        Xdot, _ = _stage_images(chain, s, ts, params, True)
+        X, support = _stage_images(chain[0], s, ts, params, False)
+        Xdot, _ = _stage_images(chain[0], s, ts, params, True)
         parts.append((X, Xdot, _pair_codes(support),
                       *_norm_rderiv(family(params), chain, s, ts, k)))
     return tuple(np.concatenate(column) for column in zip(*parts))
@@ -208,7 +209,7 @@ def test_shortcut_matches_eigh_on_signed_zeros_and_ties(diag, rates):
     X = np.zeros((1, len(diag), 3, 3), dtype=complex)
     X[0, :, [0, 1, 2], [0, 1, 2]] = diag.T
     Xdot = rates[None, :len(diag)].astype(complex)
-    _assert_same_bits(_block_norm_rderiv(X, Xdot, np.array([0]), 1),
+    _assert_same_bits(block_norm_rderiv_whole(X, Xdot, np.array([0]), 1),
                       _eigh_norm_rderiv(X, Xdot))
 
 
@@ -316,7 +317,7 @@ def _outcomes(X, Xdot, codes, k):
             return [a.tobytes() for a in kernel(X, Xdot, codes, k)]
         except np.linalg.LinAlgError as err:
             return type(err)
-    return run(_block_norm_rderiv), run(block_norm_rderiv_sorted)
+    return run(block_norm_rderiv_whole), run(block_norm_rderiv_sorted)
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,6 +336,96 @@ def test_block_kernel_keeps_the_sorted_kernels_bits(scan):
     assert got == expected
 
 
+def _stage_grid(params):
+    """0, the junctions t1..t4, three points inside each stage, t3 + 1e-3
+    (where s = tau^delta underflows to 0 at delta = 110, so stage 4 reads
+    diagonal output past t3 too) and points near the end of stage 2, where
+    rows have kernel eigenvalues."""
+    starts = [0.0, params.t1, params.t2, params.t3, params.t4]
+    inside = [a + u * (b - a) for a, b in zip(starts, starts[1:]) for u in (0.1, 0.45, 0.8)]
+    end = [params.t1 + u * (params.t2 - params.t1) for u in (0.97, 0.99, 0.995)]
+    return sorted({*starts, *inside, *end, params.t3 + 1e-3})
+
+
+def _assert_block_first_bits(params, stack, grid, k):
+    """Each stage's batch of the scan (``_norm_rderiv``, built from output
+    blocks) against the kernel on the whole X and Xdot of the same chain:
+    every row bit-equal to the kernel's whole-matrix form, and every row
+    where Xdot is not 0 bit-equal to the sort-based kernel, which knows no
+    zero-derivative rows.  Returns the output codes of stage 4 and the
+    number of the scan's rows that took eigh, by stage."""
+    chain, grid = _chain_applies(stack, k), np.asarray(grid, dtype=float)
+    stages, stage4_codes, eigh_rows = _stages(grid, params), set(), {}
+    for s in sorted(set(stages.tolist())):
+        ts = grid[stages == s]
+        (X, support), (Xdot, moving) = (_stage_images(chain[0], s, ts, params, dot)
+                                        for dot in (False, True))
+        codes, still = _pair_codes(support), ~moving.any(axis=(1, 2))
+        rows = {}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            eigh_rows[s] = sum(_eigh_matrices(monkeypatch, lambda: rows.update(
+                got=_norm_rderiv(family(params), chain, s, ts, k))).values())
+        whole = block_norm_rderiv_whole(X, Xdot, codes, k, still)
+        by_sort = block_norm_rderiv_sorted(X, Xdot, codes, k)
+        for got, a, b in zip(rows["got"], whole, by_sort):
+            assert np.array_equal(got.view(np.uint64), a.view(np.uint64))
+            assert np.array_equal(got[~still].view(np.uint64), b[~still].view(np.uint64))
+        if s == 3:
+            stage4_codes = set(codes.tolist())
+    return stage4_codes, eigh_rows
+
+
+@pytest.mark.parametrize("times", [{}, {"t1": 0.7, "t2": 1.9, "t3": 2.3, "t4": 5.1}],
+                         ids=["unit", "stretched"])
+@pytest.mark.parametrize("delta", [1.0, 1.05, 110.0])
+@pytest.mark.parametrize("theta", [1.5, math.pi / 2, 1.6], ids=["1.5", "pi/2", "1.6"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_first_rows_bit_equal_to_the_whole_matrix_kernel(k, theta, delta, times):
+    """In every stage, at the junctions and at both stage-4 output codes
+    (diagonal at t3, where the ket is |1>), the rows the scan reads off
+    output blocks blended or multiplied from the applies' diagonal blocks
+    are bit-equal to the kernel on the whole X and Xdot."""
+    params = MapParams(theta=theta, delta=delta, **times)
+    stack = np.concatenate([random_probes(3 * k, 6, 7).probes,
+                            np.zeros((1, 3 * k, 3 * k), dtype=complex)])
+    codes, _ = _assert_block_first_bits(params, stack, _stage_grid(params), k)
+    assert codes == {0, 1}
+
+
+def test_block_first_rows_bit_equal_where_stage_2_takes_eigh():
+    """On grid-heavy's 2-probe, 1000-point scan 16 rows take the whole eigh,
+    all in stage 2 at t = 1.968 and later, and every row reads the same bits."""
+    grid = np.linspace(0.0, 4.0, 1000, endpoint=False)
+    _, eigh_rows = _assert_block_first_bits(MapParams(), random_probes(3, 2, 1).probes, grid, 1)
+    assert eigh_rows == {0: 0, 1: 16, 2: 0, 3: 0}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_whole_images_only_where_rows_take_eigh(monkeypatch, k):
+    """On stages 2-4 a batch builds the output blocks only, and whole
+    (points, probes, 3k, 3k) images only at the points of rows that take
+    eigh: none in a batch inside stages 2, 3 and 4, and only t = 1.98 in a
+    batch with it, where every row of the default probes has a kernel
+    eigenvalue."""
+    built, stage_images = [], contractivity._stage_images
+
+    def spy(chain, s, ts, params, dot):
+        out = stage_images(chain, s, ts, params, dot)
+        built.append((s, np.asarray(ts).tolist(), out[0].shape))
+        return out
+
+    monkeypatch.setattr(contractivity, "_stage_images", spy)
+    fam, n = family(), 3 * k
+    chain = _chain_applies(random_probes(n, 200, 20210907).probes, k)
+    for s, ts in ((1, [1.2, 1.5, 1.9]), (2, [2.1, 2.5, 2.9]), (3, [3.1, 3.5, 3.9]),
+                  (1, [1.5, 1.7, 1.98])):
+        built.clear()
+        _norm_rderiv(fam, chain, s, ts, k)
+        whole = [(at, shape) for _, at, shape in built if shape[-2:] == (n, n)]
+        assert len(built) == 2 + len(whole)
+        assert whole == ([] if ts[-1] != 1.98 else [([1.98], (1, 200, n, n))] * 2)
+
+
 def _constructed_rows(code, k):
     """Rows (1, 7, 3k, 3k) of X block diagonal for the output ``code``, with
     a full Hermitian Xdot: a random row, two negative definite rows with
@@ -344,7 +435,7 @@ def _constructed_rows(code, k):
     rng = np.random.default_rng(31 * code + k)
     n = 3 * k
     inside = np.zeros((n, n), dtype=bool)
-    for _, rows, cols in _block_entries(code, k):
+    for _, rows, cols in block_entries(code, k):
         inside[rows, cols] = True
     g = rng.standard_normal((2, 7, n, n)) + 1j * rng.standard_normal((2, 7, n, n))
     g = g + np.conj(np.swapaxes(g, -1, -2))
@@ -400,7 +491,7 @@ def _assert_second_row_takes_eigh(monkeypatch, X, Xdot, code):
     to rounding."""
     rows = {}
     assert _eigh_matrices(monkeypatch, lambda: rows.update(
-        got=_block_norm_rderiv(X, Xdot, np.array([code]), 1))) == {3: 1}
+        got=block_norm_rderiv_whole(X, Xdot, np.array([code]), 1))) == {3: 1}
     expected = _eigh_norm_rderiv(X, Xdot)
     _assert_close(rows["got"], expected)
     _assert_same_bits([v[:, 1] for v in rows["got"]], [v[:, 1] for v in expected])
@@ -429,7 +520,7 @@ def _assert_row_takes_eigh(monkeypatch, X, Xdot, code):
     to eigh, and gives its bits (or its error)."""
     rows = {}
     assert _eigh_matrices(monkeypatch, lambda: rows.update(
-        got=_outcome(lambda: _block_norm_rderiv(X, Xdot, np.array([code]), 1)))) == {3: 1}
+        got=_outcome(lambda: block_norm_rderiv_whole(X, Xdot, np.array([code]), 1)))) == {3: 1}
     got, expected = rows["got"], _outcome(lambda: _eigh_norm_rderiv(X, Xdot))
     if isinstance(expected, type):
         assert got is expected
@@ -463,7 +554,7 @@ def test_non_finite_rates_take_eigh(monkeypatch):
     Xdot[0, 0, 0, 1] = np.nan
     rows = {}
     assert _eigh_matrices(monkeypatch, lambda: rows.update(
-        got=_block_norm_rderiv(X, Xdot, np.array([1]), 1))) == {3: 1}
+        got=block_norm_rderiv_whole(X, Xdot, np.array([1]), 1))) == {3: 1}
     for a, b in zip(rows["got"], _eigh_norm_rderiv(X, Xdot)):
         assert np.array_equal(a, b, equal_nan=True)
 

@@ -399,7 +399,7 @@ class TestScanOnTheChain:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         rows = norm_derivative_scan(family(), ProbeSet(probes=(probe,), seed=SEED),
                                     [1.0], k=3).rows
-        assert calls == [(1, 1, 9, 9)]
+        assert calls == [(1, 9, 9)]
         assert rows.rderiv[0] == 0.0 and not np.signbit(rows.rderiv[0])
         assert rows.norm[0] == trace_norm(probe)
 

@@ -423,9 +423,9 @@ class TestStackCallers:
             batches.append((s, list(ts)))
             return batch(fam, chain, s, ts, k)
 
-        def block_counting(X, *args):
-            kernel.append(len(X))
-            return block(X, *args)
+        def block_counting(codes, *args):
+            kernel.append(len(codes))
+            return block(codes, *args)
 
         monkeypatch.setattr(contractivity, "_norm_rderiv", batch_counting)
         monkeypatch.setattr(contractivity, "_block_norm_rderiv", block_counting)
