@@ -305,8 +305,8 @@ def _block_norm_rderiv(codes: np.ndarray, blocks, full, still: np.ndarray | None
     exactly where Lambda_t's output rows are.  ``blocks(code, at)`` gives the
     blocks at the points ``at`` of a code, a pair (B, Bdot) of stacks
     (points, blocks, probes, size, size) per block size, ascending, and
-    ``full(points)`` the whole X and Xdot (points, probes, 3k, 3k), which
-    the kernel asks for only at the points of rows that take eigh.
+    ``full(points)`` the whole X and Xdot (points, probes, 3k, 3k), asked
+    for only at the points (an index, or all) of rows that take eigh.
 
     Per block the eigenvalues and Kato rates <v_i|Xdot|v_i> are read off the
     diagonal (1 x 1), in closed form (2 x 2, ``_pair_spectrum``; 3 x 3,
@@ -372,7 +372,8 @@ def _block_norm_rderiv(codes: np.ndarray, blocks, full, still: np.ndarray | None
             slow[at] = ~fast
     if slow.any():
         points = slow.any(axis=1)
-        X, Xdot = full(np.flatnonzero(points))
+        points = slice(None) if points.all() else np.flatnonzero(points)
+        X, Xdot = full(points)
         norm[slow], rderiv[slow] = _eigh_norm_rderiv(X[slow[points]], Xdot[slow[points]])
     return norm, rderiv
 
@@ -430,9 +431,8 @@ def _norm_rderiv(fam, chain: tuple, s: int, ts, k: int):
             return ((B, Bdot),)
         if code == 0:  # (0, 0), (1, 1) and (2, 2) of the five stage-4 blocks
             return ((B[:, [0, 3, 4]], Bdot[:, [0, 3, 4]]),)
-        points, q = len(B), B.shape[2]  # span{|0>, |1>} from (0, 0), (1, 0), (0, 1), (1, 1)
-        pair = [E[:, :4].reshape(points, 2, 2, q, k, k).transpose(0, 3, 2, 4, 1, 5)
-                .reshape(points, 1, q, 2 * k, 2 * k) for E in (B, Bdot)]
+        pair = [E[:, :4].reshape(len(E), 2, 2, -1, k, k).transpose(0, 3, 2, 4, 1, 5)
+                .reshape(len(E), 1, -1, 2 * k, 2 * k) for E in (B, Bdot)]  # span{|0>, |1>}
         return (B[:, 4:], Bdot[:, 4:]), tuple(pair)
 
     def full(points):
