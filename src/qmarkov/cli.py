@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -251,6 +252,7 @@ SUBCOMMANDS = (
 )
 
 
+@functools.cache  # one parser per process, built by the first main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qmarkov",
                                      description="dynamical-map certification toolkit")

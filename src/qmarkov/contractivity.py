@@ -457,8 +457,8 @@ def norm_derivative_scan(fam, probes: ProbeSet, grid, k: int = 1) -> ScanReport:
     bit of a result.  Rows are sorted by (probe, t); a row reads "ok" only
     where its right derivative is at most TOL_DERIV, so a NaN row fails.
     """
-    grid = list(grid)
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    if not grid.size or (grid[1:] <= grid[:-1]).any():  # NaN is left to _stages
         raise OperandError("grid must be non-empty and ascending")
     if k < 1:
         raise OperandError("k must be >= 1")

@@ -91,8 +91,8 @@ def cp_divisibility_scan(family, grid) -> np.recarray:
     in batches of GRID_CHUNK through one SVD, pinv and Choi eigvalsh each;
     the batching does not change any result.
     """
-    grid = list(grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    if (grid[1:] <= grid[:-1]).any():  # NaN is left to family.stack
         raise OperandError("grid must be ascending")
     n = max(len(grid) - 1, 0)
     residual, lowest, definedness = np.empty(n), np.empty(n), np.empty(n, dtype="U16")
@@ -108,8 +108,7 @@ def cp_divisibility_scan(family, grid) -> np.recarray:
         lowest[i:stop] = choi_min_eigenvalue(V)
     inconsistent = definedness == "inconsistent"
     return np.rec.fromarrays(
-        [np.array(grid[:-1], dtype=float), np.array(grid[1:], dtype=float), definedness,
-         residual, np.where(inconsistent, np.nan, lowest),
+        [grid[:-1], grid[1:], definedness, residual, np.where(inconsistent, np.nan, lowest),
          np.where(inconsistent, "undefined-off-image",
                   np.where(lowest >= -TOL_PSD, "CP", "not-CP"))],
         names=("s", "t", "definedness", "residual", "choi_min_eig", "verdict"))

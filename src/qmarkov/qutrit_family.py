@@ -47,29 +47,32 @@ def rotated_ket(angle: float) -> np.ndarray:
     return np.array([math.sin(angle), math.cos(angle), 0.0], dtype=complex)
 
 
-def _check_tau(tau: float) -> None:
-    if not 0.0 <= tau <= 1.0:
+def _taus(tau) -> np.ndarray:
+    tau = np.asarray(tau, dtype=float)
+    if not ((tau >= 0.0) & (tau <= 1.0)).all():  # NaN is outside
         raise OperandError("tau must lie in [0, 1]")
+    return tau
 
 
-def rate_f(tau: float) -> float:
-    """Rate of the second and third families, f(tau) = tau^2 / (1 - tau).
-
-    f diverges at tau = 1, which drives both families to their tau = 1
-    limits exactly.
-    """
-    _check_tau(tau)
-    if tau == 1.0:
-        return math.inf
-    return tau * tau / (1.0 - tau)
+def _libm(func, x: np.ndarray, *args) -> np.ndarray:
+    """func(value, *args) per value of ``x``, one ``math`` call each: numpy's
+    own exp, log1p and power differ from libm in the last bit."""
+    values = map(func, x.ravel().tolist(), *([arg] * x.size for arg in args))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
 
 
-def rate_g(tau: float) -> float:
-    """Integrated dephasing rate g(tau) = -ln(1 - tau) of gamma(s) = 1/(1 - s)."""
-    _check_tau(tau)
-    if tau == 1.0:
-        return math.inf
-    return -math.log1p(-tau)
+def rate_f(tau):
+    """f(tau) = tau^2 / (1 - tau), the rate of families 2 and 3, at a tau or each tau of
+    an array; it diverges at tau = 1, which takes both exactly to their tau = 1 limits."""
+    tau = _taus(tau)
+    with np.errstate(divide="ignore"):  # 1 / 0 = inf at tau = 1
+        return tau * tau / (1.0 - tau)
+
+
+def rate_g(tau):
+    """g(tau) = -ln(1 - tau), the integrated rate of gamma(s) = 1/(1 - s), as ``rate_f``."""
+    tau = _taus(tau)
+    return np.where(tau < 1.0, -_libm(math.log1p, np.where(tau < 1.0, -tau, 0.0)), math.inf)[()]
 
 
 # The theta window [sqrt(2), pi/2] of monotone trace-norm contractivity.
@@ -167,22 +170,22 @@ def dephasing_generator() -> SuperOp:
     return SuperOp(sum(np.kron(D.conj(), D) for D in (D1, D2, D3)) - 3.0 * np.eye(9))
 
 
-def _weights(i: int, taus: list, dot: bool) -> np.ndarray:
+def _weights(i: int, taus: np.ndarray, dot: bool) -> np.ndarray:
     """The weight w of Gamma^(i)_tau = w Id + (1 - w) E_i for i <= 3, or
-    dw/dtau with ``dot``, at each tau of ``taus``: a (len(taus), 1, 1) column
-    of scalar libm values, each 0 at tau = 1, where Gamma^(i) is E_i exactly.
+    dw/dtau with ``dot``, at each tau of ``taus``: a (len(taus), 1, 1) column,
+    each 0 at tau = 1 (exp(-inf) = 0), where Gamma^(i) is E_i exactly.
     Stage 1 has this form because L0 = 4 (E1 - Id), so exp(g L0) =
     exp(-4g) Id + (1 - exp(-4g)) E1, with exp(-4 g(tau)) = (1 - tau)^4.
     Stages 2 and 3 weigh Id by exp(-f); f' exp(-f) -> 0 as f diverges."""
-    if i == 1:
-        w = ([-4.0 * (1.0 - tau) ** 3 for tau in taus] if dot else
-             [0.0 if math.isinf(g) else math.exp(-4.0 * g) for g in map(rate_g, taus)])
-    elif dot:
-        w = [0.0 if math.isinf(f) else -(tau * (2.0 - tau) / (1.0 - tau) ** 2) * math.exp(-f)
-             for tau, f in zip(taus, map(rate_f, taus))]
-    else:
-        w = [0.0 if math.isinf(f) else math.exp(-f) for f in map(rate_f, taus)]
-    return np.array(w)[:, None, None]
+    if i == 1 and dot:
+        return -4.0 * _libm(math.pow, 1.0 - taus, 3.0)[:, None, None]
+    f = 4.0 * rate_g(taus) if i == 1 else rate_f(taus)
+    w = _libm(math.exp, -f)
+    if dot:
+        with np.errstate(divide="ignore", invalid="ignore"):  # -inf * 0 at tau = 1
+            w = np.where(np.isinf(f), 0.0,
+                         -(taus * (2.0 - taus) / _libm(math.pow, 1.0 - taus, 2.0)) * w)
+    return w[:, None, None]
 
 
 def _blend(w: np.ndarray, start: np.ndarray, end: np.ndarray, dot: bool) -> np.ndarray:
@@ -216,10 +219,10 @@ def _vec_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (b[:, :, None] * a[:, None, :] + 0.0).reshape(-1, 9)
 
 
-def _gammas(i: int, taus: list, params: MapParams, dot: bool) -> np.ndarray:
+def _gammas(i: int, taus: np.ndarray, params: MapParams, dot: bool) -> np.ndarray:
     """Gamma^(i)_tau, or d Gamma^(i)/d tau (one-sided at 0 and 1) with ``dot``,
     at each tau of ``taus``: a fresh (len(taus), 9, 9) array, float64 for i = 4,
-    from libm coefficients per point broadcast against constant matrices."""
+    from coefficient columns (as ``_weights``) broadcast against constant matrices."""
     if i in (1, 2, 3):
         return _blend(_weights(i, taus, dot), _CHAIN[0], (E1, E2, E3)[i - 1].matrix, dot)
     if i == 4:
@@ -232,29 +235,25 @@ def _gammas(i: int, taus: list, params: MapParams, dot: bool) -> np.ndarray:
         # X -> (1 + s^2)(x00 |0><0| + x11 |psi><psi|) + (1 - s^2)(x00 + x11) |2><2|
         # with s = tau^delta and |psi> the ket rotated by theta*s.
         delta, theta = params.delta, params.theta
-        sigma = np.array([tau ** delta for tau in taus])
-        kets = np.array([(math.sin(a), math.cos(a), 0.0)  # rotated_ket(theta s)
-                         for a in (theta * sigma).tolist()])
+        sigma = _libm(math.pow, taus, delta)
+        kets = np.zeros((len(taus), 3))  # rotated_ket(theta s)
+        kets[:, 0], kets[:, 1] = _libm(math.sin, theta * sigma), _libm(math.cos, theta * sigma)
         vec_proj, up = _vec_outer(kets, kets), 1.0 + sigma * sigma
         if not dot:
             return _gamma4(up, up[:, None] * vec_proj, 1.0 - sigma * sigma)
-        # chain rule through s = tau^delta, with ds/dtau = 0 at tau = 0 for
-        # delta > 1, and d|psi>/ds = theta (cos, -sin, 0)
-        ds = [delta * tau ** (delta - 1.0) if tau > 0.0 else float(delta == 1.0)
-              for tau in taus]
-        dkets = np.zeros_like(kets)
-        dkets[:, 0], dkets[:, 1] = theta * kets[:, 1], theta * -kets[:, 0]
+        # chain rule through s = tau^delta: ds/dtau = delta tau^(delta - 1) >= 0 (at tau = 0,
+        # 1 for delta = 1, else 0) scales the nonzero entries; d|psi>/ds = theta (cos, -sin, 0)
+        ds = delta * _libm(math.pow, taus, delta - 1.0)
+        dkets = theta * kets[:, [1, 0, 2]] * [1.0, -1.0, 0.0]
         c11 = ((2.0 * sigma)[:, None] * vec_proj
                + up[:, None] * (_vec_outer(dkets, kets) + _vec_outer(kets, dkets)))
-        return np.array(ds)[:, None, None] * _gamma4(2.0 * sigma, c11, -2.0 * sigma)
+        return _gamma4(ds * (2.0 * sigma), ds[:, None] * c11, ds * (-2.0 * sigma))
     raise OperandError(f"family index must be 1..4, got {i}")
 
 
 def gamma_family(i: int, tau: float, params: MapParams | None = None) -> SuperOp:
-    """Gamma^(i)_tau for i in 1..4 and tau in [0, 1]: the one-point ``_gammas``.
-    For i <= 3 it is w Id + (1 - w) E_i with w from ``_weights``."""
-    _check_tau(tau)
-    return SuperOp(_gammas(i, [tau], params or MapParams(), False)[0])
+    """Gamma^(i)_tau for i in 1..4 and tau in [0, 1]: the one-point ``_gammas``."""
+    return SuperOp(_gammas(i, _taus([tau]), params or MapParams(), False)[0])
 
 
 def _stages(ts, params: MapParams, left: bool = False) -> np.ndarray:
@@ -301,7 +300,7 @@ def _stage_images(chain, s: int, ts, params: MapParams, dot: bool):
     same bits."""
     starts = (0.0, params.t1, params.t2, params.t3, params.t4)
     length = starts[s + 1] - starts[s]
-    taus = ((np.asarray(ts, dtype=float) - starts[s]) / length).tolist()
+    taus = (np.asarray(ts, dtype=float) - starts[s]) / length
     points = len(taus)
     if s < 3:
         w = _weights(s + 1, taus, dot).reshape(-1, 1)

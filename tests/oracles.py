@@ -2,8 +2,10 @@
 full matrix evaluation of the closed-form norm, the scan's output blocks
 gathered from whole X and Xdot as the block kernel once took them, the
 block kernel as it was written, with a sort, Lambda_t as it was written,
-each stage's Gamma^(i) followed by a matmul by its prefix map, and the
-scan's batches as they were written, from a map stack per batch.
+each stage's Gamma^(i) followed by a matmul by its prefix map, the family's
+coefficients (rates, weights, s = tau^delta, kets) one float expression per
+tau as they were written, and the scan's batches as they were written, from
+a map stack per batch.
 
 The package computes these quantities exactly (Kato's formula in the scan,
 the closed forms in ``contractivity``); the tests check it against these
@@ -22,7 +24,7 @@ from qmarkov.contractivity import (SCAN_CHUNK_ENTRIES, _block_norm_rderiv, _eigh
                                    _eigh_spectrum, _pair_spectrum, _triple_spectrum)
 from qmarkov.operators import OperandError, trace_norm
 from qmarkov.qutrit_family import (E1, E2_E1, E3_E2_E1, RHO_A, RHO_B, MapParams,
-                                   gamma_family, make_E, rate_f, rate_g)
+                                   gamma_family, make_E)
 from qmarkov.superops import apply_to_extended
 from qmarkov.tolerances import KERNEL_CUTOFF
 
@@ -149,29 +151,70 @@ def block_norm_rderiv_sorted(X, Xdot, codes, k):
     return norm, rderiv
 
 
+def rate_f_by_point(tau):
+    """f(tau) = tau^2 / (1 - tau) for one float tau, as it was written."""
+    if not 0.0 <= tau <= 1.0:
+        raise OperandError("tau must lie in [0, 1]")
+    return math.inf if tau == 1.0 else tau * tau / (1.0 - tau)
+
+
+def rate_g_by_point(tau):
+    """g(tau) = -ln(1 - tau) for one float tau, as it was written."""
+    if not 0.0 <= tau <= 1.0:
+        raise OperandError("tau must lie in [0, 1]")
+    return math.inf if tau == 1.0 else -math.log1p(-tau)
+
+
+def weights_by_point(i, taus, dot):
+    """``qutrit_family._weights`` as it was written: one float expression per
+    tau of the list ``taus``, a (len(taus), 1, 1) column."""
+    if i == 1:
+        w = ([-4.0 * (1.0 - tau) ** 3 for tau in taus] if dot else
+             [0.0 if math.isinf(g) else math.exp(-4.0 * g) for g in map(rate_g_by_point, taus)])
+    elif dot:
+        w = [0.0 if math.isinf(f) else -(tau * (2.0 - tau) / (1.0 - tau) ** 2) * math.exp(-f)
+             for tau, f in zip(taus, map(rate_f_by_point, taus))]
+    else:
+        w = [0.0 if math.isinf(f) else math.exp(-f) for f in map(rate_f_by_point, taus)]
+    return np.array(w)[:, None, None]
+
+
+def gamma4_by_point(taus, params, dot):
+    """``qutrit_family._gammas(4, ...)`` as it was written: s = tau^delta, the
+    kets and ds/dtau one float expression per tau of the list ``taus``."""
+    delta, theta = params.delta, params.theta
+    sigma = np.array([tau ** delta for tau in taus])
+    kets = np.array([(math.sin(a), math.cos(a), 0.0) for a in (theta * sigma).tolist()])
+    vec_proj, up = qutrit_family._vec_outer(kets, kets), 1.0 + sigma * sigma
+    if not dot:
+        return qutrit_family._gamma4(up, up[:, None] * vec_proj, 1.0 - sigma * sigma)
+    ds = [delta * tau ** (delta - 1.0) if tau > 0.0 else float(delta == 1.0) for tau in taus]
+    dkets = np.zeros_like(kets)
+    dkets[:, 0], dkets[:, 1] = theta * kets[:, 1], theta * -kets[:, 0]
+    c11 = ((2.0 * sigma)[:, None] * vec_proj
+           + up[:, None] * (qutrit_family._vec_outer(dkets, kets)
+                            + qutrit_family._vec_outer(kets, dkets)))
+    return np.array(ds)[:, None, None] * qutrit_family._gamma4(2.0 * sigma, c11, -2.0 * sigma)
+
+
 def _gamma_stack(i, taus, params, dot):
     """Gamma^(i) (its tau-derivative with ``dot``) at each tau of ``taus`` as
     it was written: stage 1 by index writes of its dephasing coefficient,
     stages 2 and 3 as w I + (1 - w) E_i with the package's E_i as a complex
-    array, and the package's own Gamma^(4) as a complex array, so a stage
+    array, and Gamma^(4) (``gamma4_by_point``) as a complex array, so a stage
     length divides each stage by numpy's complex division."""
     if i == 1:
-        coefficients = ([-4.0 * (1.0 - tau) ** 3 for tau in taus] if dot else
-                        [0.0 if math.isinf(g) else math.exp(-4.0 * g) for g in map(rate_g, taus)])
         m = np.zeros((len(taus), 81), dtype=complex)
-        m[:, ::10] = np.array(coefficients)[:, None]  # the matrix diagonal
+        m[:, ::10] = weights_by_point(1, taus, dot)[:, :, 0]  # the matrix diagonal
         m[:, ::40] = 0.0 if dot else 1.0  # |i><i| sits at index 4i
         return m.reshape(-1, 9, 9)
     if i == 4:
-        return qutrit_family._gammas(4, taus, params, dot).astype(complex)
-    target, fs = make_E(i).matrix.astype(complex), [rate_f(tau) for tau in taus]
+        return gamma4_by_point(taus, params, dot).astype(complex)
+    target, w = make_E(i).matrix.astype(complex), weights_by_point(i, taus, dot)
     if not dot:
-        w = np.array([0.0 if math.isinf(f) else math.exp(-f) for f in fs])[:, None, None]
         return w * np.eye(9) + (1.0 - w) * target
-    rate = [0.0 if math.isinf(f) else -(tau * (2.0 - tau) / (1.0 - tau) ** 2) * math.exp(-f)
-            for tau, f in zip(taus, fs)]
-    m = np.array(rate)[:, None, None] * (np.eye(9) - target)
-    m[np.isinf(fs)] = 0.0
+    m = w * (np.eye(9) - target)
+    m[np.isinf([rate_f_by_point(tau) for tau in taus])] = 0.0
     return m
 
 

@@ -3,8 +3,12 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,6 +430,46 @@ class TestUsage:
         assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "t4" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestOneParser:
+    """main parses every call with the one parser build_parser makes on first
+    use; no call's values or errors reach the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        first = ["scan", "--k", "2", "--theta", "1.6", "--probes", "5", "--grid", "8"]
+        assert run(first + ["--out", str(tmp_path / "first")]) in (0, 1)
+        assert run(["scan", "--probes", "5", "--grid", "8", "--out", str(tmp_path / "second")]) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "second" / "scan_summary.json").read_text())
+        assert summary["k"] == 1 and summary["theta"] == 1.5
+        assert "note" not in summary
+
+    def test_usage_error_then_a_call_reads_as_a_fresh_process(self, tmp_path, capsys):
+        argv = ["scan", "--probes", "20", "--grid", "40"]
+        assert run(["scan", "--slack", "1", "--out", str(tmp_path / "refused")]) == 2
+        assert "--slack" in capsys.readouterr().err
+        assert run(argv + ["--out", str(tmp_path / "here")]) == 0
+        here = capsys.readouterr().out
+        src = str(Path(qmarkov.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from qmarkov.cli import main; sys.exit(main())",
+             *argv, "--out", str(tmp_path / "fresh")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert fresh.returncode == 0 and fresh.stdout == here
+        assert not (tmp_path / "refused").exists()
+        assert ((tmp_path / "here" / "scan.csv").read_bytes()
+                == (tmp_path / "fresh" / "scan.csv").read_bytes())
+        summaries = [json.loads((tmp_path / side / "scan_summary.json").read_text())
+                     for side in ("here", "fresh")]
+        for summary in summaries:
+            del summary["generated_at"]
+        assert summaries[0] == summaries[1]
 
 
 def _reject_constant(name):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,8 +284,12 @@ class TestScan:
 
     def test_grid_validation(self):
         probes = random_probes(3, 2, SEED)
-        with pytest.raises(OperandError):
-            norm_derivative_scan(family(), probes, [1.0, 0.5])
+        for grid in ([1.0, 0.5], [0.5, 0.5], [], np.array([0.0, 2.0, 2.0, 3.0])):
+            with pytest.raises(OperandError, match="grid must be non-empty and ascending"):
+                norm_derivative_scan(family(), probes, grid)
+        # a NaN compares false either way: the stage split refuses it
+        with pytest.raises(OperandError, match=re.escape("t = nan outside [0, 4.0]")):
+            norm_derivative_scan(family(), probes, [0.5, math.nan, 1.0])
         with pytest.raises(OperandError):
             norm_derivative_scan(family(), probes, [0.0, 1.0], k=0)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,8 +203,13 @@ class TestCpDivisibilityScan:
                                     "choi_min_eig", "verdict")
 
     def test_grid_must_ascend(self):
-        with pytest.raises(OperandError):
-            cp_divisibility_scan(family(), [1.0, 0.5])
+        for grid in ([1.0, 0.5], [0.5, 0.5], np.array([0.0, 2.0, 2.0, 3.0])):
+            with pytest.raises(OperandError, match="grid must be ascending"):
+                cp_divisibility_scan(family(), grid)
+        # a NaN compares false either way: the family refuses it
+        with pytest.raises(OperandError, match=re.escape("t = nan outside [0, 4.0]")):
+            cp_divisibility_scan(family(), [0.5, math.nan, 1.0])
+        assert len(cp_divisibility_scan(family(), [])) == 0
 
     def test_stack_dtype_must_not_change(self):
         # float64 before t = 2 and complex from there: the first batch of 64

@@ -16,7 +16,8 @@ from qmarkov.qutrit_family import (_CHAIN, CONTRACTIVE_WINDOW, D1, D2, D3, G, RH
                                    load_params, make_E, rate_f, rate_g, rotated_ket)
 from qmarkov.tolerances import TOL_HERM, TOL_PSD
 
-from oracles import lambda_stack_prefixed
+from oracles import (gamma4_by_point, lambda_stack_prefixed, rate_f_by_point, rate_g_by_point,
+                     weights_by_point)
 
 SEED = 5
 
@@ -65,6 +66,54 @@ class TestRateFunction:
         taus = np.linspace(0.0, 0.99, 50)
         vals = [rate_f(t) for t in taus]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+# tau at 0, the smallest subnormal, 1e-300, the last float below 1 and 1,
+# a dense grid, the stage taus of grid-heavy's 1000-point grid, and 4000
+# uniform draws
+COEFFICIENT_TAUS = np.concatenate([
+    [0.0, 2.0 ** -1074, 1e-300, 1.0 - 2.0 ** -53, 1.0], np.linspace(0.0, 1.0, 2001),
+    np.linspace(0.0, 4.0, 1000) % 1.0, np.random.default_rng(SEED).random(4000)])
+
+
+class TestCoefficientBits:
+    """The coefficient columns, from numpy arithmetic and one libm call per
+    point, hold the bits of the per-tau float expressions they replace."""
+
+    def test_rates_match_the_float_expressions(self):
+        for rate, by_point in ((rate_f, rate_f_by_point), (rate_g, rate_g_by_point)):
+            column = rate(COEFFICIENT_TAUS)
+            scalars = [rate(tau) for tau in COEFFICIENT_TAUS.tolist()]
+            expected = np.array([by_point(tau) for tau in COEFFICIENT_TAUS.tolist()])
+            assert column.shape == COEFFICIENT_TAUS.shape
+            assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
+            assert np.array_equal(np.array(scalars).view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.5, math.nan, -math.inf])
+    def test_rates_refuse_tau_outside_the_unit_interval(self, bad):
+        for rate in (rate_f, rate_g):
+            with pytest.raises(OperandError, match=re.escape("tau must lie in [0, 1]")):
+                rate(bad)
+            with pytest.raises(OperandError, match=re.escape("tau must lie in [0, 1]")):
+                rate(np.array([0.0, 0.5, bad, 1.0]))
+
+    @pytest.mark.parametrize("dot", [False, True])
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_weights(self, i, dot):
+        expected = weights_by_point(i, COEFFICIENT_TAUS.tolist(), dot)
+        got = qutrit_family._weights(i, COEFFICIENT_TAUS, dot)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("dot", [False, True])
+    @pytest.mark.parametrize("delta", [1.0, 1.05, 110.0])
+    @pytest.mark.parametrize("theta", [math.sqrt(2.0), 1.5, math.pi / 2, 1.6])
+    def test_gamma4(self, theta, delta, dot):
+        params = MapParams(theta=theta, delta=delta)
+        expected = gamma4_by_point(COEFFICIENT_TAUS.tolist(), params, dot)
+        got = _gammas(4, COEFFICIENT_TAUS, params, dot)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestParams:
@@ -320,7 +369,7 @@ class TestChain:
     def test_gamma_derivative_zeros_are_positive(self):
         for i in (1, 2, 3):
             for tau in (0.0, 0.3, 1.0):
-                m = _gammas(i, [tau], MapParams(), True)[0]
+                m = _gammas(i, np.array([tau]), MapParams(), True)[0]
                 assert m.dtype == np.float64
                 assert not np.signbit(m[m == 0.0]).any()
 
@@ -329,7 +378,7 @@ class TestChain:
     def test_gamma4_ket_zeros_are_positive(self, theta):
         # column 4 above row 8 is (1 + s^2) |psi><psi| or its derivative: its
         # zeros come from the kets' 0 third entry, times cos < 0 past pi/2
-        taus = np.linspace(0.0, 1.0, 41).tolist()
+        taus = np.linspace(0.0, 1.0, 41)
         for dot in (False, True):
             column = _gammas(4, taus, MapParams(theta=theta, delta=1.05), dot)[:, :8, 4]
             assert column.dtype == np.float64
@@ -373,7 +422,7 @@ class TestContinuity:
         left = values([params.t1, params.t2, params.t3], left=True)
         starts = (0.0, params.t1, params.t2, params.t3)
         for i, (m, prefix) in enumerate(zip(left, (None, make_E(1), qutrit_family.E2_E1))):
-            gamma = _gammas(i + 1, [1.0], params, dot)[0]
+            gamma = _gammas(i + 1, np.array([1.0]), params, dot)[0]
             if dot:
                 gamma = gamma / (starts[i + 1] - starts[i])
             assert np.array_equal(m, gamma if prefix is None else gamma @ prefix.matrix)
