@@ -2,9 +2,12 @@
 
 Subcommands: ``verify`` (full certification suite), ``scan`` (contractivity
 scan), ``divisibility`` (interval verdicts + forcing witness), ``sweep``
-(theta window) and ``bounds`` (analytic bound chain).  All commands emit
-CSV data files plus a JSON summary into --out; CSV output is byte-identical
-under a fixed seed, the timestamp lives only in the JSON.
+(theta window) and ``bounds`` (analytic bound chain).  Each ``cmd_*`` writes
+its CSV data files into --out and returns ``(summary, lines)``; ``main`` alone
+writes ``<command>_summary.json``, prints the lines and exits on the summary's
+``passed``.  Under a fixed seed the CSV output is byte-identical on one
+numerics configuration (numpy's SIMD kernels, the BLAS build); under another,
+floats may differ in their last digits.  The timestamp lives only in the JSON.
 
 Exit codes: 0 pass, 1 check failure, 2 usage error.
 """
@@ -103,14 +106,13 @@ def _scan(args, k: int) -> contractivity.ScanReport:
     return contractivity.norm_derivative_scan(family(args.params), probes, grid, k=k)
 
 
-def cmd_verify(args, out: Path) -> int:
+def cmd_verify(args, out: Path) -> tuple[dict, list]:
     """The certification suite.  Its contractivity check is the k = 1 scan
     that ``scan`` runs, and ``verify_scan.csv`` holds the rows its verdict
     rests on (``ScanReport.verdict_rows``), each line the bytes of that row
     in ``scan.csv``: every failing row, or the worst row when none fails."""
     params = args.params
-    checks = {}
-    checks["continuity"] = check_continuity(params)
+    checks = {"continuity": check_continuity(params)}
     if params.delta > 1.0:
         checks["derivative-continuity"] = check_continuity(params, derivative=True)
     checks["cp-tp"] = check_cp_tp(params, args.grid)
@@ -121,90 +123,60 @@ def cmd_verify(args, out: Path) -> int:
                                "max_rderiv": report.max_rderiv,
                                "argmax_t": report.argmax_t}
     checks["contractivity-closed-form"] = check_closed_form(params)
-
     failing = [name for name, res in checks.items() if not res["passed"]]
-    summary = {
-        "command": "verify",
-        "theta": params.theta,
-        "delta": params.delta,
-        "seed": args.seed,
-        "checks": checks,
-        "failing": failing,
-        "passed": not failing,
-    }
-    _write_json(out / "verify_summary.json", summary)
-    for name in checks:
-        status = "FAIL" if name in failing else "PASS"
-        print(f"[{status}] {name}")
-    if failing:
-        print(f"verification failed: {', '.join(failing)}")
-        return 1
-    print("verification passed")
-    return 0
+    lines = [f"[{'FAIL' if name in failing else 'PASS'}] {name}" for name in checks]
+    lines.append(f"verification failed: {', '.join(failing)}" if failing
+                 else "verification passed")
+    return {"theta": params.theta, "delta": params.delta, "seed": args.seed,
+            "checks": checks, "failing": failing, "passed": not failing}, lines
 
 
-def cmd_scan(args, out: Path) -> int:
+def cmd_scan(args, out: Path) -> tuple[dict, list]:
     report = _scan(args, args.k)
     report.to_csv(out / "scan.csv")
-    summary = report.summary()
-    summary["theta"] = args.params.theta
-    summary["command"] = "scan"
+    summary = {**report.summary(), "theta": args.params.theta}
     if args.k > 1:
         summary["note"] = "exploratory — no analytic claim for k > 1"
-    _write_json(out / "scan_summary.json", summary)
-    print(f"max right-derivative {report.max_rderiv:.3e} at t={report.argmax_t}"
-          f" (probe {report.argmax_probe}); {'pass' if report.passed else 'fail'}")
-    return 0 if report.passed else 1
+    return summary, [f"max right-derivative {report.max_rderiv:.3e} at t={report.argmax_t}"
+                     f" (probe {report.argmax_probe}); {'pass' if report.passed else 'fail'}"]
 
 
-def cmd_divisibility(args, out: Path) -> int:
+def cmd_divisibility(args, out: Path) -> tuple[dict, list]:
+    """Passes on the forcing witness alone; the interval verdicts are data."""
     params = args.params
     rows = divisibility.cp_divisibility_scan(family(params),
                                              np.linspace(0.0, params.t4, args.grid))
     _write_csv(out / "divisibility.csv", rows)
     forcing = check_forcing(params)
-    summary = {"command": "divisibility", "theta": params.theta,
-               "intervals": len(rows),
-               "verdicts": {v: int(np.sum(rows.verdict == v))
-                            for v in ("CP", "not-CP", "undefined-off-image")},
-               "forcing_witness": forcing}
-    _write_json(out / "divisibility_summary.json", summary)
-    print(f"intervals: {summary['verdicts']}; witness: {forcing['status']}")
-    return 0 if forcing["passed"] else 1
+    verdicts = {v: int(np.sum(rows.verdict == v))
+                for v in ("CP", "not-CP", "undefined-off-image")}
+    return ({"theta": params.theta, "intervals": len(rows), "verdicts": verdicts,
+             "forcing_witness": forcing, "passed": forcing["passed"]},
+            [f"intervals: {verdicts}; witness: {forcing['status']}"])
 
 
-def cmd_sweep(args, out: Path) -> int:
+def cmd_sweep(args, out: Path) -> tuple[dict, list]:
+    """Passes when the clean thetas are exactly those in CONTRACTIVE_WINDOW."""
     rows = contractivity.theta_window_sweep(args.thetas, np.linspace(0.0, 1.0, 201))
     _write_csv(out / "sweep.csv",
                rows[["theta", "max_deriv", "arg_lambda", "arg_tau", "violation"]])
     clean = rows.theta[~rows.violation].tolist()
-    _write_json(out / "sweep_summary.json",
-                {"command": "sweep", "violations": rows.theta[rows.violation].tolist(),
-                 "clean": clean})
-    print(f"{len(rows) - len(clean)} of {len(rows)} thetas violate")
     low, high = CONTRACTIVE_WINDOW
-    if clean != [float(t) for t in args.thetas if low <= t <= high]:
-        print("clean thetas differ from the window [sqrt(2), pi/2]")
-        return 1
-    return 0
+    passed = clean == [float(t) for t in args.thetas if low <= t <= high]
+    lines = [f"{len(rows) - len(clean)} of {len(rows)} thetas violate"] + \
+        ([] if passed else ["clean thetas differ from the window [sqrt(2), pi/2]"])
+    return {"violations": rows.theta[rows.violation].tolist(), "clean": clean,
+            "passed": passed}, lines
 
 
-def cmd_bounds(args, out: Path) -> int:
-    params = args.params
-    result = contractivity.bound_chain_check(
-        params.theta, np.arange(0.005, 1.0 + 1e-9, 0.005))
+def cmd_bounds(args, out: Path) -> tuple[dict, list]:
+    theta = args.params.theta
+    result = contractivity.bound_chain_check(theta, np.arange(0.005, 1.0 + 1e-9, 0.005))
     _write_csv(out / "bounds.csv", result["rows"])
-    ok = result["chain_ok"] and result["lambda_monotone"] and \
-        result["polynomial_nonpositive"]
-    _write_json(out / "bounds_summary.json",
-                {"command": "bounds", "theta": params.theta,
-                 "chain_ok": result["chain_ok"],
-                 "polynomial_nonpositive": result["polynomial_nonpositive"],
-                 "lambda_monotone": result["lambda_monotone"],
-                 "singular_points_skipped": result["singular_points_skipped"],
-                 "passed": ok})
-    print(f"bound chain at theta={params.theta}: {'pass' if ok else 'fail'}")
-    return 0 if ok else 1
+    links = ("chain_ok", "polynomial_nonpositive", "lambda_monotone")
+    summary = {key: result[key] for key in ("theta",) + links + ("singular_points_skipped",)}
+    summary["passed"] = all(result[key] for key in links)
+    return summary, [f"bound chain at theta={theta}: {'pass' if summary['passed'] else 'fail'}"]
 
 
 def _ranged(cast, in_range, rule: str):
@@ -288,7 +260,10 @@ def main(argv=None) -> int:
             parser.error(f"--theta-step {args.theta_step}: {err}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return args.func(args, out)
+    summary, lines = args.func(args, out)
+    _write_json(out / f"{args.command}_summary.json", {"command": args.command, **summary})
+    print(*lines, sep="\n")
+    return 0 if summary["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -86,25 +86,20 @@ def cp_divisibility_scan(family, grid) -> np.recarray:
     verdict in {"CP", "not-CP", "undefined-off-image"}.  The not-CP verdict
     on rank-deficient intervals refers to the completion; the forcing
     witness is the extension-independent certificate.  ``family`` is read
-    only through ``family.stack(ts)``, once per grid point, which must give
-    one dtype for every ``ts`` (a change is refused), and the intervals go
-    in batches of GRID_CHUNK through one SVD, pinv and Choi eigvalsh each;
-    the batching does not change any result.
+    only through one ``family.stack(grid)`` (none for fewer than two
+    points), and the intervals go in batches of GRID_CHUNK through one SVD,
+    pinv and Choi eigvalsh each; the batching does not change any result.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if (grid[1:] <= grid[:-1]).any():  # NaN is left to family.stack
         raise OperandError("grid must be ascending")
     n = max(len(grid) - 1, 0)
     residual, lowest, definedness = np.empty(n), np.empty(n), np.empty(n, dtype="U16")
-    maps = None
+    maps = family.stack(grid) if n else None
     for i in range(0, n, GRID_CHUNK):
         stop = min(i + GRID_CHUNK, n)
-        fresh = family.stack(grid[i + (maps is not None):stop + 1])
-        if maps is not None and fresh.dtype != maps.dtype:
-            raise OperandError(f"family.stack gave {maps.dtype}, then {fresh.dtype}")
-        # the previous batch's last map heads the next one
-        maps = fresh if maps is None else np.concatenate([maps[-1:], fresh])
-        V, residual[i:stop], definedness[i:stop] = _intermediate_maps(maps[:-1], maps[1:])
+        V, residual[i:stop], definedness[i:stop] = _intermediate_maps(
+            maps[i:stop], maps[i + 1:stop + 1])
         lowest[i:stop] = choi_min_eigenvalue(V)
     inconsistent = definedness == "inconsistent"
     return np.rec.fromarrays(

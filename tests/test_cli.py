@@ -503,6 +503,55 @@ class TestStrictJson:
         json.dumps(result, allow_nan=False)
 
 
+# The key paths, dotted, of each summary that bench/oracle.py reads.
+ORACLE_KEYS = {
+    "verify": ("passed", "failing", "theta", "checks.cp-tp.min_choi_eig",
+               "checks.cp-tp.max_trace_error", "checks.divisibility.status",
+               "checks.divisibility.discrepancy", "checks.contractivity.passed",
+               "checks.contractivity.max_rderiv", "checks.contractivity.argmax_t",
+               "checks.contractivity-closed-form.max_closed_form_derivative"),
+    "scan": ("passed", "slack", "k", "max_rderiv", "argmax_t", "argmax_probe"),
+    "divisibility": ("intervals", "verdicts", "forcing_witness.status",
+                     "forcing_witness.discrepancy"),
+    "sweep": ("violations", "clean"),
+    "bounds": ("passed", "chain_ok", "polynomial_nonpositive"),
+}
+
+
+class TestResultPath:
+    """Every subcommand's summary reaches main, which alone writes it as
+    <command>_summary.json and exits on its boolean ``passed``: one passing
+    and one failing run of each."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--grid", "20", "--probes", "5"], 0),
+        (["verify", "--theta", "1.6", "--grid", "20", "--probes", "5"], 1),
+        (["scan", "--grid", "20", "--probes", "5"], 0),
+        (["scan", "--k", "2", "--grid", "20", "--probes", "20"], 1),
+        (["divisibility", "--grid", "9"], 0),
+        (["divisibility", "--theta", str(math.pi / 2), "--grid", "9"], 1),
+        (["sweep", "--theta-min", "1.4", "--theta-max", "1.6"], 0),
+        (["sweep", "--theta-min", "1.414", "--theta-max", "1.4143", "--theta-step", "1e-4"], 1),
+        (["bounds"], 0),
+        (["bounds", "--theta", "1.3"], 1),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+    def test_summary_decides_exit_code(self, argv, code, tmp_path, capsys, monkeypatch):
+        written, write = [], cli._write_json
+        monkeypatch.setattr(cli, "_write_json",
+                            lambda path, payload: (written.append(path), write(path, payload)))
+        assert run(argv + ["--out", str(tmp_path)]) == code
+        capsys.readouterr()
+        assert written == [tmp_path / f"{argv[0]}_summary.json"]
+        summary = json.loads(written[0].read_text())
+        assert summary["command"] == argv[0]
+        assert summary["passed"] is (code == 0)
+        for path in ORACLE_KEYS[argv[0]]:
+            value = summary
+            for key in path.split("."):
+                assert key in value, path
+                value = value[key]
+
+
 class TestMapContinuity:
     """The junction check compares the exact one-sided values of Lambda_t."""
 

@@ -211,16 +211,11 @@ class TestCpDivisibilityScan:
             cp_divisibility_scan(family(), [0.5, math.nan, 1.0])
         assert len(cp_divisibility_scan(family(), [])) == 0
 
-    def test_stack_dtype_must_not_change(self):
-        # float64 before t = 2 and complex from there: the first batch of 64
-        # intervals ends before t = 2 and the second crosses it, so an
-        # interval's arithmetic would hang on its neighbours; the scan
-        # refuses, and one interval at a time still works on either side
+    def test_intermediate_map_follows_stack_dtype(self):
+        # float64 before t = 2 and complex from there: one interval at a
+        # time runs in the dtype of its own stack, on either side
         fam = FakeFamily(lambda t: family()(t).matrix if t < 2.0
                          else family()(t).matrix.astype(complex))
-        with pytest.raises(OperandError, match="float64, then complex128"):
-            cp_divisibility_scan(fam, np.linspace(0.0, 4.0, 150))
-        assert len(fam.stacked) == 2
         for s, t, dtype in ((0.5, 1.0, float), (1.5, 2.5, complex), (2.5, 3.0, complex)):
             im, real = intermediate_map(fam, s, t), intermediate_map(family(), s, t)
             assert im.map.matrix.dtype == dtype

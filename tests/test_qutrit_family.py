@@ -495,9 +495,11 @@ class TestStackCallers:
     def test_divisibility_scan(self, calls):
         grid = list(np.linspace(0.0, 4.0, 150))
         cp_divisibility_scan(family(), grid)
-        # 149 intervals in batches of 64; each batch reuses the last map
-        assert calls == {"stack": [grid[:65], grid[65:129], grid[129:]],
-                         "dot_stack": []}
+        cp_divisibility_scan(family(), [1.0])
+        cp_divisibility_scan(family(), [])
+        # one stack of the whole grid, its 149 intervals sliced into batches
+        # of 64; a grid of fewer than two points stacks nothing
+        assert calls == {"stack": [grid], "dot_stack": []}
 
     def test_continuity_report(self, calls):
         continuity_report()
