@@ -150,8 +150,10 @@ def cmd_divisibility(args, out: Path) -> tuple[dict, list]:
     forcing = check_forcing(params)
     verdicts = {v: int(np.sum(rows.verdict == v))
                 for v in ("CP", "not-CP", "undefined-off-image")}
+    certificates = {c: int(np.sum(rows.certificate == c)) for c in ("closed-form", "completion")}
     return ({"theta": params.theta, "intervals": len(rows), "verdicts": verdicts,
-             "forcing_witness": forcing, "passed": forcing["passed"]},
+             "certificates": certificates, "forcing_witness": forcing,
+             "passed": forcing["passed"]},
             [f"intervals: {verdicts}; witness: {forcing['status']}"])
 
 

@@ -524,24 +524,31 @@ def gamma4_derivative_closed_form(lam, tau, theta):
 _SWEEP_LAMBDAS = np.arange(0.0, 10.0 + 1e-9, 0.1)
 
 
-def _regular_mesh(lam, tau, theta):
-    """The (lam, tau) mesh as a lam column against the tau row, on which the
-    closed forms broadcast and take cos and sin once per tau: the column,
-    with lam read as 0 at the singular points (lam = 1, 2*theta*tau = pi,
-    where ``_root`` vanishes), and the mask of the other points."""
+def _closed_form_mesh(closed_form, lam, tau, theta):
+    """``closed_form(lam, tau, theta)``, which raises SingularPointError where
+    ``_root`` vanishes (lam = 1, 2*theta*tau = pi), on the (lam, tau) mesh of
+    a lam column against the tau row, so it takes cos and sin once per tau
+    and its square root once; returns (values, number of singular points).
+    Only a mesh that holds a singular point is evaluated again, on a
+    mesh-shaped lam read as 0 there, with -inf at those points: a
+    mesh-shaped lam costs the default sweep 11-14 ms against 7-9 ms."""
     lam = np.asarray(lam, dtype=float)[:, None]
-    keep = _root(lam, tau, theta) > SINGULAR_ROOT
-    # a mesh-shaped lam costs the default sweep 11-14 ms against 7-9 ms
-    return (lam if keep.all() else np.where(keep, lam, 0.0)), keep
+    try:
+        return closed_form(lam, tau, theta), 0
+    except SingularPointError:
+        keep = _root(lam, tau, theta) > SINGULAR_ROOT
+        return (np.where(keep, closed_form(np.where(keep, lam, 0.0), tau, theta), -math.inf),
+                int(keep.size - keep.sum()))
 
 
-def _closed_form_mesh(lam, tau, theta):
-    """``gamma4_derivative_closed_form`` on the (lam, tau) mesh of
-    ``_regular_mesh``, with -inf at the singular points; returns (values,
-    number of singular points)."""
-    lam, keep = _regular_mesh(lam, tau, theta)
-    return (np.where(keep, gamma4_derivative_closed_form(lam, tau, theta), -math.inf),
-            int(keep.size - keep.sum()))
+def _lambda_slope(lam, tau, theta):
+    """d/dlam of the closed-form derivative's bracketed term, -1 + (lam +
+    cos(2 theta tau)) / sqrt(1 + lam^2 + 2 lam cos(2 theta tau)), raising
+    SingularPointError as ``gamma4_derivative_closed_form`` does."""
+    root = _root(lam, tau, theta)
+    if np.any(root <= SINGULAR_ROOT):
+        raise SingularPointError("vanishing denominator at lam = 1, 2*theta*tau = pi")
+    return -1 + (lam + np.cos(2 * theta * tau)) / root
 
 
 def theta_window_sweep(theta_grid, tau_grid) -> np.recarray:
@@ -560,7 +567,8 @@ def theta_window_sweep(theta_grid, tau_grid) -> np.recarray:
     best, where = np.empty(len(thetas)), np.empty((2, len(thetas)))
     skipped = np.zeros(len(thetas), dtype=int)
     for n, theta in enumerate(thetas):
-        vals, skipped[n] = _closed_form_mesh(_SWEEP_LAMBDAS, tau, theta)
+        vals, skipped[n] = _closed_form_mesh(gamma4_derivative_closed_form,
+                                             _SWEEP_LAMBDAS, tau, theta)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         best[n], where[:, n] = vals[i, j], (_SWEEP_LAMBDAS[i], tau[j])
     return np.rec.fromarrays([thetas, best, *where, best > TOL_CLOSED_FORM, skipped],
@@ -588,7 +596,8 @@ def bound_chain_check(theta: float, tau_grid) -> dict:
     if not 0.0 <= theta <= math.pi / 2:
         raise OperandError("bound chain is stated for theta in [0, pi/2]")
     tau = np.asarray(list(tau_grid), dtype=float)
-    vals, skipped = _closed_form_mesh(np.arange(1.0, 11.0), tau, theta)
+    vals, skipped = _closed_form_mesh(gamma4_derivative_closed_form, np.arange(1.0, 11.0),
+                                     tau, theta)
     sup = vals.max(axis=0)
     bound_a = (tau * np.sqrt(np.maximum(2 + 2 * np.cos(2 * theta * tau), 0.0))
                - (1 + tau * tau) * (theta / 2) * np.sin(2 * theta * tau))
@@ -605,10 +614,8 @@ def bound_chain_check(theta: float, tau_grid) -> dict:
                "polynomial", "link1", "link2", "link3", "link4"))
     # lam-monotonicity of the bracketed term: its lam-derivative is
     # -1 + (lam + cos(2 theta tau)) / sqrt(1 + lam^2 + 2 lam cos(2 theta tau)) <= 0.
-    lam, keep = _regular_mesh(np.linspace(1.0, 10.0, 37), tau, theta)
-    mono = np.where(keep, -1 + (lam + np.cos(2 * theta * tau)) / _root(lam, tau, theta),
-                    -math.inf)
-    skipped += int(keep.size - keep.sum())
+    mono, singular = _closed_form_mesh(_lambda_slope, np.linspace(1.0, 10.0, 37), tau, theta)
+    skipped += singular
     return {"theta": theta, "rows": rows, "singular_points_skipped": skipped,
             "chain_ok": bool(np.all(rows.link1 & rows.link2 & rows.link3)),
             "polynomial_nonpositive": bool(np.all(rows.link4)),

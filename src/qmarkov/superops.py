@@ -19,12 +19,15 @@ from .tolerances import RANK_CUTOFF
 
 
 # Maps per batched linear-algebra call on the maps of a time grid (the
-# divisibility scan slices one stack of its whole grid, 648 KB at 1000 points;
-# the CP/TP check stacks this many at a time): enough to make per-call
-# overhead small, few enough to keep peak memory flat.  On a 2-vCPU Xeon the
-# float64 divisibility scan of 1000 points took 6.6-6.7 ms of CPU a call at
-# 64, 6.4-6.5 ms at 128 to 1024 and 7.7 ms at 32; 1024 raised the peak RSS of
-# a process running it and a 2-probe scan from 39.5 to 43.2 MB.  The
+# divisibility scan slices one stack of its whole grid, 648 KB at 1000 points,
+# and builds each slice's intermediate maps, their Choi spectra and trace
+# errors; the CP/TP check stacks this many at a time): enough to make
+# per-call overhead small, few enough to keep peak memory flat.  On a 2-vCPU
+# Xeon the float64 divisibility scan of 1000 points, then all of it through
+# the SVD, took 6.6-6.7 ms of CPU a call at 64, 6.4-6.5 ms at 128 to 1024 and
+# 7.7 ms at 32; 1024 raised the peak RSS of a process running it and a
+# 2-probe scan from 39.5 to 43.2 MB.  With the closed-form maps, one slice
+# of the whole grid raised that process's peak from 40.1-40.3 to 42.1 MB.  The
 # contractivity scan stacks no maps: it applies each chain map to its probes
 # once and batches points by its probe stack (contractivity.SCAN_CHUNK_ENTRIES).
 GRID_CHUNK = 64

@@ -292,7 +292,8 @@ class TestDivisibility:
             2 * abs(math.cos(1.5)), abs=1e-8)
         assert "not-P-divisible" in out
         csv_lines = (tmp_path / "divisibility.csv").read_text().splitlines()
-        assert csv_lines[0] == "s,t,definedness,residual,choi_min_eig,verdict"
+        assert csv_lines[0] == ("s,t,certificate,definedness,residual,choi_min_eig,tp_error,"
+                                "verdict")
         assert len(csv_lines) == 9  # header + 8 intervals
 
     def test_right_angle_inconclusive_witness(self, tmp_path, capsys):

@@ -140,6 +140,48 @@ class TestThetaWindow:
         assert rows[0]["singular_points_skipped"] == 1
 
 
+class TestMeshRoots:
+    """Each closed-form mesh takes its square root once, in the closed form
+    itself, and a second time, with the masked mesh, only when it holds the
+    singular point."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"root": 0, "closed_form": 0}
+        root, closed_form = contractivity._root, contractivity.gamma4_derivative_closed_form
+
+        def counting_root(*args):
+            calls["root"] += 1
+            return root(*args)
+
+        def counting_closed_form(*args):
+            calls["closed_form"] += 1
+            return closed_form(*args)
+        monkeypatch.setattr(contractivity, "_root", counting_root)
+        monkeypatch.setattr(contractivity, "gamma4_derivative_closed_form", counting_closed_form)
+        return calls
+
+    def test_sweep(self, calls):
+        theta_window_sweep([1.45, 1.5], np.linspace(0.0, 1.0, 201))
+        assert calls == {"root": 2, "closed_form": 2}
+        calls.update(root=0, closed_form=0)
+        rows = theta_window_sweep([math.pi / 2], np.linspace(0.0, 1.0, 11))
+        # the raising call, the mask and the call on the masked mesh
+        assert calls == {"root": 3, "closed_form": 2}
+        assert rows[0]["singular_points_skipped"] == 1
+
+    def test_bound_chain(self, calls):
+        out = bound_chain_check(1.5, np.linspace(0.0, 1.0, 101))
+        assert calls == {"root": 2, "closed_form": 1}
+        assert out["singular_points_skipped"] == 0
+        calls.update(root=0, closed_form=0)
+        out = bound_chain_check(math.pi / 2, np.linspace(0.0, 1.0, 11))
+        # both meshes hold lam = 1 at 2 theta tau = pi
+        assert calls == {"root": 6, "closed_form": 2}
+        assert out["singular_points_skipped"] == 2
+        assert out["lambda_monotone"] and math.isfinite(out["worst_lambda_derivative"])
+
+
 class TestBoundChain:
     def test_holds_at_default_theta(self):
         out = bound_chain_check(1.5, np.linspace(0.0, 1.0, 101))

@@ -129,18 +129,21 @@ def test_scan_report_refuses_zero_rows():
 
 
 def test_divisibility_writer(tmp_path, monkeypatch):
+    certificates = ["closed-form", "completion"]
     kinds = ["exact", "image-restricted", "inconsistent"]
     verdicts = ["CP", "not-CP", "undefined-off-image"]
     n = len(SPECIAL)
-    header = ["s", "t", "definedness", "residual", "choi_min_eig", "verdict"]
+    header = ["s", "t", "certificate", "definedness", "residual", "choi_min_eig",
+              "tp_error", "verdict"]
     rows = np.rec.fromarrays(
-        [SPECIAL, SPECIAL[::-1], np.resize(kinds, n), np.roll(SPECIAL, -4),
-         np.roll(SPECIAL, -7), np.resize(verdicts, n)], names=header)
+        [SPECIAL, SPECIAL[::-1], np.resize(certificates, n), np.resize(kinds, n),
+         np.roll(SPECIAL, -4), np.roll(SPECIAL, -7), np.roll(SPECIAL, -2),
+         np.resize(verdicts, n)], names=header)
     monkeypatch.setattr(divisibility, "cp_divisibility_scan", lambda fam, grid: rows)
     cli.main(["divisibility", "--grid", "5", "--out", str(tmp_path)])
-    expected = _reference(header, [[_g15(r.s), _g15(r.t), r.definedness,
+    expected = _reference(header, [[_g15(r.s), _g15(r.t), r.certificate, r.definedness,
                                     _g15(r.residual), _g15(r.choi_min_eig),
-                                    r.verdict] for r in rows])
+                                    _g15(r.tp_error), r.verdict] for r in rows])
     assert (tmp_path / "divisibility.csv").read_bytes() == expected
 
 

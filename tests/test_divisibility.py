@@ -6,12 +6,12 @@ import pytest
 from scipy.linalg import expm
 
 from qmarkov import divisibility
-from qmarkov.divisibility import (cp_divisibility_scan, intermediate_map,
-                                  positive_forcing_witness)
+from qmarkov.divisibility import (_intermediate_maps, cp_divisibility_scan,
+                                  intermediate_map, positive_forcing_witness)
 from qmarkov.operators import OperandError, random_probes, trace_norm
-from qmarkov.qutrit_family import (G, RHO_A, RHO_B, MapParams, family,
+from qmarkov.qutrit_family import (G, RHO_A, RHO_B, Family, MapParams, family,
                                    rotated_ket)
-from qmarkov.superops import choi_min_eigenvalue, compose, from_kraus
+from qmarkov.superops import choi_min_eigenvalue, compose, from_kraus, to_choi, tp_error
 from qmarkov.tolerances import RANK_CUTOFF, RESIDUAL_TOL, TOL_PSD
 
 SEED = 3
@@ -83,15 +83,20 @@ class TestIntermediateMap:
 
     def test_rank_cutoff_residual_clears_residual_tol(self):
         """At the end of stage 2 RANK_CUTOFF drops a singular value of Lambda_s
-        of 1.41e-8 and leaves a residual at its bound, RANK_CUTOFF times
-        Lambda_s's largest singular value sqrt(2), split over two entries:
-        9.99999999999412e-9.  The interval must stay image-restricted, with
-        room for that bound to move."""
+        of 1.41e-8 and leaves the completion a residual at its bound,
+        RANK_CUTOFF times Lambda_s's largest singular value sqrt(2), split
+        over two entries: 9.99999999999412e-9.  The interval must stay
+        image-restricted, with room for that bound to move.  A Family takes
+        the closed form there, so the completion is read from its stack."""
         s = 1.9491785011793674
+        Ls, Lt = family().stack([s, s + 1e-15])
+        _, residual, definedness = _intermediate_maps(Ls[None], Lt[None])
+        assert definedness[0] == "image-restricted"
+        assert RANK_CUTOFF / 2 < residual[0] < 2 * RANK_CUTOFF
+        assert 10 * residual[0] < RESIDUAL_TOL
         im = intermediate_map(family(), s, s + 1e-15)
-        assert im.definedness == "image-restricted"
-        assert RANK_CUTOFF / 2 < im.residual < 2 * RANK_CUTOFF
-        assert 10 * im.residual < RESIDUAL_TOL
+        assert (im.certificate, im.definedness) == ("closed-form", "image-restricted")
+        assert im.residual <= 1e-15
 
 
 class TestCpDivisibilityScan:
@@ -128,7 +133,8 @@ class TestCpDivisibilityScan:
     def test_rows_match_interval_at_a_time(self, monkeypatch, fam):
         # 149 intervals across all four stages (two full batches of 64 and a
         # partial one), then 999 in 16 batches.  Each interval's map is the
-        # scan's V in its dtype, bit for bit: float64 for a Family
+        # scan's V in its dtype, bit for bit: float64 for a Family, whose
+        # intervals before t3 take the closed form
         batches = []
 
         def spy(V):
@@ -145,24 +151,30 @@ class TestCpDivisibilityScan:
                 assert im.map.matrix.dtype == V.dtype == (
                     complex if isinstance(fam, FakeFamily) else float)
                 assert np.array_equal(im.map.matrix.view(np.uint64), V.view(np.uint64))
-                lo = (math.nan if im.definedness == "inconsistent"
-                      else choi_min_eigenvalue(im.map))
+                lo, tp = ((math.nan, math.nan) if im.definedness == "inconsistent"
+                          else (choi_min_eigenvalue(im.map), tp_error(im.map)))
+                closed = im.certificate == "closed-form"
+                assert closed == (isinstance(fam, Family) and (s < 2.0 or t <= 3.0))
                 verdict = ("undefined-off-image" if math.isnan(lo)
-                           else "CP" if lo >= -TOL_PSD else "not-CP")
-                assert (row["s"], row["t"], row["definedness"], row["verdict"]) == \
-                    (s, t, im.definedness, verdict)
+                           else "CP" if lo >= -TOL_PSD and not (closed and tp > TOL_PSD)
+                           else "not-CP")
+                assert (row["s"], row["t"], row["certificate"], row["definedness"],
+                        row["verdict"]) == (s, t, im.certificate, im.definedness, verdict)
                 assert row["residual"] == im.residual
                 assert np.array_equal(row["choi_min_eig"], lo, equal_nan=True)
+                assert np.array_equal(row["tp_error"], tp, equal_nan=True)
 
     @pytest.mark.parametrize("theta", [1.3, math.sqrt(2), 1.5, math.pi / 2, 1.6],
                              ids=["1.3", "sqrt2", "1.5", "pi/2", "1.6"])
     @pytest.mark.parametrize("delta", [1.0, 1.05, 2.0])
     def test_complex_stack_reads_the_same(self, monkeypatch, theta, delta):
-        # Family.stack is float64; the same maps as a complex stack take the
-        # complex SVD and Choi spectrum, and must give the same labels and
-        # the same numbers to rounding
+        # the completion of a float64 stack, read through a fake so that no
+        # interval takes the closed form, against the same maps as a complex
+        # stack, which take the complex SVD and Choi spectrum: the same labels
+        # and the same numbers to rounding
         fam = family(MapParams(theta=theta, delta=delta))
-        complex_fam = FakeFamily(None)
+        real_fam, complex_fam = FakeFamily(None), FakeFamily(None)
+        real_fam.stack = fam.stack
         complex_fam.stack = lambda ts: fam.stack(ts).astype(complex)
         dtypes, choi = [], divisibility.choi_min_eigenvalue
 
@@ -173,8 +185,9 @@ class TestCpDivisibilityScan:
         for points in (50, 150, 1000):
             grid = np.linspace(0.0, 4.0, points)
             dtypes.clear()
-            real = cp_divisibility_scan(fam, grid)
+            real = cp_divisibility_scan(real_fam, grid)
             assert set(dtypes) == {np.dtype(float)}
+            assert set(real.certificate) == {"completion"}
             dtypes.clear()
             rows = cp_divisibility_scan(complex_fam, grid)
             assert set(dtypes) == {np.dtype(complex)}
@@ -182,6 +195,8 @@ class TestCpDivisibilityScan:
             assert (rows.verdict == real.verdict).all()
             assert np.abs(rows.residual - real.residual).max() <= 1e-14
             assert np.allclose(rows.choi_min_eig, real.choi_min_eig, rtol=0.0, atol=1e-14,
+                               equal_nan=True)
+            assert np.allclose(rows.tp_error, real.tp_error, rtol=0.0, atol=1e-14,
                                equal_nan=True)
 
     def test_rank_jump_is_inconsistent(self):
@@ -199,8 +214,8 @@ class TestCpDivisibilityScan:
     def test_single_point_grid_is_an_empty_table(self):
         rows = cp_divisibility_scan(family(), [1.0])
         assert len(rows) == 0
-        assert rows.dtype.names == ("s", "t", "definedness", "residual",
-                                    "choi_min_eig", "verdict")
+        assert rows.dtype.names == ("s", "t", "certificate", "definedness", "residual",
+                                    "choi_min_eig", "tp_error", "verdict")
 
     def test_grid_must_ascend(self):
         for grid in ([1.0, 0.5], [0.5, 0.5], np.array([0.0, 2.0, 2.0, 3.0])):
@@ -213,14 +228,111 @@ class TestCpDivisibilityScan:
 
     def test_intermediate_map_follows_stack_dtype(self):
         # float64 before t = 2 and complex from there: one interval at a
-        # time runs in the dtype of its own stack, on either side
+        # time runs in the dtype of its own stack, on either side, and both
+        # take the completion, which a float64 fake reads too
         fam = FakeFamily(lambda t: family()(t).matrix if t < 2.0
                          else family()(t).matrix.astype(complex))
+        real_fam = FakeFamily(lambda t: family()(t).matrix)
         for s, t, dtype in ((0.5, 1.0, float), (1.5, 2.5, complex), (2.5, 3.0, complex)):
-            im, real = intermediate_map(fam, s, t), intermediate_map(family(), s, t)
+            im, real = intermediate_map(fam, s, t), intermediate_map(real_fam, s, t)
+            assert im.certificate == real.certificate == "completion"
             assert im.map.matrix.dtype == dtype
             assert im.definedness == real.definedness
             assert np.abs(im.map.matrix - real.map.matrix).max() <= 1e-14
+
+
+# The default junctions and a set of unequal stage lengths.
+JUNCTION_SETS = {"default": {}, "uneven": dict(t1=0.7, t2=1.9, t3=2.3, t4=5.1)}
+
+
+def _grids(params):
+    """Uniform grids of 2 to 1000 points, sparse grids whose intervals span
+    several junctions, and points on each junction and 1e-6 of a stage's
+    length either side, where the stage-2 weight underflows to 0."""
+    t1, t2, t3, t4 = params.t1, params.t2, params.t3, params.t4
+    yield from (np.linspace(0.0, t4, points) for points in (2, 3, 5, 9, 50, 150, 1000))
+    yield np.array([0.0, t3])
+    yield np.array([0.5 * t1, (t2 + t3) / 2, t3, t4])
+    yield np.array([0.0, (t1 + t2) / 2, (t3 + t4) / 2])
+    edges = [0.0, t1, t2, t3, t4]
+    near = [tj + o * 1e-6 * (b - a) for a, tj, b in zip(edges, edges[1:4], edges[2:])
+            for o in (-1, 0, 1)]
+    yield np.array([0.0, *near, t4])
+    yield np.sort(np.random.default_rng(SEED).uniform(0.0, t4, 40))
+
+
+class TestClosedForms:
+    """The scan's closed-form intermediate maps, each read back from the
+    ``choi_min_eigenvalue`` batches and checked against the family's own
+    stack, with the Choi matrix and the trace of V(X) formed here."""
+
+    @pytest.mark.parametrize("junctions", list(JUNCTION_SETS), ids=list(JUNCTION_SETS))
+    @pytest.mark.parametrize("delta", [1.0, 1.05, 2.0])
+    @pytest.mark.parametrize("theta", [1.3, math.sqrt(2), 1.5, math.pi / 2, 1.6],
+                             ids=["1.3", "sqrt2", "1.5", "pi/2", "1.6"])
+    def test_every_closed_form_is_cptp_and_exact(self, monkeypatch, theta, delta, junctions):
+        params = MapParams(theta=theta, delta=delta, **JUNCTION_SETS[junctions])
+        fam, batches = family(params), []
+
+        def spy(V):
+            batches.append(V)
+            return choi_min_eigenvalue(V)
+        monkeypatch.setattr(divisibility, "choi_min_eigenvalue", spy)
+        seen = set()
+        for grid in _grids(params):
+            batches.clear()
+            rows = cp_divisibility_scan(fam, grid)
+            s, t = grid[:-1], grid[1:]
+            closed = rows.certificate == "closed-form"
+            assert (closed == ((s < params.t2) | (t <= params.t3))).all()
+            V = np.concatenate(batches)[closed]
+            maps = fam.stack(grid)
+            residual = np.abs(V @ maps[:-1][closed] - maps[1:][closed]).max(axis=(1, 2))
+            choi = to_choi(V)
+            lowest = np.linalg.eigvalsh((choi + np.swapaxes(choi, 1, 2)) / 2)[:, 0]
+            trace = V[:, ::4].sum(axis=1)  # vec of Tr V(|i><j|), rows 0, 4 and 8
+            trace_error = np.abs(trace - np.eye(3).ravel()).max(axis=1)
+            assert residual.max(initial=0.0) <= 1e-15
+            assert lowest.min(initial=0.0) >= -TOL_PSD
+            assert trace_error.max(initial=0.0) <= TOL_PSD
+            cp = rows[closed]
+            assert np.array_equal(cp.residual, residual)
+            assert np.abs(cp.choi_min_eig - lowest).max(initial=0.0) <= 1e-15
+            assert np.abs(cp.tp_error - trace_error).max(initial=0.0) <= 1e-15
+            assert (cp.verdict == "CP").all()
+            assert (cp.definedness == np.where(cp.s < params.t1, "exact",
+                                               "image-restricted")).all()
+            seen.update(zip(np.searchsorted([params.t1, params.t2, params.t3], cp.s,
+                                            "right").tolist(),
+                            np.searchsorted([params.t1, params.t2, params.t3], cp.t,
+                                            "left").tolist()))
+        # every pencil and every jump from stage 1 or 2 to a later stage
+        assert seen == {(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
+
+    def test_no_svd_on_closed_form_rows(self, monkeypatch):
+        svd, sizes = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            sizes.append(len(a))
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        rows = cp_divisibility_scan(family(), np.linspace(0.0, 3.0, 301))
+        assert (rows.certificate == "closed-form").all() and sizes == []
+        rows = cp_divisibility_scan(family(), np.linspace(0.0, 4.0, 1000))
+        assert sum(sizes) == (rows.certificate == "completion").sum() == 250
+        sizes.clear()
+        im = intermediate_map(family(), 0.5, 3.0)
+        assert (im.certificate, im.definedness, sizes) == ("closed-form", "exact", [])
+        im = intermediate_map(family(), 2.5, 3.5)
+        assert (im.certificate, sizes) == ("completion", [1])
+
+    def test_completion_rows_keep_their_labels(self):
+        # across t3 and on stage 4 the completion still decides, as before
+        rows = cp_divisibility_scan(family(), np.linspace(0.0, 4.0, 200))
+        late = rows[rows.certificate == "completion"]
+        assert len(late) == 50 and late.s.min() < 3.0 < late.t.min()
+        assert (late.verdict == "not-CP").all()
+        assert (late.definedness == "image-restricted").all()
 
 
 class TestForcingWitness:

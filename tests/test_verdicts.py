@@ -102,12 +102,21 @@ def test_stages_1_2_intervals_are_cp(divisibility_rows):
     assert labels == {"CP"}
 
 
-@wrong_today("item 3")
 def test_stage3_intervals_are_cp(divisibility_rows):
     # a CPTP intermediate map exists on every interval of [0, t3]
     labels = {row["verdict"] for row in divisibility_rows
               if JUNCTIONS.t2 <= row["s"] and row["t"] <= JUNCTIONS.t3}
     assert labels == {"CP"}
+
+
+def test_fine_divisibility_is_cp_by_closed_form_up_to_t3(tmp_path, capsys):
+    # every interval that ends by t3 has its CPTP intermediate map in
+    # closed form
+    code, _ = run(["divisibility", "--grid", "1000"], tmp_path)
+    early = [(row["verdict"], row["certificate"]) for row in rows(tmp_path / "divisibility.csv")
+             if float(row["t"]) <= JUNCTIONS.t3]
+    assert code == 0 and len(early) == 749
+    assert set(early) == {("CP", "closed-form")}
 
 
 @wrong_today("items 3, 10")
