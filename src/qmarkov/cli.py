@@ -63,8 +63,8 @@ def check_continuity(params: MapParams, derivative: bool = False) -> dict:
 
 
 def check_cp_tp(params: MapParams, grid_points: int) -> dict:
-    """CP from the Choi minimum eigenvalue, TP exactly from the Choi partial
-    trace, both read off one ``Family.stack`` of GRID_CHUNK grid points at a time."""
+    """CP from the Choi minimum eigenvalue and TP exactly from ``tp_error``,
+    both read off one ``Family.stack`` of GRID_CHUNK grid points at a time."""
     fam = family(params)
     grid = np.linspace(0.0, params.t4, grid_points)
     worst_choi, worst_tp = math.inf, 0.0
@@ -261,7 +261,10 @@ def main(argv=None) -> int:
         except ValueError as err:
             parser.error(f"--theta-step {args.theta_step}: {err}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # a file, or a path under one
+        parser.error(f"--out: {err}")
     summary, lines = args.func(args, out)
     _write_json(out / f"{args.command}_summary.json", {"command": args.command, **summary})
     print(*lines, sep="\n")

@@ -3,15 +3,16 @@
 Given a family t -> Lambda_t, an intermediate map V on an interval (s, t)
 solves V Lambda_s = Lambda_t.  For the qutrit ``Family`` every interval
 with s < t3 has one in closed form: inside stage i <= 3 a pencil a V0 +
-(1 - a) V1 of two channels, and from stage 1 or 2 into a later stage
-Lambda_t itself.  Such a V is CPTP by construction, and each row records
-how well it reproduces Lambda_t, its Choi minimum eigenvalue and its trace
-error.  Every other interval, and every interval of any other family, takes
-the minimum-norm completion Lambda_t pinv(Lambda_s): on invertible stretches
-the unique propagator, and where Lambda_s is rank deficient pinned down
-only on its image, which the result flags honestly.  Non-P-divisibility is
-certified separately by a pure-state forcing argument that quantifies over
-all extensions and never relies on the off-image completion.
+(1 - a) V1 of two channels, and from stage 1 or 2, or from Lambda_s = P2,
+into a later stage Lambda_t itself.  Such a V is CPTP by construction, and
+each row records how well it reproduces Lambda_t, its Choi minimum
+eigenvalue and its trace error.  Every other interval, and every interval of
+any other family, takes the minimum-norm completion Lambda_t pinv(Lambda_s):
+on invertible stretches the unique propagator, and where Lambda_s is rank
+deficient pinned down only on its image, which the result flags honestly.
+Non-P-divisibility is certified separately by a pure-state forcing argument
+that quantifies over all extensions and never relies on the off-image
+completion.
 """
 
 from __future__ import annotations
@@ -74,12 +75,12 @@ def _closed_forms(family, grid: np.ndarray):
     ascending grid, with s's stage from the right and t's from the left
     (``_stages``), so t = t_j closes the stage before it: pencil k in 0..2
     where V = a V0 + (1 - a) V1 of ``_PENCILS[k]`` (s and t in stage k + 1),
-    3 where V = Lambda_t (s in stage 1 or 2 and t in a later one, as
-    P_j Lambda_s = P_j for every chain map P_j after s's stage), and -1
-    where only the completion applies (s in stage 3 and t after t3, s in
-    stage 4, or a family that is not a ``Family``); ``invertible`` holds
-    where Lambda_s is (stage 1).  Where w_s underflows to 0, Lambda_s and
-    Lambda_t are both P_i, and a = 0 gives V = P_i."""
+    3 where V = Lambda_t (s in stage 1 or 2, or Lambda_s = P2, and t in a
+    later stage, as P_j Lambda_s = P_j for every chain map P_j after s's
+    stage), and -1 where only the completion applies (any other s in stage
+    3 and t after t3, s in stage 4, or a family that is not a ``Family``);
+    ``invertible`` holds where Lambda_s is (stage 1).  Where w_s underflows
+    to 0, Lambda_s and Lambda_t are both P_i, and a = 0 gives V = P_i."""
     s, t = grid[:-1], grid[1:]
     pencil, a = np.full(len(s), -1), np.zeros(len(s))
     if not isinstance(family, Family):
@@ -97,6 +98,9 @@ def _closed_forms(family, grid: np.ndarray):
         a[at] = np.divide(w_t, w_s, out=np.zeros_like(w_t), where=w_s > 0)
         pencil[at] = i
     pencil[(stage_s < 2) & (stage_t > stage_s)] = 3
+    across = np.flatnonzero((stage_s == 2) & (stage_t == 3))  # Lambda_s = P2 at w_s = 1
+    w_s = _weights(3, (s[across] - params.t2) / (params.t3 - params.t2), False).ravel()
+    pencil[across[w_s == 1.0]] = 3
     return pencil, a, stage_s == 0
 
 
@@ -105,42 +109,39 @@ def _intermediate_maps(Ls: np.ndarray, Lt: np.ndarray):
     rank-revealing pseudoinverse; one batched SVD and matmul each.
 
     The pseudoinverse takes np.linalg.pinv(Ls, rcond=RANK_CUTOFF)'s steps, so
-    V is bit-equal to it, and the rank is read off the same singular values.
-    Returns the arrays (V, residual, definedness), one entry per interval.
+    V is bit-equal to it.  Returns the arrays (V, full_rank), full_rank where
+    no singular value of Ls falls to the cutoff.
     """
-    n = Ls.shape[-1]
     u, sv, vh = np.linalg.svd(Ls.conj(), full_matrices=False)
     large = sv > RANK_CUTOFF * sv[:, :1]
     inv = np.divide(1, sv, out=np.zeros_like(sv), where=large)
     V = Lt @ (np.swapaxes(vh, -1, -2) @ (inv[..., None] * np.swapaxes(u, -1, -2)))
-    residual = np.abs(V @ Ls - Lt).max(axis=(-2, -1))
-    definedness = np.where(large.sum(axis=-1) == n, "exact",
-                           np.where(residual < RESIDUAL_TOL, "image-restricted",
-                                    "inconsistent"))
-    return V, residual, definedness
+    return V, large.all(axis=-1)
 
 
 def _interval_maps(Ls: np.ndarray, Lt: np.ndarray, pencil, a, invertible):
-    """(V, residual max |V Ls - Lt|, definedness) of a batch of intervals,
-    as ``_closed_forms`` plans them: a pencil row is built from its a, a
-    pencil-3 row copies Lt, and only the completion rows take the SVD of
-    ``_intermediate_maps``, which also decides their definedness.  A
-    closed-form row whose residual is not below RESIDUAL_TOL, which rounding
-    never gives, reads "inconsistent" as a completion row would.  V has the
+    """(V, residual max |V Ls - Lt|, definedness, certificate) of a batch of
+    intervals, as ``_closed_forms`` plans them: a pencil row is built from
+    its a and a pencil-3 row copies Lt (``closed-form``); only the
+    ``completion`` rows take the SVD of ``_intermediate_maps``.  One rule
+    decides every row's definedness: ``inconsistent`` where its residual is
+    not below RESIDUAL_TOL (which rounding never gives a closed form), else
+    ``exact`` where Lambda_s has full rank (stage 1 for a closed form, the
+    SVD's rank for a completion), else ``image-restricted``.  V has the
     stacks' dtype, and each row depends on its own interval alone."""
-    V = np.empty_like(Lt)
-    definedness = np.where(invertible, "exact", "image-restricted")
+    V, full_rank = np.empty_like(Lt), invertible.copy()
     for k in set(pencil.tolist()):
         at = pencil == k
         if k < 0:
-            V[at], _, definedness[at] = _intermediate_maps(Ls[at], Lt[at])
+            V[at], full_rank[at] = _intermediate_maps(Ls[at], Lt[at])
         elif k == 3:
             V[at] = Lt[at]
         else:
             V[at] = _blend(a[at][:, None, None], *_PENCILS[k], False)
     residual = np.abs(V @ Ls - Lt).max(axis=(-2, -1))
-    definedness[(pencil >= 0) & ~(residual < RESIDUAL_TOL)] = "inconsistent"
-    return V, residual, definedness
+    definedness = np.where(~(residual < RESIDUAL_TOL), "inconsistent",
+                           np.where(full_rank, "exact", "image-restricted"))
+    return V, residual, definedness, np.where(pencil >= 0, "closed-form", "completion")
 
 
 def intermediate_map(family, s: float, t: float) -> IntermediateMap:
@@ -152,10 +153,9 @@ def intermediate_map(family, s: float, t: float) -> IntermediateMap:
     grid = np.array([s, t], dtype=float)
     pencil, a, invertible = _closed_forms(family, grid)
     Ls, Lt = family.stack([s, t])
-    V, residual, kind = _interval_maps(Ls[None], Lt[None], pencil, a, invertible)
+    V, residual, kind, cert = _interval_maps(Ls[None], Lt[None], pencil, a, invertible)
     return IntermediateMap(s=s, t=t, map=SuperOp(V[0]), residual=float(residual[0]),
-                           definedness=str(kind[0]),
-                           certificate="closed-form" if pencil[0] >= 0 else "completion")
+                           definedness=str(kind[0]), certificate=str(cert[0]))
 
 
 def cp_divisibility_scan(family, grid) -> np.recarray:
@@ -164,18 +164,17 @@ def cp_divisibility_scan(family, grid) -> np.recarray:
     A record array ``s, t, certificate, definedness, residual, choi_min_eig,
     tp_error, verdict``, one row per interval.  ``certificate`` names the
     intermediate map V: ``closed-form`` for a qutrit ``Family`` on every
-    interval with s < t3 except the one across t3 (``_closed_forms``), else
-    ``completion``, the minimum-norm Lambda_t pinv(Lambda_s).  Each row
-    records V's residual max |V Lambda_s - Lambda_t|, its Choi minimum
-    eigenvalue and its trace error (``superops.tp_error``).  The verdict is
-    in {"CP", "not-CP", "undefined-off-image"}: a closed-form row reads CP
-    when its Choi minimum is at least -TOL_PSD and its trace error at most
-    TOL_PSD, a completion row on its Choi minimum alone.  A closed-form
-    row's definedness comes from its stage: ``exact`` where Lambda_s is
-    invertible (stage 1), else ``image-restricted``.  A completion row's
-    comes from the rank and residual of its SVD, and the not-CP verdict on a
-    rank-deficient interval refers to the completion; the forcing witness is
-    the extension-independent certificate.  ``family`` is read only through
+    interval with s < t3 except those across t3 from a Lambda_s other than
+    P2 (``_closed_forms``), else ``completion``, the minimum-norm Lambda_t
+    pinv(Lambda_s).  ``_interval_maps`` decides each row's V, its residual
+    max |V Lambda_s - Lambda_t|, definedness and certificate, and the row
+    records V's Choi minimum eigenvalue and trace error
+    (``superops.tp_error``).  The verdict is in {"CP", "not-CP",
+    "undefined-off-image"}: a closed-form row reads CP when its Choi minimum
+    is at least -TOL_PSD and its trace error at most TOL_PSD, a completion
+    row on its Choi minimum alone.  The not-CP verdict on a rank-deficient
+    interval refers to the completion; the forcing witness is the
+    extension-independent certificate.  ``family`` is read only through
     one ``family.stack(grid)`` (none for fewer than two points); the stages
     and weights are read once per grid, and the intervals go in batches of
     GRID_CHUNK through one Choi eigvalsh, one trace error and, for the
@@ -187,20 +186,19 @@ def cp_divisibility_scan(family, grid) -> np.recarray:
     n = max(len(grid) - 1, 0)
     pencil, a, invertible = _closed_forms(family, grid)
     residual, lowest, trace_error = np.empty(n), np.empty(n), np.empty(n)
-    definedness = np.empty(n, dtype="U16")
+    definedness, certificate = np.empty(n, dtype="U16"), np.empty(n, dtype="U11")
     maps = family.stack(grid) if n else None
     for i in range(0, n, GRID_CHUNK):
         part = slice(i, min(i + GRID_CHUNK, n))
-        V, residual[part], definedness[part] = _interval_maps(
+        V, residual[part], definedness[part], certificate[part] = _interval_maps(
             maps[part], maps[part.start + 1:part.stop + 1], pencil[part], a[part],
             invertible[part])
         lowest[part], trace_error[part] = choi_min_eigenvalue(V), tp_error(V)
-    closed = pencil >= 0
     inconsistent = definedness == "inconsistent"
-    cp = (lowest >= -TOL_PSD) & ~(closed & (trace_error > TOL_PSD))
+    cp = (lowest >= -TOL_PSD) & ~((certificate == "closed-form") & (trace_error > TOL_PSD))
     return np.rec.fromarrays(
-        [grid[:-1], grid[1:], np.where(closed, "closed-form", "completion"), definedness,
-         residual, np.where(inconsistent, np.nan, lowest),
+        [grid[:-1], grid[1:], certificate, definedness, residual,
+         np.where(inconsistent, np.nan, lowest),
          np.where(inconsistent, np.nan, trace_error),
          np.where(inconsistent, "undefined-off-image", np.where(cp, "CP", "not-CP"))],
         names=("s", "t", "certificate", "definedness", "residual", "choi_min_eig",

@@ -3,8 +3,8 @@
 A linear map on d x d operators is stored as its d^2 x d^2 matrix acting on
 column-stacked vectorizations, vec(|i><j|) sitting at index j*d + i.  All
 Choi/Kraus formulas below are written against this single convention.
-Also here: CP/TP read off the Choi matrix, S tensor Id_k on a product
-space, and image bases with the image-inclusion check.
+Also here: CP read off the Choi matrix and TP off the map's rows, S tensor
+Id_k on a product space, and image bases with the image-inclusion check.
 """
 
 from __future__ import annotations
@@ -138,14 +138,11 @@ def choi_min_eigenvalue(S):
 
 
 def tp_error(S):
-    """Largest entry of |Tr_out C - I|, C the Choi matrix; 0 iff S preserves trace.
-
-    A float for one map, an array over the stack for a stack of matrices.
-    """
-    C = to_choi(S)
-    d = math.isqrt(C.shape[-1])
-    reduced = np.einsum("...kikj->...ij", C.reshape(C.shape[:-2] + (d, d, d, d)))
-    out = np.abs(reduced - np.eye(d)).max(axis=(-2, -1))
+    """Largest |Tr S(|i><j|) - delta_ij|, 0 iff S preserves trace: column
+    j*d + i summed over the output-diagonal rows 0, d + 1, ..., d^2 - 1, with
+    no Choi matrix.  A float for one map, an array over a stack of matrices."""
+    m, d = _matrices(S)
+    out = np.abs(m[..., ::d + 1, :].sum(axis=-2) - np.eye(d).reshape(-1)).max(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -47,14 +47,15 @@ TOL_REFLECTION = 1e-10
 # handled here.
 RANK_CUTOFF = 1e-8
 
-# Largest max-abs residual |V Lambda_s - Lambda_t| for which the minimum-norm
-# V of a rank-deficient interval still counts as reproducing Lambda_t
-# ("image-restricted" rather than "inconsistent").  If Lambda_t = W Lambda_s,
-# a singular value sigma <= RANK_CUTOFF * sigma_max(Lambda_s) that the cutoff
-# drops leaves a residual of at most ||W|| sigma: 1e-8 here, with sigma_max =
-# sqrt(2) (9.99999999999412e-9 on (1.9491785011793674, + 1e-15), at the end of
-# stage 2).  Other residuals are rounding, below 1e-13; a kernel of Lambda_s
-# outside Lambda_t's leaves O(1).  100 times the cutoff clears the bound 100x.
+# Largest max-abs residual |V Lambda_s - Lambda_t| for which an intermediate
+# map V counts as reproducing Lambda_t; every row of the divisibility table at
+# or above it, closed form or completion, reads "inconsistent".  If Lambda_t =
+# W Lambda_s, a singular value sigma <= RANK_CUTOFF * sigma_max(Lambda_s) that
+# the cutoff drops leaves a residual of at most ||W|| sigma: 1e-8 here, with
+# sigma_max = sqrt(2) (9.99999999999412e-9 on (1.9491785011793674, + 1e-15),
+# at the end of stage 2).  Other residuals are rounding, below 1e-13; a kernel
+# of Lambda_s outside Lambda_t's leaves O(1).  100 times the cutoff clears the
+# bound 100x.
 RESIDUAL_TOL = 100 * RANK_CUTOFF
 
 # Eigenvalues of an evolved probe with |lam| <= KERNEL_CUTOFF * max |lam| of

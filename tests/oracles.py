@@ -4,8 +4,8 @@ gathered from whole X and Xdot as the block kernel once took them, the
 block kernel as it was written, with a sort, Lambda_t as it was written,
 each stage's Gamma^(i) followed by a matmul by its prefix map, the family's
 coefficients (rates, weights, s = tau^delta, kets) one float expression per
-tau as they were written, and the scan's batches as they were written, from
-a map stack per batch.
+tau as they were written, the scan's batches as they were written, from
+a map stack per batch, and the trace error as the Choi partial trace.
 
 The package computes these quantities exactly (Kato's formula in the scan,
 the closed forms in ``contractivity``); the tests check it against these
@@ -25,7 +25,7 @@ from qmarkov.contractivity import (SCAN_CHUNK_ENTRIES, _block_norm_rderiv, _eigh
 from qmarkov.operators import OperandError, trace_norm
 from qmarkov.qutrit_family import (E1, E2_E1, E3_E2_E1, RHO_A, RHO_B, MapParams,
                                    gamma_family, make_E)
-from qmarkov.superops import apply_to_extended
+from qmarkov.superops import apply_to_extended, to_choi
 from qmarkov.tolerances import KERNEL_CUTOFF
 
 # Default initial step of the finite-difference right-derivative estimator
@@ -274,3 +274,13 @@ def scan_by_maps(fam, stack, grid, k):
     parts = [norm_rderiv_by_maps(fam, stack, grid[i:i + chunk], k)
              for i in range(0, len(grid), chunk)]
     return tuple(np.concatenate([part[j] for part in parts]).T for j in range(2))
+
+
+def tp_error_by_choi(S):
+    """superops.tp_error as it was written: the largest entry of
+    |Tr_out C - I|, C the Choi matrix, for a SuperOp or a stack of matrices."""
+    C = to_choi(S)
+    d = math.isqrt(C.shape[-1])
+    reduced = np.einsum("...kikj->...ij", C.reshape(C.shape[:-2] + (d, d, d, d)))
+    out = np.abs(reduced - np.eye(d)).max(axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from qmarkov import contractivity
 from qmarkov.contractivity import (_chain_applies, _eigh_norm_rderiv, _norm_rderiv,
                                    _pair_codes, _triple_spectrum, norm_derivative_scan)
-from qmarkov.divisibility import RESIDUAL_TOL, _intermediate_maps
+from qmarkov.divisibility import RESIDUAL_TOL, _interval_maps
 from qmarkov.operators import ProbeSet, random_probes
 from qmarkov.qutrit_family import MapParams, _stage_images, _stages, family
 from qmarkov.superops import apply_to_extended
@@ -76,20 +76,28 @@ def _stacks():
     }
 
 
+def _completions(Ls, Lt):
+    """(V, residual, definedness, certificate) of every interval of the
+    stacks, each planned as a completion, so each takes the SVD."""
+    n = len(Ls)
+    return _interval_maps(Ls, Lt, np.full(n, -1), np.zeros(n), np.zeros(n, dtype=bool))
+
+
 @pytest.mark.parametrize("name", ["full-rank", "stages-3-4", "zero", "rank-jump"])
 def test_intermediate_maps_match_pinv(name):
     Ls, Lt = _stacks()[name]
-    V, residual, definedness = _intermediate_maps(Ls, Lt)
+    V, residual, definedness, certificate = _completions(Ls, Lt)
     V_ref, definedness_ref = _old_definedness(Ls, Lt, RANK_CUTOFF)
     assert V.tobytes() == V_ref.tobytes()
     assert definedness.tolist() == definedness_ref.tolist()
     assert residual.tobytes() == np.abs(V_ref @ Ls - Lt).max(axis=(-2, -1)).tobytes()
+    assert set(certificate.tolist()) == {"completion"}
 
 
 def test_stacks_cover_every_definedness():
     seen = set()
     for Ls, Lt in _stacks().values():
-        seen.update(_intermediate_maps(Ls, Lt)[2].tolist())
+        seen.update(_completions(Ls, Lt)[2].tolist())
     assert seen == {"exact", "image-restricted", "inconsistent"}
 
 

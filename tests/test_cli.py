@@ -432,6 +432,19 @@ class TestUsage:
         assert "t4" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["scan", "divisibility"])
+    def test_out_is_not_a_directory(self, command, under, tmp_path, capsys):
+        """--out naming a file, or a path under one, is a usage error, and
+        the file is left as it was."""
+        path = tmp_path / "taken"
+        path.write_bytes(b"kept\n")
+        assert run([command, "--grid", "4", "--out", str(path / under)]) == 2
+        err = capsys.readouterr().err
+        assert "error: --out" in err and "Traceback" not in err
+        assert path.read_bytes() == b"kept\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["taken"]
+
 
 class TestOneParser:
     """main parses every call with the one parser build_parser makes on first

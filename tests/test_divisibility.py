@@ -6,10 +6,10 @@ import pytest
 from scipy.linalg import expm
 
 from qmarkov import divisibility
-from qmarkov.divisibility import (_intermediate_maps, cp_divisibility_scan,
+from qmarkov.divisibility import (_interval_maps, cp_divisibility_scan,
                                   intermediate_map, positive_forcing_witness)
 from qmarkov.operators import OperandError, random_probes, trace_norm
-from qmarkov.qutrit_family import (G, RHO_A, RHO_B, Family, MapParams, family,
+from qmarkov.qutrit_family import (E2_E1, G, RHO_A, RHO_B, Family, MapParams, family,
                                    rotated_ket)
 from qmarkov.superops import choi_min_eigenvalue, compose, from_kraus, to_choi, tp_error
 from qmarkov.tolerances import RANK_CUTOFF, RESIDUAL_TOL, TOL_PSD
@@ -90,7 +90,8 @@ class TestIntermediateMap:
         the closed form there, so the completion is read from its stack."""
         s = 1.9491785011793674
         Ls, Lt = family().stack([s, s + 1e-15])
-        _, residual, definedness = _intermediate_maps(Ls[None], Lt[None])
+        _, residual, definedness, _ = _interval_maps(Ls[None], Lt[None], np.array([-1]),
+                                                     np.zeros(1), np.zeros(1, dtype=bool))
         assert definedness[0] == "image-restricted"
         assert RANK_CUTOFF / 2 < residual[0] < 2 * RANK_CUTOFF
         assert 10 * residual[0] < RESIDUAL_TOL
@@ -247,8 +248,10 @@ JUNCTION_SETS = {"default": {}, "uneven": dict(t1=0.7, t2=1.9, t3=2.3, t4=5.1)}
 
 def _grids(params):
     """Uniform grids of 2 to 1000 points, sparse grids whose intervals span
-    several junctions, and points on each junction and 1e-6 of a stage's
-    length either side, where the stage-2 weight underflows to 0."""
+    several junctions, points on each junction and 1e-6 of a stage's
+    length either side, where the stage-2 weight underflows to 0, and
+    intervals into stage 4 from t2 and from 1e-9 and 1e-6 of stage 3's
+    length after it, where the stage-3 weight rounds to 1 on the first two."""
     t1, t2, t3, t4 = params.t1, params.t2, params.t3, params.t4
     yield from (np.linspace(0.0, t4, points) for points in (2, 3, 5, 9, 50, 150, 1000))
     yield np.array([0.0, t3])
@@ -259,6 +262,8 @@ def _grids(params):
             for o in (-1, 0, 1)]
     yield np.array([0.0, *near, t4])
     yield np.sort(np.random.default_rng(SEED).uniform(0.0, t4, 40))
+    for after in (0.0, 1e-9, 1e-6):
+        yield np.array([0.0, t2 + after * (t3 - t2), t4])
 
 
 class TestClosedForms:
@@ -283,10 +288,12 @@ class TestClosedForms:
             batches.clear()
             rows = cp_divisibility_scan(fam, grid)
             s, t = grid[:-1], grid[1:]
-            closed = rows.certificate == "closed-form"
-            assert (closed == ((s < params.t2) | (t <= params.t3))).all()
-            V = np.concatenate(batches)[closed]
             maps = fam.stack(grid)
+            closed = rows.certificate == "closed-form"
+            # where the stage-3 weight rounds to 1, Lambda_s is E2 E1 bit for bit
+            at_p2 = (maps[:-1] == E2_E1.matrix).all(axis=(1, 2))
+            assert (closed == ((s < params.t2) | (t <= params.t3) | at_p2)).all()
+            V = np.concatenate(batches)[closed]
             residual = np.abs(V @ maps[:-1][closed] - maps[1:][closed]).max(axis=(1, 2))
             choi = to_choi(V)
             lowest = np.linalg.eigvalsh((choi + np.swapaxes(choi, 1, 2)) / 2)[:, 0]
@@ -306,8 +313,10 @@ class TestClosedForms:
                                             "right").tolist(),
                             np.searchsorted([params.t1, params.t2, params.t3], cp.t,
                                             "left").tolist()))
-        # every pencil and every jump from stage 1 or 2 to a later stage
-        assert seen == {(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
+        # every pencil, every jump from stage 1 or 2 to a later stage, and
+        # the jumps from Lambda_s = E2 E1 on stage 3 to stage 4
+        assert seen == {(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                        (2, 3)}
 
     def test_no_svd_on_closed_form_rows(self, monkeypatch):
         svd, sizes = np.linalg.svd, []
@@ -323,6 +332,8 @@ class TestClosedForms:
         sizes.clear()
         im = intermediate_map(family(), 0.5, 3.0)
         assert (im.certificate, im.definedness, sizes) == ("closed-form", "exact", [])
+        im = intermediate_map(family(), 2.0, 3.5)
+        assert (im.certificate, im.residual, sizes) == ("closed-form", 0.0, [])
         im = intermediate_map(family(), 2.5, 3.5)
         assert (im.certificate, sizes) == ("completion", [1])
 

@@ -10,6 +10,8 @@ from qmarkov.superops import (SuperOp, _image_basis, apply_to_extended,
                               tp_error)
 from qmarkov.tolerances import TOL_PSD
 
+from oracles import tp_error_by_choi
+
 SEED = 11
 IDENTITY = SuperOp(np.eye(9, dtype=complex))
 
@@ -177,6 +179,33 @@ class TestChoi:
             preserved = all(
                 abs(np.trace(S.apply(X)) - np.trace(X)) <= 1e-10 for X in probes)
             assert (tp_error(S) <= TOL_PSD) == preserved
+
+
+class TestTpError:
+    """tp_error, read off the map's rows, against the Choi partial trace it
+    replaced (``oracles.tp_error_by_choi``), bit for bit."""
+
+    @pytest.mark.parametrize("kind", [float, complex], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_stacks(self, d, kind):
+        rng = np.random.default_rng(SEED + d)
+        m = rng.standard_normal((1000, d * d, d * d)).astype(kind)
+        if kind is complex:
+            m += 1j * rng.standard_normal(m.shape)
+        # every other map preserves trace up to rounding: its row 0 completes
+        # the output-diagonal rows' sum to vec(I)
+        m[::2, 0] = np.eye(d).reshape(-1) - m[::2, d + 1::d + 1].sum(axis=1)
+        expected = tp_error_by_choi(m)
+        assert np.median(expected[::2]) < 1e-14 < expected[1::2].min()
+        assert tp_error(m).tobytes() == expected.tobytes()
+        assert tp_error(m.reshape(10, 100, d * d, d * d)).tobytes() == expected.tobytes()
+        assert [tp_error(SuperOp(x)) for x in m[:100]] == expected[:100].tolist()
+
+    def test_family_and_named_maps(self):
+        maps = family().stack(np.linspace(0.0, 4.0, 1000))
+        assert tp_error(maps).tobytes() == tp_error_by_choi(maps).tobytes()
+        named = [make_E(i) for i in (1, 2, 3, 4)] + [transpose_map(), IDENTITY]
+        assert [tp_error(S) for S in named] == [tp_error_by_choi(S) for S in named]
 
 
 class TestImage:

@@ -119,6 +119,16 @@ def test_fine_divisibility_is_cp_by_closed_form_up_to_t3(tmp_path, capsys):
     assert set(early) == {("CP", "closed-form")}
 
 
+def test_coarse_divisibility_is_cp_by_closed_form(tmp_path, capsys):
+    # on [0, 2, 4] Lambda_2 = E2 E1, so Lambda_4 is itself a CPTP
+    # intermediate map on (2, 4), as Lambda_2 is on (0, 2)
+    code, summary = run(["divisibility", "--grid", "3"], tmp_path)
+    cells = [(row["verdict"], row["certificate"], float(row["tp_error"]))
+             for row in rows(tmp_path / "divisibility.csv")]
+    assert code == 0 and cells == [("CP", "closed-form", 0.0)] * 2
+    assert summary["certificates"] == {"closed-form": 2, "completion": 0}
+
+
 @wrong_today("items 3, 10")
 def test_stage4_intervals_are_not_p(divisibility_rows):
     # no positive TP intermediate map exists on any stage-4 interval
